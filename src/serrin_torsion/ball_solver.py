@@ -29,6 +29,7 @@ from .sphere_spectral import (
     SphereFunction,
     ball_volume,
     get_basis,
+    product_points,
 )
 
 __all__ = [
@@ -56,6 +57,11 @@ class EnvelopeError(RuntimeError):
 
 class ResolutionError(RuntimeError):
     """Data not resolved by the configured spectral truncation."""
+
+
+# Largest last radial coefficient, relative to the largest coefficient, of a
+# source that the radial truncation counts as resolved.
+SOURCE_TAIL_TOL = 1e-9
 
 
 class BallGrid:
@@ -131,9 +137,7 @@ class BallGrid:
 
         # product-grid caches
         self.w_vol = self.wr * self.r ** (N - 1)
-        self.points = (self.r[:, None, None] * basis.nodes[None, :, :]).reshape(
-            -1, N
-        )
+        self.points = product_points(basis.nodes, self.r)
         self.n_ang = basis.nodes.shape[0]
 
     def volume_integral(self, values):
@@ -311,14 +315,13 @@ class BallField:
 # -- flat solves -------------------------------------------------------------
 
 
-def poisson_solve(f, h=None, grid=None, tail_tol=1e-9):
+def poisson_solve(f, h=None, grid=None):
     """Solve lap(psi) = f in B_1 with psi = h on the boundary.
 
     f may be a BallField, pointwise values (n_r, n_ang), or None (Laplace).
     h is a SphereFunction or None. Mode-by-mode radial solve; raises
-    ResolutionError when the source has unresolved radial tail content.
-    tail_tol=None skips the check (used by iterations whose sources are
-    only piecewise smooth, where the caller judges quality after the fact).
+    ResolutionError when the source's last radial coefficient exceeds
+    SOURCE_TAIL_TOL times its largest one.
     """
     if isinstance(f, BallField):
         src = f
@@ -332,12 +335,10 @@ def poisson_solve(f, h=None, grid=None, tail_tol=1e-9):
             raise ValueError("grid required for pointwise sources")
         src = BallField.from_values(grid, np.asarray(f, dtype=float))
     basis = grid.basis
-    if src is not None and tail_tol is not None:
-        scale = np.abs(src.coeffs).max()
-        if scale > 0 and np.abs(src.coeffs[:, -1]).max() > tail_tol * scale:
-            raise ResolutionError(
-                "source has unresolved radial tail; raise n_radial"
-            )
+    if src is not None and src.tail_fraction() > SOURCE_TAIL_TOL:
+        raise ResolutionError(
+            "source has unresolved radial tail; raise n_radial"
+        )
     M = grid.n_radial
     out = np.zeros((basis.n_modes, M))
     hc = h.coeffs if h is not None else None
@@ -456,7 +457,7 @@ class LaplaceContext:
 
     def __init__(self, jet, grid):
         self.grid = grid
-        g, dg = jet.metric_and_grad(grid.points)
+        g, dg = jet.metric_and_grad(grid.basis.nodes, grid.r)
         self.ginv = np.linalg.inv(g)
         # d_c ginv = -ginv dg_c ginv
         dginv = -np.einsum(
@@ -495,25 +496,20 @@ def laplacian_pointwise(jet, field, grid=None):
 
 
 def dirichlet_solve_full(jet, grid, tol=1e-12, max_iter=100, context=None,
-                         warm_start=None, source_tail_tol=0.05):
+                         warm_start=None):
     """Solve -lap_g(phi) = 1 in B_1, phi = 0 on the boundary.
 
     Frozen-Laplacian Picard iteration: phi <- poisson_solve(-1 - (lap_g -
     lap) phi). Returns (phi, info) with the iteration history, the final
     pointwise residual of lap_g phi + 1, and the relative radial tail of
     the final Picard source. Raises EnvelopeError on non-convergence or
-    loss of interior positivity. warm_start seeds the iteration with a
-    previous potential (same grid) to save steps.
+    loss of interior positivity, and ResolutionError from poisson_solve
+    when a Picard source is not resolved radially. warm_start seeds the
+    iteration with a previous potential (same grid) to save steps.
 
-    When the boundary perturbation has angular content, the pulled-back
-    metric is only C^1 across the cutoff joints, so the Picard source has
-    an algebraically decaying radial tail proportional to the deformation
-    amplitude. The per-iteration strict tail check is therefore skipped
-    here; source_tail_tol only rejects grossly unresolved states, and the
-    honest quality measures are info["residual"] (pointwise, concentrated
-    at the joints) and info["source_tail"]. Smooth functionals of phi
-    (boundary trace, integrals) are polluted three to four orders below
-    the deformation amplitude at default resolution.
+    The pulled-back metric of a MetricJet is smooth on the closed ball, so
+    every Picard source is spectrally resolved and poisson_solve checks
+    each one with its strict tail bound.
     """
     ctx = context if context is not None else LaplaceContext(jet, grid)
     ones = np.ones((grid.n_r, grid.n_ang))
@@ -524,7 +520,7 @@ def dirichlet_solve_full(jet, grid, tol=1e-12, max_iter=100, context=None,
     for it in range(max_iter):
         corr = ctx.correction_values(phi)
         src = BallField.from_values(grid, -ones - corr)
-        new = poisson_solve(src, None, tail_tol=None)
+        new = poisson_solve(src, None)
         step = float(np.abs(new.values() - phi.values()).max())
         history.append(step)
         phi = new
@@ -535,12 +531,6 @@ def dirichlet_solve_full(jet, grid, tol=1e-12, max_iter=100, context=None,
             "Picard iteration did not reach %g in %d steps (last %g)"
             % (tol, max_iter, history[-1])
         )
-    tail = src.tail_fraction()
-    if tail > source_tail_tol:
-        raise ResolutionError(
-            "Picard source tail %.2e exceeds %.2e; raise n_radial"
-            % (tail, source_tail_tol)
-        )
     vals = phi.values()
     if vals.min() <= 0.0:
         raise EnvelopeError("torsion potential lost interior positivity")
@@ -549,7 +539,7 @@ def dirichlet_solve_full(jet, grid, tol=1e-12, max_iter=100, context=None,
         "iterations": len(history),
         "history": history,
         "residual": residual,
-        "source_tail": tail,
+        "source_tail": src.tail_fraction(),
     }
     return phi, info
 
@@ -586,7 +576,7 @@ def decompose_solution(jet, phi, psi_eps_field, grid):
     operationally as phi - phi0(rho x) - (1/N) psi_v - psi_eps.
     """
     N = grid.dim
-    rho = jet.rho(grid.points).reshape(grid.n_r, grid.n_ang)
+    rho = jet.rho(grid.basis.nodes, grid.r).reshape(grid.n_r, grid.n_ang)
     rr = (grid.r**2)[:, None] * rho**2
     phi0_rho = BallField.from_values(grid, (1.0 - rr) / (2.0 * N))
     v = jet.state.compose() if jet.state is not None else None

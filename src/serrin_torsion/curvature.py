@@ -33,7 +33,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
 from . import ball_solver
-from .sphere_spectral import get_basis
+from .sphere_spectral import SphereFunction, get_basis, product_points
 
 __all__ = [
     "CurvaturePacket",
@@ -650,31 +650,24 @@ class ConformalSphere2D(ModelManifold):
 # -- metric jet ----------------------------------------------------------------
 
 
-def _smoothstep_jet(r):
-    """Quintic ramp in s = clamp(4r - 1): 0 below r=1/4, 1 above r=1/2.
-
-    Returns (chi, dchi/dr, d2chi/dr2).
-    """
-    s = np.clip(4.0 * r - 1.0, 0.0, 1.0)
-    chi = s**3 * (6.0 * s**2 - 15.0 * s + 10.0)
-    ds = 30.0 * s**2 * (s - 1.0) ** 2
-    dss = 60.0 * s * (s - 1.0) * (2.0 * s - 1.0)
-    inside = (r > 0.25) & (r < 0.5)
-    dchi = np.where(inside, 4.0 * ds, 0.0)
-    d2chi = np.where(inside, 16.0 * dss, 0.0)
-    return chi, dchi, d2chi
-
-
 class MetricJet:
     """Pointwise metric of a perturbed geodesic ball, pulled back to B_1.
 
     Composition of two maps: x -> rho(x) x deforms the unit ball onto the
-    star-shaped domain {r < 1 + v(theta)}, then scaled normal coordinates
-    y -> exp_p(eps y E) land it on the manifold. rho blends the mean part of
-    the perturbation as a global dilation with the degree >= 2 part ramped
-    in over r in [1/4, 1/2]; the degree-1 part of a perturbation is a
-    boundary translation handled by the outer solver and never deforms the
-    domain here.
+    star-shaped domain {r < 1 + v0 + vbar(theta)}, then scaled normal
+    coordinates y -> exp_p(eps y E) land it on the manifold. rho is the
+    solid-harmonic extension 1 + v0 + sum_k w_k of the boundary profile,
+    where w_k is the degree-k part of vbar extended as a homogeneous
+    harmonic polynomial. It takes the boundary values at r = 1 and is a
+    polynomial, so the pulled-back metric is smooth on the closed ball;
+    only the boundary is part of the construction, and the boundary result
+    does not depend on the interior extension. The degree-1 part of a
+    perturbation is a boundary translation handled by the outer solver and
+    never deforms the domain here.
+
+    The pointwise methods take arbitrary points of B_1, or with radii the
+    directions of the product set {r theta}, flattened radius-major like
+    BallGrid.points (see SphereBasis.solid_jet).
 
     fidelity "truncated" uses the cubic curvature model of the metric (any
     manifold); "exact" uses the closed-form normal-coordinate metric and is
@@ -697,99 +690,33 @@ class MetricJet:
             self._chart = lambda Y: truncated_chart(self.packet, Y)
         else:
             raise ValueError("unknown fidelity %r" % fidelity)
+        # the boundary displacement that rho extends: v0 + vbar, or zero
         if state is not None:
-            basis = state.vbar.basis
-            self._wbasis = basis
-            self._wcoeffs = state.vbar.coeffs
-            self._v0 = state.v0
+            self._profile = state.domain_profile()
         else:
-            self._wbasis = None
-            self._v0 = 0.0
+            self._profile = SphereFunction.zero(get_basis(self.dim, 0))
 
-    # -- the radial blend rho ------------------------------------------------
+    # -- the domain map rho --------------------------------------------------
 
-    def rho_jet(self, pts):
-        """(rho, d rho, d2 rho) at points of B_1, shapes (P,), (P,N), (P,N,N)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        P, N = pts.shape
-        rho = np.full(P, 1.0 + self._v0)
-        drho = np.zeros((P, N))
-        d2rho = np.zeros((P, N, N))
-        if self._wbasis is None or not np.any(self._wcoeffs):
-            return rho, drho, d2rho
-        r = np.linalg.norm(pts, axis=1)
-        chi, dchi, d2chi = _smoothstep_jet(r)
-        live = r > 0.25
-        if not np.any(live):
-            return rho, drho, d2rho
-        x = pts[live]
-        rl = r[live]
-        basis = self._wbasis
-        H = basis.eval_matrix(x)
-        dH = basis.eval_grad_matrix(x)
-        d2H = basis.eval_hess_matrix(x)
-        c = self._wcoeffs
-        degs = basis.degrees.astype(float)
-        # w = sum_m c_m r^{-k_m} H_m(x); assemble w, dw, d2w at the live points
-        rpow = rl[None, :] ** (-degs[:, None])  # (n_modes, n_live)
-        ch = c[:, None] * rpow
-        w = np.einsum("mp,mp->p", ch, H)
-        xunit = x / rl[:, None]
-        eye = np.eye(N)
-        # d(r^-k H) = -k r^{-k-2} x H + r^{-k} dH
-        kk = degs[:, None]
-        dw = np.einsum("mp,mpi->pi", ch, dH, optimize=True)
-        dw -= np.einsum("mp,mp,pi->pi", ch * kk, H, x / rl[:, None] ** 2)
-        # d2(r^-k H) = k(k+2) r^{-k-4} x x H
-        #   - k r^{-k-2} (d_ij H + x_i dH_j + x_j dH_i) + r^{-k} d2H
-        t1 = np.einsum(
-            "mp,mp,pi,pj->pij",
-            ch * (kk * (kk + 2.0)) / rl[None, :] ** 4,
-            H,
-            x,
-            x,
-            optimize=True,
-        )
-        mid = np.einsum("mp,mp,ij->pij", ch * kk, H, eye, optimize=True)
-        mid += np.einsum("mp,pi,mpj->pij", ch * kk, x, dH, optimize=True)
-        mid += np.einsum("mp,pj,mpi->pij", ch * kk, x, dH, optimize=True)
-        mid /= rl[:, None, None] ** 2
-        tail = np.einsum("mp,mpij->pij", ch, d2H, optimize=True)
-        d2w = t1 - mid + tail
-        # combine with the radial ramp
-        chl = chi[live]
-        dchl = dchi[live]
-        d2chl = d2chi[live]
-        rho[live] += chl * w
-        grad = dchl[:, None] * xunit * w[:, None] + chl[:, None] * dw
-        drho[live] = grad
-        rhat2 = np.einsum("pi,pj->pij", xunit, xunit)
-        d2r = (eye[None] - rhat2) / rl[:, None, None]
-        hess = (
-            d2chl[:, None, None] * rhat2 * w[:, None, None]
-            + dchl[:, None, None] * d2r * w[:, None, None]
-            + dchl[:, None, None]
-            * (
-                np.einsum("pi,pj->pij", xunit, dw)
-                + np.einsum("pj,pi->pij", xunit, dw)
-            )
-            + chl[:, None, None] * d2w
-        )
-        d2rho[live] = hess
-        return rho, drho, d2rho
+    def rho_jet(self, pts, radii=None):
+        """(rho, d rho, d2 rho) at points of B_1, or on the product set of
+        the directions pts with radii; shapes (P,), (P,N), (P,N,N)."""
+        prof = self._profile
+        w, dw, d2w = prof.basis.solid_jet(prof.coeffs, pts, radii)
+        return 1.0 + w, dw, d2w
 
-    def rho(self, pts):
-        return self.rho_jet(pts)[0]
+    def rho(self, pts, radii=None):
+        return self.rho_jet(pts, radii)[0]
 
     # -- metric callbacks ------------------------------------------------------
 
-    def metric_and_grad(self, pts):
+    def metric_and_grad(self, pts, radii=None):
         """(g (P,N,N), dg (P,N,N,N)) of the pulled-back metric at unit-ball
         points; dg[p,c,i,j] = d_c g_ij. Includes the eps^2 scaling of the
         ball, i.e. the flat case returns the identity."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        P, N = pts.shape
-        rho, drho, d2rho = self.rho_jet(pts)
+        rho, drho, d2rho = self.rho_jet(pts, radii)
+        pts = product_points(pts, radii)
+        N = pts.shape[1]
         Y = rho[:, None] * pts
         # J[p,a,i] = d_i Y^a; K[p,a,i,c] = d_c d_i Y^a
         eye = np.eye(N)
@@ -807,13 +734,12 @@ class MetricJet:
         dg += np.einsum("pab,pai,pbjc->pcij", gbar, J, K, optimize=True)
         return g, dg
 
-    def metric(self, pts):
-        return self.metric_and_grad(pts)[0]
+    def metric(self, pts, radii=None):
+        return self.metric_and_grad(pts, radii)[0]
 
     def boundary_metric(self):
         """Metric at the angular quadrature nodes on the unit sphere."""
-        basis = self._wbasis or get_basis(self.dim, 0)
-        return self.metric(basis.nodes)
+        return self.metric(self._profile.basis.nodes)
 
 
 def pullback_metric(manifold, p, eps, state=None, fidelity="truncated"):

@@ -20,11 +20,12 @@ from .ball_solver import (
     neumann_trace,
     poisson_solve,
 )
-from .curvature import MetricJet
+from .curvature import FlatSpace, MetricJet
 from .sphere_spectral import (
     PerturbationState,
     SphereFunction,
     ball_volume,
+    product_points,
 )
 
 __all__ = [
@@ -293,76 +294,19 @@ def find_critical(
 # -- shape-derivative checks --------------------------------------------------
 
 
-def _harmonic_speed_jet(pts, triples):
-    """Value, gradient, Hessian of sum_k Re[(a_k - i b_k) (x+iy)^k].
-
-    Each term is a harmonic polynomial restricting to a_k cos(k theta) +
-    b_k sin(k theta) on the unit circle, so the boundary speed extends
-    into the disk with spectral smoothness and exact derivatives.
-    """
-    z = pts[:, 0] + 1j * pts[:, 1]
-    n = len(pts)
-    eta = np.zeros(n)
-    deta = np.zeros((n, 2))
-    d2eta = np.zeros((n, 2, 2))
-    for k, a, b in triples:
-        c = a - 1j * b
-        eta += (c * z**k).real
-        if k >= 1:
-            dz = k * z ** (k - 1)
-            deta[:, 0] += (c * dz).real
-            deta[:, 1] += (1j * c * dz).real
-        if k >= 2:
-            d2z = k * (k - 1) * z ** (k - 2)
-            d2eta[:, 0, 0] += (c * d2z).real
-            d2eta[:, 0, 1] += (1j * c * d2z).real
-            d2eta[:, 1, 0] += (1j * c * d2z).real
-            d2eta[:, 1, 1] -= (c * d2z).real
-    return eta, deta, d2eta
-
-
-class _StarMapJet:
+class _StarMapJet(MetricJet):
     """Pullback of the flat metric through x -> (1 + s eta(x)) x.
 
-    eta is the harmonic-polynomial extension of a band-limited boundary
-    speed, so the metric is polynomial and the spectral solver keeps full
-    accuracy; the boundary moves with normal speed s eta per unit s.
+    eta is the solid-harmonic extension of a band-limited boundary speed,
+    the domain map of MetricJet with the degree-1 part kept, so the metric
+    is polynomial and the spectral solver keeps full accuracy; the
+    boundary moves with normal speed s eta per unit s.
     """
 
-    def __init__(self, s, triples, basis):
-        self.dim = 2
-        self.s = float(s)
-        self.triples = [(int(k), float(a), float(b)) for k, a, b in triples]
-        self._basis = basis
-
-    def metric_and_grad(self, pts):
-        s = self.s
-        eta, deta, d2eta = _harmonic_speed_jet(pts, self.triples)
-        n = len(pts)
-        eye = np.eye(2)
-        # jac[p, a, i] = d Phi_a / d x_i
-        jac = (1.0 + s * eta)[:, None, None] * eye[None]
-        jac += s * pts[:, :, None] * deta[:, None, :]
-        # hess[p, a, i, c] = d^2 Phi_a / d x_i d x_c
-        hess = np.zeros((n, 2, 2, 2))
-        for a_idx in range(2):
-            for i in range(2):
-                for c_idx in range(2):
-                    hess[:, a_idx, i, c_idx] = s * (
-                        deta[:, c_idx] * eye[a_idx, i]
-                        + deta[:, i] * eye[a_idx, c_idx]
-                        + pts[:, a_idx] * d2eta[:, i, c_idx]
-                    )
-        g = np.einsum("pai,paj->pij", jac, jac, optimize=True)
-        dg = np.einsum("paic,paj->pcij", hess, jac, optimize=True)
-        dg += np.einsum("pai,pajc->pcij", jac, hess, optimize=True)
-        return g, dg
-
-    def metric(self, pts):
-        return self.metric_and_grad(pts)[0]
-
-    def boundary_metric(self):
-        return self.metric(self._basis.nodes)
+    def __init__(self, s, speed):
+        super().__init__(FlatSpace(2), np.zeros(2), 0.0, fidelity="exact")
+        # the displacement that rho extends, here with its degree-1 part
+        self._profile = speed * s
 
 
 def shape_derivative_check(speed, h=1e-4, max_degree=16, grid=None):
@@ -377,19 +321,27 @@ def shape_derivative_check(speed, h=1e-4, max_degree=16, grid=None):
     """
     grid = grid or get_grid(2, max_degree)
     basis = grid.basis
-    triples = [(int(k), float(a), float(b)) for k, a, b in speed]
+    theta = np.arctan2(basis.nodes[:, 1], basis.nodes[:, 0])
+    zeta = np.zeros(len(theta))
+    for k, a, b in speed:
+        if int(k) > basis.max_degree:
+            raise ValueError(
+                "speed degree %d exceeds max_degree %d" % (k, basis.max_degree)
+            )
+        zeta += float(a) * np.cos(int(k) * theta)
+        zeta += float(b) * np.sin(int(k) * theta)
+    speed_fn = basis.project_values(zeta)
 
     # base solve on the disk itself (s = 0 map is the identity)
-    base_jet = _StarMapJet(0.0, triples, basis)
+    base_jet = _StarMapJet(0.0, speed_fn)
     phi0 = poisson_solve(-np.ones((grid.n_r, grid.n_ang)), None, grid=grid)
     ctx0 = LaplaceContext(base_jet, grid)
     J0 = energy_J(base_jet, phi0, grid, context=ctx0)
     trace = neumann_trace(base_jet, phi0, grid).node_values()
-    zeta = _harmonic_speed_jet(basis.nodes, triples)[0]
     analytic = -float(basis.weights @ ((J0 * trace) ** 2 * zeta))
 
     def J_at(s):
-        jet = _StarMapJet(s, triples, basis)
+        jet = _StarMapJet(s, speed_fn)
         phi, _ = dirichlet_solve_full(jet, grid)
         return energy_J(jet, phi, grid)
 
@@ -413,13 +365,13 @@ class _RotationJet:
         self._g = R.T @ R
         self._basis = basis
 
-    def metric_and_grad(self, pts):
-        n = len(pts)
+    def metric_and_grad(self, pts, radii=None):
+        n = len(product_points(pts, radii))
         g = np.broadcast_to(self._g, (n, 2, 2)).copy()
         return g, np.zeros((n, 2, 2, 2))
 
-    def metric(self, pts):
-        return self.metric_and_grad(pts)[0]
+    def metric(self, pts, radii=None):
+        return self.metric_and_grad(pts, radii)[0]
 
     def boundary_metric(self):
         return self.metric(self._basis.nodes)

@@ -17,6 +17,7 @@ one), and the preconditioner calL used by the quasi-Newton solver
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 from itertools import product as _iproduct
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "SphereFunction",
     "PerturbationState",
     "get_basis",
+    "product_points",
     "ball_volume",
     "sphere_area",
     "sphere_monomial_integral",
@@ -205,57 +207,57 @@ class SphereBasis:
             P[:, e, :] = P[:, e - 1, :] * pts.T
         return P
 
-    def eval_matrix(self, pts):
-        """Values of every solid harmonic at the given points, (n_modes, n_pts)."""
+    def _degree_polys(self, k):
+        """(exps (t, N), coefficient columns (t, n_k)) of degree-k modes."""
+        s = self._deg_slices[k]
+        columns = np.stack([c for _, c in self.polys[s]], axis=1)
+        return self.polys[s.start][0], columns
+
+    def _poly_derivatives(self, P, E, C, order):
+        """Derivatives of order 0, 1 or 2 of the polynomials
+        sum_t C[t, j] x^E[t] at the points with power table P, shaped
+        (n, n_pts) + (N,) * order with n = C.shape[1]."""
+        N = self.dim
+        eye = np.eye(N, dtype=np.int64)
+        out = np.zeros((C.shape[1], P.shape[2]) + (N,) * order)
+        for idx in combinations_with_replacement(range(N), order):
+            # d^idx x^E = (falling factorial) x^(E - idx)
+            coef = np.ones(len(E))
+            shifted = E
+            for d in idx:
+                coef = coef * shifted[:, d]
+                shifted = shifted - eye[d]
+            live = coef != 0
+            if not np.any(live):
+                continue
+            vals = (C[live] * coef[live, None]).T @ self._mono_values(
+                P, shifted[live]
+            )
+            for perm in set(permutations(idx)):
+                out[(slice(None), slice(None)) + perm] = vals
+        return out
+
+    def _mode_tables(self, pts, order):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         P = self._powers(pts)
-        out = np.empty((self.n_modes, pts.shape[0]))
-        for m, (E, c) in enumerate(self.polys):
-            mono = P[0, E[:, 0], :]
-            for d in range(1, self.dim):
-                mono = mono * P[d, E[:, d], :]
-            out[m] = c @ mono
-        return out
+        return np.concatenate(
+            [
+                self._poly_derivatives(P, *self._degree_polys(k), order)
+                for k in range(self.max_degree + 1)
+            ]
+        )
+
+    def eval_matrix(self, pts):
+        """Values of every solid harmonic at the given points, (n_modes, n_pts)."""
+        return self._mode_tables(pts, 0)
 
     def eval_grad_matrix(self, pts):
         """Gradients of the solid harmonics, (n_modes, n_pts, N)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        P = self._powers(pts)
-        out = np.zeros((self.n_modes, pts.shape[0], self.dim))
-        for m, (E, c) in enumerate(self.polys):
-            for d in range(self.dim):
-                ad = E[:, d]
-                live = ad > 0
-                if not np.any(live):
-                    continue
-                mono = (c[live] * ad[live]) @ self._mono_values(
-                    P, E[live] - np.eye(self.dim, dtype=np.int64)[d]
-                )
-                out[m, :, d] = mono
-        return out
+        return self._mode_tables(pts, 1)
 
     def eval_hess_matrix(self, pts):
         """Hessians of the solid harmonics, (n_modes, n_pts, N, N)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        P = self._powers(pts)
-        out = np.zeros((self.n_modes, pts.shape[0], self.dim, self.dim))
-        eye = np.eye(self.dim, dtype=np.int64)
-        for m, (E, c) in enumerate(self.polys):
-            for d1 in range(self.dim):
-                for d2 in range(d1, self.dim):
-                    a1 = E[:, d1]
-                    shifted = E - eye[d1]
-                    a2 = shifted[:, d2]
-                    live = (a1 > 0) & (a2 > 0)
-                    if not np.any(live):
-                        continue
-                    vals = (c[live] * a1[live] * a2[live]) @ self._mono_values(
-                        P, shifted[live] - eye[d2]
-                    )
-                    out[m, :, d1, d2] = vals
-                    if d2 != d1:
-                        out[m, :, d2, d1] = vals
-        return out
+        return self._mode_tables(pts, 2)
 
     @staticmethod
     def _mono_values(P, exps):
@@ -263,6 +265,49 @@ class SphereBasis:
         for d in range(1, exps.shape[1]):
             mono = mono * P[d, exps[:, d], :]
         return mono
+
+    def solid_jet(self, coeffs, dirs, radii=None):
+        """Value, gradient and Hessian of the solid extension sum_m c_m H_m.
+
+        Evaluated by homogeneity: the modes of each degree k collapse into
+        one homogeneous polynomial w_k, whose value, gradient and Hessian
+        are computed once at the points dirs and scaled by r^k, r^(k-1) and
+        r^(k-2) for every radius r. The result lives on the product set
+        {r d : r in radii, d in dirs}, flattened radius-major like
+        BallGrid.points; radii=None is the single radius 1, i.e. the points
+        dirs themselves. Returns shapes (P,), (P, N), (P, N, N).
+        """
+        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+        radii = np.ones(1) if radii is None else np.asarray(radii, dtype=float)
+        n, N = dirs.shape
+        degs = [
+            k
+            for k in range(self.max_degree + 1)
+            if np.any(coeffs[self._deg_slices[k]])
+        ]
+        size = radii.size * n
+        if not degs:
+            return np.zeros(size), np.zeros((size, N)), np.zeros((size, N, N))
+        P = self._powers(dirs)
+        polys = []
+        for k in degs:
+            E, C = self._degree_polys(k)
+            polys.append((E, (C @ coeffs[self._deg_slices[k]])[:, None]))
+        k = np.array(degs, dtype=float)
+        r = radii[:, None]
+        # (radius, degree) factors; derivatives of order above k vanish
+        scales = (
+            r**k,
+            np.where(k >= 1, r ** np.maximum(k - 1.0, 0.0), 0.0),
+            np.where(k >= 2, r ** np.maximum(k - 2.0, 0.0), 0.0),
+        )
+        out = []
+        for j, scale in enumerate(scales):
+            table = np.stack(
+                [self._poly_derivatives(P, E, c, j).ravel() for E, c in polys]
+            )
+            out.append((scale @ table).reshape((size,) + (N,) * j))
+        return tuple(out)
 
     def node_grads(self):
         if self._node_grads is None:
@@ -280,6 +325,16 @@ class SphereBasis:
         """SphereFunction with coefficients <values, Y_km> by quadrature."""
         values = np.asarray(values, dtype=float)
         return SphereFunction(self, self.Y @ (self.weights * values))
+
+
+def product_points(dirs, radii=None):
+    """The product set {r d : r in radii, d in dirs} as an (n, N) array,
+    flattened radius-major; radii=None is the single radius 1."""
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if radii is None:
+        return dirs
+    radii = np.asarray(radii, dtype=float)
+    return (radii[:, None, None] * dirs[None]).reshape(-1, dirs.shape[1])
 
 
 @lru_cache(maxsize=8)

@@ -14,7 +14,6 @@ from serrin_torsion.curvature import (
     FlatSpace,
     MetricJet,
     _radial_profile,
-    _smoothstep_jet,
     constant_curvature_chart,
     laplace_beltrami_apply,
     manifold_from_config,
@@ -368,27 +367,51 @@ def test_pullback_identity_rate():
     assert slope > 1.9
 
 
+def _random_state(basis, rng, amplitude=0.02):
+    c = rng.standard_normal(basis.n_modes) * amplitude
+    c /= (1.0 + basis.degrees) ** 2
+    return PerturbationState.from_sphere_function(SphereFunction(basis, c))
+
+
 def test_rho_jet_derivative_consistency():
-    basis = get_basis(2, 16)
-    rng = np.random.default_rng(9)
-    c = rng.standard_normal(basis.n_modes) * 0.02 / (1.0 + basis.degrees) ** 2
-    v = SphereFunction(basis, c)
-    state = PerturbationState.from_sphere_function(v)
-    jet = MetricJet(FlatSpace(2), np.zeros(2), 0.0, state=state)
-    pts = rng.standard_normal((7, 2))
-    pts *= (rng.uniform(0.55, 0.9, 7) / np.linalg.norm(pts, axis=1))[:, None]
-    rho, drho, d2rho = jet.rho_jet(pts)
-    h = 2e-4
-    for c_ in range(2):
-        e = np.zeros(2)
-        e[c_] = h
-        rp = jet.rho(pts + e)
-        rm = jet.rho(pts - e)
-        assert np.abs((rp - rm) / (2 * h) - drho[:, c_]).max() < 5e-8
-        rp2, dp, _ = jet.rho_jet(pts + e)
-        rm2, dm, _ = jet.rho_jet(pts - e)
-        fd2 = (dp - dm) / (2 * h)
-        assert np.abs(fd2 - d2rho[:, c_, :]).max() < 2e-5
+    for N, max_degree in ((2, 16), (3, 10)):
+        basis = get_basis(N, max_degree)
+        rng = np.random.default_rng(9)
+        state = _random_state(basis, rng)
+        jet = MetricJet(FlatSpace(N), np.zeros(N), 0.0, state=state)
+        # radii on both sides of 1/4, down to the neighbourhood of the origin
+        radii = np.concatenate(
+            [rng.uniform(0.02, 0.25, 5), rng.uniform(0.25, 0.9, 5)]
+        )
+        pts = rng.standard_normal((10, N))
+        pts *= (radii / np.linalg.norm(pts, axis=1))[:, None]
+        rho, drho, d2rho = jet.rho_jet(pts)
+        h = 2e-4
+        for c_ in range(N):
+            e = np.zeros(N)
+            e[c_] = h
+            rp, dp, _ = jet.rho_jet(pts + e)
+            rm, dm, _ = jet.rho_jet(pts - e)
+            assert np.abs((rp - rm) / (2 * h) - drho[:, c_]).max() < 5e-8
+            assert np.abs((dp - dm) / (2 * h) - d2rho[:, c_, :]).max() < 5e-8
+
+
+@pytest.mark.parametrize("N, max_degree", [(2, 16), (3, 10)])
+def test_rho_jet_product_set_matches_points(N, max_degree):
+    grid = get_grid(N, max_degree)
+    basis = grid.basis
+    state = _random_state(basis, np.random.default_rng(11))
+    man = ConstantCurvature(N, 1.0)
+    jet = MetricJet(man, man.origin(), 0.1, state=state)
+    on_product = jet.rho_jet(basis.nodes, grid.r)
+    at_points = jet.rho_jet(grid.points)
+    for a, b in zip(on_product, at_points):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() < 1e-13
+    # r = 1: rho is one plus the boundary profile v0 + vbar, degree 1 dropped
+    rho = jet.rho(basis.nodes, np.ones(1))
+    profile = state.domain_profile().node_values()
+    assert np.abs(rho - 1.0 - profile).max() < 1e-13
 
 
 def test_metric_gradient_consistency():
@@ -448,34 +471,7 @@ def test_laplacian_cross_fidelity():
     assert 10.0 < gaps[1] / gaps[0] < 22.0
 
 
-# -- cutoff and config -----------------------------------------------------------
-
-
-def test_smoothstep_profile():
-    r = np.linspace(0.0, 1.0, 2001)
-    chi, dchi, d2chi = _smoothstep_jet(r)
-    assert np.all(chi[r <= 0.25] == 0.0)
-    assert np.all(chi[r >= 0.5] == 1.0)
-    assert np.all(np.diff(chi) >= -1e-15)
-    # C^2 joints: values and first two derivatives meet at both ends; the
-    # third derivative jumps, so d2chi is merely Lipschitz across the joint
-    for r0 in (0.25, 0.5):
-        lo = _smoothstep_jet(np.array([r0 - 1e-9]))
-        hi = _smoothstep_jet(np.array([r0 + 1e-9]))
-        for a, b, tol in zip(lo, hi, (1e-12, 1e-9, 1e-5)):
-            assert abs(a[0] - b[0]) < tol
-
-
-def test_smoothstep_derivatives():
-    r = np.linspace(0.26, 0.49, 40)
-    chi, dchi, d2chi = _smoothstep_jet(r)
-    h = 1e-6
-    cp = _smoothstep_jet(r + h)[0]
-    cm = _smoothstep_jet(r - h)[0]
-    assert np.abs((cp - cm) / (2 * h) - dchi).max() < 1e-6
-    dp = _smoothstep_jet(r + h)[1]
-    dm = _smoothstep_jet(r - h)[1]
-    assert np.abs((dp - dm) / (2 * h) - d2chi).max() < 1e-5
+# -- config -----------------------------------------------------------------
 
 
 def test_manifold_config_parsing():
