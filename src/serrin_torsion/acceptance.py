@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ball_solver import dtn_via_ball, get_grid, poisson_solve
+from .ball_solver import get_grid, harmonic_extension, poisson_solve
 from .curvature import ConformalSphere2D, ConstantCurvature, FlatSpace
 from .fitting import fit_even_series, loglog_slope
 from .foliation import (
@@ -147,7 +147,7 @@ class AcceptanceRun:
                 coeffs[sl] = rng.standard_normal(sl.stop - sl.start)
                 coeffs /= np.linalg.norm(coeffs)
                 h = SphereFunction(basis, coeffs)
-                nd = dtn_via_ball(grid, h)
+                nd = harmonic_extension(grid, h).normal_derivative()
                 errs.append(
                     np.abs(nd.coeffs - k * h.coeffs).max() / max(float(k), 1.0)
                 )

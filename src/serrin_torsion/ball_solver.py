@@ -25,7 +25,6 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.special import eval_jacobi
 
 from .sphere_spectral import (
-    SphereBasis,
     SphereFunction,
     ball_volume,
     get_basis,
@@ -38,14 +37,11 @@ __all__ = [
     "get_grid",
     "poisson_solve",
     "harmonic_extension",
-    "dtn_via_ball",
     "solve_psi_eps",
     "psi_source_values",
     "dirichlet_solve_full",
     "neumann_trace",
-    "laplacian_pointwise",
     "LaplaceContext",
-    "decompose_solution",
     "EnvelopeError",
     "ResolutionError",
 ]
@@ -63,6 +59,11 @@ class ResolutionError(RuntimeError):
 # source that the radial truncation counts as resolved.
 SOURCE_TAIL_TOL = 1e-9
 
+# Picard iteration of dirichlet_solve_full: stop once the max-norm step on
+# the product grid falls below PICARD_TOL; fail after PICARD_MAX_ITER steps.
+PICARD_TOL = 1e-12
+PICARD_MAX_ITER = 100
+
 
 class BallGrid:
     """Product quadrature grid and per-mode radial solver data.
@@ -71,17 +72,17 @@ class BallGrid:
     ----------
     basis : SphereBasis for the angular factor.
     n_radial : number M of radial coefficients carried per mode.
-    n_r : radial Gauss-Legendre node count; the default is exact for every
-        polynomial integrand the solver produces.
+
+    The radial Gauss-Legendre rule has n_r = 2 M + max_degree + 8 nodes,
+    exact for every polynomial integrand the solver produces.
     """
 
-    def __init__(self, basis, n_radial=28, n_r=None):
+    def __init__(self, basis, n_radial=28):
         self.basis = basis
         self.dim = basis.dim
         self.n_radial = n_radial
         L = basis.max_degree
-        if n_r is None:
-            n_r = 2 * n_radial + L + 8
+        n_r = 2 * n_radial + L + 8
         x, w = np.polynomial.legendre.leggauss(n_r)
         self.r = 0.5 * (x + 1.0)
         self.wr = 0.5 * w
@@ -146,10 +147,10 @@ class BallGrid:
 
 
 @lru_cache(maxsize=8)
-def get_grid(N, max_degree, n_radial=None, n_nodes=None):
+def get_grid(N, max_degree, n_radial=None):
     if n_radial is None:
         n_radial = 28 if N == 2 else 20
-    return BallGrid(get_basis(N, max_degree, n_nodes), n_radial)
+    return BallGrid(get_basis(N, max_degree), n_radial)
 
 
 @dataclass
@@ -247,26 +248,6 @@ class BallField:
         P = n_r * n_ang
         return u.reshape(P), du.reshape(P, N), d2u.reshape(P, N, N)
 
-    def evaluate(self, pts):
-        """Values at arbitrary points of the closed ball."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        grid, basis = self.grid, self.grid.basis
-        r = np.linalg.norm(pts, axis=1)
-        rsafe = np.where(r > 0, r, 1.0)
-        theta = pts / rsafe[:, None]
-        theta[r == 0] = np.concatenate([[1.0], np.zeros(grid.dim - 1)])
-        Y = basis.eval_matrix(theta)
-        t = 2.0 * r**2 - 1.0
-        out = np.zeros(pts.shape[0])
-        js = np.arange(grid.n_radial)
-        for k in range(basis.max_degree + 1):
-            s = basis.degree_slice(k)
-            b = grid.beta[k]
-            Q = np.stack([eval_jacobi(j, 0.0, b, t) for j in js], axis=1)
-            prof = Q @ self.coeffs[s].T
-            out += (r**k) * np.einsum("pm,mp->p", prof, Y[s])
-        return out
-
     # -- boundary data -----------------------------------------------------
 
     def boundary_trace(self):
@@ -294,9 +275,6 @@ class BallField:
 
     __rmul__ = __mul__
 
-    def max_abs(self):
-        return float(np.abs(self.values()).max())
-
     def integral(self, weight=None):
         """Integral over the ball; optional pointwise weight (n_r, n_ang)."""
         vals = self.values()
@@ -322,6 +300,13 @@ def poisson_solve(f, h=None, grid=None):
     h is a SphereFunction or None. Mode-by-mode radial solve; raises
     ResolutionError when the source's last radial coefficient exceeds
     SOURCE_TAIL_TOL times its largest one.
+
+    Limit: BallField.from_values leaks angular roundoff into the top radial
+    coefficients even for a constant source, and the leak grows with
+    max_degree. For f = -1 on get_grid(2, L) the tail fraction is 5.5e-13
+    at L=16, 1.4e-11 at L=24, 3.0e-9 at L=28 and 1.2e-8 at L=32, so from
+    L=28 on this source is rejected with ResolutionError, and with it the
+    cold start of dirichlet_solve_full.
     """
     if isinstance(f, BallField):
         src = f
@@ -357,11 +342,6 @@ def harmonic_extension(grid, h):
     coeffs = np.zeros((grid.basis.n_modes, grid.n_radial))
     coeffs[:, 0] = h.coeffs
     return BallField(grid, coeffs)
-
-
-def dtn_via_ball(grid, v):
-    """Dirichlet-to-Neumann through an actual ball solve (oracle route)."""
-    return harmonic_extension(grid, v).normal_derivative()
 
 
 # -- curvature source problem ------------------------------------------------
@@ -411,7 +391,7 @@ def solve_psi_eps(packet, eps, grid):
     flux = float(nd.coeffs[0]) * math.sqrt(grid.basis.area)
     target = -(eps**2) * packet.scalar * ball_volume(N) / (3.0 * N * (N + 2.0))
     # residual: lap(field) + rhs should vanish
-    resid = _flat_laplacian_values(field) + rhs_vals
+    resid = flat_laplacian(field).values() + rhs_vals
     alt = psi_source_values(packet, eps, grid, "alternative")
     diag = {
         "mean_flux": flux,
@@ -420,18 +400,6 @@ def solve_psi_eps(packet, eps, grid):
         "source_variant_gap": float(np.abs(alt - rhs_vals).max()),
     }
     return field, diag
-
-
-def _flat_laplacian_values(field):
-    """Pointwise flat Laplacian through the mode-wise coefficient operator."""
-    grid, basis = field.grid, field.grid.basis
-    out = np.zeros((grid.n_r, grid.n_ang))
-    for k in range(basis.max_degree + 1):
-        s = basis.degree_slice(k)
-        lap_c = field.coeffs[s] @ grid.lap_op[k].T
-        prof = grid.Q[k] @ lap_c.T
-        out += (grid.r**k)[:, None] * (prof @ basis.Y[s])
-    return out
 
 
 def flat_laplacian(field):
@@ -489,14 +457,7 @@ class LaplaceContext:
         return out.reshape(self.grid.n_r, self.grid.n_ang)
 
 
-def laplacian_pointwise(jet, field, grid=None):
-    """lap_g(field) on the product grid for a one-off application."""
-    grid = grid or field.grid
-    return LaplaceContext(jet, grid).apply_values(field)
-
-
-def dirichlet_solve_full(jet, grid, tol=1e-12, max_iter=100, context=None,
-                         warm_start=None):
+def dirichlet_solve_full(jet, grid, context=None, warm_start=None):
     """Solve -lap_g(phi) = 1 in B_1, phi = 0 on the boundary.
 
     Frozen-Laplacian Picard iteration: phi <- poisson_solve(-1 - (lap_g -
@@ -517,19 +478,19 @@ def dirichlet_solve_full(jet, grid, tol=1e-12, max_iter=100, context=None,
         -ones, None, grid=grid
     )
     history = []
-    for it in range(max_iter):
+    for it in range(PICARD_MAX_ITER):
         corr = ctx.correction_values(phi)
         src = BallField.from_values(grid, -ones - corr)
         new = poisson_solve(src, None)
         step = float(np.abs(new.values() - phi.values()).max())
         history.append(step)
         phi = new
-        if step < tol:
+        if step < PICARD_TOL:
             break
     else:
         raise EnvelopeError(
             "Picard iteration did not reach %g in %d steps (last %g)"
-            % (tol, max_iter, history[-1])
+            % (PICARD_TOL, PICARD_MAX_ITER, history[-1])
         )
     vals = phi.values()
     if vals.min() <= 0.0:
@@ -563,33 +524,3 @@ def neumann_trace(jet, phi, grid=None):
     grr = np.einsum("pij,pi,pj->p", ginv, basis.nodes, basis.nodes)
     vals = nd_vals * np.sqrt(grr)
     return basis.project_values(vals)
-
-
-# -- decomposition of the full solve ------------------------------------------
-
-
-def decompose_solution(jet, phi, psi_eps_field, grid):
-    """Split a full Dirichlet solve into its model pieces and the remainder.
-
-    Returns a dict with phi0 composed with the boundary-perturbation map,
-    (1/N) * harmonic extension of v, psi_eps, and the remainder gamma defined
-    operationally as phi - phi0(rho x) - (1/N) psi_v - psi_eps.
-    """
-    N = grid.dim
-    rho = jet.rho(grid.basis.nodes, grid.r).reshape(grid.n_r, grid.n_ang)
-    rr = (grid.r**2)[:, None] * rho**2
-    phi0_rho = BallField.from_values(grid, (1.0 - rr) / (2.0 * N))
-    v = jet.state.compose() if jet.state is not None else None
-    psi_v = (
-        harmonic_extension(grid, v)
-        if v is not None
-        else BallField.zero(grid)
-    )
-    gamma = phi - phi0_rho - (1.0 / N) * psi_v - psi_eps_field
-    return {
-        "phi0_rho": phi0_rho,
-        "psi_v_over_N": (1.0 / N) * psi_v,
-        "psi_eps": psi_eps_field,
-        "gamma": gamma,
-        "gamma_max": gamma.max_abs(),
-    }

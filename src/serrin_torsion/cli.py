@@ -18,7 +18,6 @@ Design constraints the implementation enforces:
 import argparse
 import configparser
 import csv
-import io
 import json
 import os
 import sys

@@ -19,10 +19,10 @@ and rescaling y = eps * x puts factors eps^2/3 and eps^3/6 on the curvature
 terms over the unit ball.
 
 Model manifolds expose a small uniform surface: curvature packets, exp/log
-and parallel transport in a fixed orthonormal frame, and (where a closed form
-exists) the exact normal-coordinate metric. MetricJet combines a manifold,
-a center, a radius and a boundary perturbation into the pointwise metric
-callbacks the ball solver consumes.
+in a fixed orthonormal frame, and (where a closed form exists) the exact
+normal-coordinate metric. MetricJet combines a manifold, a center, a radius
+and a boundary perturbation into the pointwise metric callbacks the ball
+solver consumes.
 """
 
 import math
@@ -32,7 +32,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
-from . import ball_solver
 from .sphere_spectral import SphereFunction, get_basis, product_points
 
 __all__ = [
@@ -42,10 +41,6 @@ __all__ = [
     "ConstantCurvature",
     "ConformalSphere2D",
     "MetricJet",
-    "pullback_metric",
-    "laplace_beltrami_apply",
-    "packet_from_chart",
-    "manifold_from_config",
 ]
 
 
@@ -214,7 +209,7 @@ class ModelManifold:
     Points use each geometry's own representation (ambient vectors for
     embedded spheres, chart coordinates otherwise); tangent data always uses
     coefficients against the manifold's orthonormal frame at the relevant
-    point. exp/log/transport accept (n, N) batches.
+    point. exp/log accept (n, N) batches.
     """
 
     dim = None
@@ -236,9 +231,6 @@ class ModelManifold:
         raise NotImplementedError
 
     def log(self, p, Q):
-        raise NotImplementedError
-
-    def transport(self, p, q, V):
         raise NotImplementedError
 
     def distance(self, p, q):
@@ -281,9 +273,6 @@ class FlatSpace(ModelManifold):
 
     def log(self, p, Q):
         return np.atleast_2d(Q) - np.atleast_2d(p)
-
-    def transport(self, p, q, V):
-        return np.array(np.atleast_2d(V), dtype=float)
 
     def chart_metric(self, p, Y):
         Y = np.atleast_2d(Y)
@@ -373,28 +362,6 @@ class ConstantCurvature(ModelManifold):
         E = self.frame(p)
         return amb @ E.T
 
-    def transport(self, p, q, V):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        Ep = self.frame(p)
-        W = V @ Ep
-        u = self.log(p, q[None, :])[0] @ Ep  # ambient initial velocity
-        t = np.linalg.norm(u)
-        if t > 1e-14:
-            uh = u / t
-            ph = p / np.linalg.norm(p)
-            theta = t / self.radius
-            a = W @ uh
-            W = (
-                W
-                - a[:, None] * uh[None, :]
-                + a[:, None]
-                * (math.cos(theta) * uh - math.sin(theta) * ph)[None, :]
-            )
-        Eq = self.frame(q)
-        return W @ Eq.T
-
     def chart_metric(self, p, Y):
         return constant_curvature_chart(self.k, Y)
 
@@ -406,25 +373,24 @@ class ConformalSphere2D(ModelManifold):
     Euclidean one, where f is the round factor log(2 / (1 + |z|^2)) plus a
     sum of Gaussian bumps A exp(-|z - c|^2 / (2 sigma^2)). Bumps break the
     symmetry, so the scalar curvature has genuine critical points. The frame
-    is E_i = exp(-f) d_i, smooth across the whole chart. Geodesics, exp/log
-    and parallel transport integrate the conformal geodesic equations with a
-    high-order adaptive scheme; batches share one ODE solve.
+    is E_i = exp(-f) d_i, smooth across the whole chart. Geodesics and
+    exp/log integrate the conformal geodesic equations with a high-order
+    adaptive scheme; batches share one ODE solve.
     """
 
+    dim = 2
     has_exact_chart = False
-
-    def __init__(self, bumps=None, rtol=1e-12, atol=1e-13):
-        self.dim = 2
-        if bumps is None:
-            bumps = [
-                (0.12, (0.4, 0.0), 0.7),
-                (-0.08, (-0.3, 0.5), 0.9),
-            ]
-        self.bumps = [
-            (float(A), np.array(c, dtype=float), float(s)) for A, c, s in bumps
-        ]
-        self.rtol = rtol
-        self.atol = atol
+    # the Gaussian bumps (A, c, sigma)
+    BUMPS = (
+        (0.12, np.array([0.4, 0.0]), 0.7),
+        (-0.08, np.array([-0.3, 0.5]), 0.9),
+    )
+    # relative and absolute tolerances of the geodesic integration
+    RTOL = 1e-12
+    ATOL = 1e-13
+    # the log map's fixed-point tolerance on the chart gap, and its step cap
+    LOG_TOL = 1e-12
+    LOG_MAX_ITER = 80
 
     def origin(self):
         return np.zeros(2)
@@ -460,7 +426,7 @@ class ConformalSphere2D(ModelManifold):
                 + np.einsum("jk,pi->pijk", d, Z)
             )
             out3 = 8.0 * c3[:, None, None, None] * zz + 4.0 * c2[:, None, None, None] * sym
-        for A, c, sg in self.bumps:
+        for A, c, sg in self.BUMPS:
             D = Z - c[None, :]
             q = np.einsum("pi,pi->p", D, D)
             b = A * np.exp(-q / (2.0 * sg**2))
@@ -556,31 +522,31 @@ class ConformalSphere2D(ModelManifold):
             (0.0, 1.0),
             state0,
             method="DOP853",
-            rtol=self.rtol,
-            atol=self.atol,
+            rtol=self.RTOL,
+            atol=self.ATOL,
         )
         if not sol.success:
             raise RuntimeError("geodesic integration failed: %s" % sol.message)
         end = sol.y[:, -1]
         return end[: 2 * n].reshape(n, 2)
 
-    def log(self, p, Q, tol=1e-12, max_iter=80):
+    def log(self, p, Q):
         p = np.asarray(p, dtype=float)
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         f0 = float(self._f_jet(p[None, :], order=1)[0][0])
         scale = math.exp(f0)
         U = scale * (Q - p[None, :])  # first-order seed in frame coefficients
-        for it in range(max_iter):
+        for it in range(self.LOG_MAX_ITER):
             gap = Q - self.exp(p, U)
             err = np.abs(gap).max()
-            if err < tol:
+            if err < self.LOG_TOL:
                 return U
             step = 1.0 if err < 0.05 else 0.6
             U = U + step * scale * gap
         # Newton fallback for any stubborn points, one at a time
         for i in range(Q.shape[0]):
             gap = Q[i] - self.exp(p, U[i : i + 1])[0]
-            if np.abs(gap).max() < tol:
+            if np.abs(gap).max() < self.LOG_TOL:
                 continue
             for it in range(40):
                 h = 1e-7
@@ -591,59 +557,21 @@ class ConformalSphere2D(ModelManifold):
                     e[d] = h
                     J[:, d] = (self.exp(p, (U[i] + e)[None, :])[0] - base) / h
                 gap = Q[i] - base
-                if np.abs(gap).max() < tol:
+                if np.abs(gap).max() < self.LOG_TOL:
                     break
                 U[i] = U[i] + np.linalg.solve(J, gap)
             else:
                 raise RuntimeError("log map did not converge")
         return U
 
-    def transport(self, p, q, V):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        V = np.atleast_2d(np.asarray(V, dtype=float))
-        u = self.log(p, q[None, :])[0]
-        if np.abs(u).max(initial=0.0) < 1e-15:
-            return V.copy()
-        n = V.shape[0]
-        f0 = float(self._f_jet(p[None, :], order=1)[0][0])
-        Vc = V * math.exp(-f0)
-        uc = u * math.exp(-f0)
-
-        def rhs(t, y):
-            z = y[:2]
-            zdot = y[2:4]
-            W = y[4:].reshape(n, 2)
-            _, df = self._f_jet(z[None, :], order=1)
-            df = df[0]
-            fv = df @ zdot
-            vv = zdot @ zdot
-            acc = -2.0 * fv * zdot + vv * df
-            fw = W @ df
-            zw = W @ zdot
-            Wdot = -(fv * W + np.outer(fw, zdot) - np.outer(zw, df))
-            return np.concatenate([zdot, acc, Wdot.ravel()])
-
-        y0 = np.concatenate([p, uc, Vc.ravel()])
-        sol = solve_ivp(
-            rhs, (0.0, 1.0), y0, method="DOP853", rtol=self.rtol, atol=self.atol
-        )
-        if not sol.success:
-            raise RuntimeError("transport integration failed: %s" % sol.message)
-        end = sol.y[:, -1]
-        fq = float(self._f_jet(q[None, :], order=1)[0][0])
-        return end[4:].reshape(n, 2) * math.exp(fq)
-
-    def scalar_max_point(self, seed=None):
+    def scalar_max_point(self):
         """Chart location of the (local) maximum of the scalar curvature."""
 
         def neg(z):
             K, dK = self._curvature_jet(z[None, :])
-            f = self._f_jet(z[None, :], order=1)[0]
             return -2.0 * K[0], -2.0 * dK[0]
 
-        z0 = np.zeros(2) if seed is None else np.asarray(seed, dtype=float)
-        res = minimize(neg, z0, jac=True, method="BFGS", tol=1e-14)
+        res = minimize(neg, np.zeros(2), jac=True, method="BFGS", tol=1e-14)
         return res.x
 
 
@@ -736,240 +664,3 @@ class MetricJet:
 
     def metric(self, pts, radii=None):
         return self.metric_and_grad(pts, radii)[0]
-
-    def boundary_metric(self):
-        """Metric at the angular quadrature nodes on the unit sphere."""
-        return self.metric(self._profile.basis.nodes)
-
-
-def pullback_metric(manifold, p, eps, state=None, fidelity="truncated"):
-    """MetricJet for the ball of radius eps at p, deformed by state."""
-    return MetricJet(manifold, p, eps, state, fidelity)
-
-
-def laplace_beltrami_apply(jet, field, grid=None):
-    """Metric Laplacian of a ball field, pointwise on the product grid."""
-    return ball_solver.laplacian_pointwise(jet, field, grid)
-
-
-# -- measuring curvature from a chart -----------------------------------------
-
-
-def _second_derivatives(chart, N, h):
-    """d2_{kl} g_ij(0) by central differences at scale h, (N,N,N,N) array
-    indexed [k,l,i,j]."""
-    out = np.empty((N, N, N, N))
-    g0 = chart(np.zeros((1, N)))[0]
-    for k in range(N):
-        ek = np.zeros(N)
-        ek[k] = h
-        gp = chart(ek[None, :])[0]
-        gm = chart(-ek[None, :])[0]
-        out[k, k] = (gp + gm - 2.0 * g0) / h**2
-        for l in range(k + 1, N):
-            el = np.zeros(N)
-            el[l] = h
-            gpp = chart((ek + el)[None, :])[0]
-            gpm = chart((ek - el)[None, :])[0]
-            gmp = chart((el - ek)[None, :])[0]
-            gmm = chart((-ek - el)[None, :])[0]
-            mixed = (gpp - gpm - gmp + gmm) / (4.0 * h**2)
-            out[k, l] = mixed
-            out[l, k] = mixed
-    return out
-
-
-def _third_derivatives(chart, N, h):
-    """d3_{klm} g_ij(0) via polarization of the odd part, [k,l,m,i,j]."""
-
-    def odd(y):
-        return 0.5 * (chart(y[None, :])[0] - chart(-y[None, :])[0])
-
-    out = np.empty((N, N, N, N, N))
-    for k in range(N):
-        for l in range(k, N):
-            for m in range(l, N):
-                u = np.zeros(N)
-                v = np.zeros(N)
-                w = np.zeros(N)
-                u[k] = h
-                v[l] = h
-                w[m] = h
-                c = (
-                    odd(u + v + w)
-                    - odd(u + v - w)
-                    - odd(u - v + w)
-                    - odd(-u + v + w)
-                    + odd(u - v - w)
-                    + odd(-u + v - w)
-                    + odd(-u - v + w)
-                    - odd(-u - v - w)
-                ) / 8.0
-                # the alternating sum polarizes the cubic part: c equals
-                # 6 c_sym(e_k, e_l, e_m) h^3, and the third derivative is
-                # 6 c_sym as well, so dividing by h^3 lands exactly on it.
-                val = c / h**3
-                for per in (
-                    (k, l, m),
-                    (k, m, l),
-                    (l, k, m),
-                    (l, m, k),
-                    (m, k, l),
-                    (m, l, k),
-                ):
-                    out[per] = val
-    return out
-
-
-def _richardson(samples, order=2):
-    """Limit h -> 0 of a sequence sampled at h, h/2, h/4, error O(h^order)."""
-    vals = list(samples)
-    fac = 2.0**order
-    while len(vals) > 1:
-        vals = [
-            (fac * vals[i + 1] - vals[i]) / (fac - 1.0)
-            for i in range(len(vals) - 1)
-        ]
-        fac *= 4.0
-    return vals[0]
-
-
-def _nabla_riemann_from_third(C, N):
-    """Solve the symmetrized-cubic relation for the curvature derivative.
-
-    C[i,j,k,l,m] = d3_{klm} g_ij(0) equals the symmetrization over (k,l,m)
-    of nabla_riemann[i,k,j,l,m]. The solve runs as least squares over the
-    linear subspace of five-index tensors with the curvature-derivative
-    symmetries (front/back antisymmetry, pair symmetry, both Bianchi
-    identities), where the symmetrization map is injective.
-    """
-    size = N**5
-    idx = lambda i, j, k, l, m: (((i * N + j) * N + k) * N + l) * N + m
-    rows = []
-
-    def add(coeffs):
-        row = np.zeros(size)
-        for pos, c in coeffs:
-            row[idx(*pos)] += c
-        rows.append(row)
-
-    rng = range(N)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    for m in rng:
-                        add([((i, j, k, l, m), 1.0), ((j, i, k, l, m), 1.0)])
-                        add([((i, j, k, l, m), 1.0), ((i, j, l, k, m), 1.0)])
-                        add([((i, j, k, l, m), 1.0), ((k, l, i, j, m), -1.0)])
-                        add(
-                            [
-                                ((i, j, k, l, m), 1.0),
-                                ((j, k, i, l, m), 1.0),
-                                ((k, i, j, l, m), 1.0),
-                            ]
-                        )
-                        add(
-                            [
-                                ((i, j, k, l, m), 1.0),
-                                ((i, j, l, m, k), 1.0),
-                                ((i, j, m, k, l), 1.0),
-                            ]
-                        )
-    A = np.stack(rows)
-    _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > 1e-9 * max(s[0], 1.0)))
-    B = Vt[rank:].T  # columns span the admissible tensors
-    # symmetrization map: S(X)[i,j,k,l,m] = mean over perms p of (k,l,m) of
-    # X[i, p(k), j, p(l), p(m)] reindexed to match C[i,j,k,l,m]
-    X = B.reshape(N, N, N, N, N, -1)
-    perms = [
-        (0, 1, 2),
-        (0, 2, 1),
-        (1, 0, 2),
-        (1, 2, 0),
-        (2, 0, 1),
-        (2, 1, 0),
-    ]
-    SX = 0.0
-    for pe in perms:
-        # target C index order (i,j,k,l,m); source X[i, s(k), j, s(l), s(m)]
-        src = "i" + "klm"[pe[0]] + "j" + "klm"[pe[1]] + "klm"[pe[2]] + "t"
-        SX = SX + np.einsum(src + "->ijklmt", X)
-    SX = SX / 6.0
-    M = SX.reshape(size, -1)
-    sol, *_ = np.linalg.lstsq(M, C.reshape(size), rcond=None)
-    Xhat = (B @ sol).reshape(N, N, N, N, N)
-    resid = float(np.abs(M @ sol - C.reshape(size)).max())
-    return Xhat, resid
-
-
-def packet_from_chart(chart, N, h=0.04, exact=True):
-    """Measure a curvature packet from a normal-coordinate metric callback.
-
-    chart(Y) maps (n, N) true normal coordinates to (n, N, N) metric values.
-    For charts that are exactly cubic the stencils are exact at any h; set
-    exact=True (the default) to Richardson-extrapolate over h, h/2, h/4 for
-    genuine (analytic) charts.
-    """
-    hs = [h, h / 2.0, h / 4.0] if exact else [h]
-    d2 = [_second_derivatives(chart, N, hh) for hh in hs]
-    d3 = [_third_derivatives(chart, N, hh) for hh in hs]
-    H2 = _richardson(d2) if exact else d2[0]
-    H3 = _richardson(d3) if exact else d3[0]
-    # With g_ij = d + (1/3) riemann[i,k,j,l] y^k y^l + ..., combining the
-    # first Bianchi identity with the symmetries gives the exact relation
-    # riemann[i,k,j,l] = d2_{kl} g_ij - d2_{il} g_kj.
-    riemann = np.empty((N, N, N, N))
-    for i in range(N):
-        for k in range(N):
-            for j in range(N):
-                for l in range(N):
-                    riemann[i, k, j, l] = H2[k, l, i, j] - H2[i, l, k, j]
-    C3 = np.einsum("klmij->ijklm", H3)
-    nabla_riemann, resid = _nabla_riemann_from_third(C3, N)
-    ricci = -np.einsum("ikil->kl", riemann)
-    scalar = float(np.trace(ricci))
-    dS = -np.einsum("ikikm->m", nabla_riemann)
-    packet = CurvaturePacket(
-        dim=N,
-        scalar=scalar,
-        scalar_gradient=dS,
-        ricci=ricci,
-        riemann=riemann,
-        nabla_riemann=nabla_riemann,
-    )
-    packet.fit_residual = resid
-    return packet
-
-
-# -- config loading ------------------------------------------------------------
-
-
-def manifold_from_config(options):
-    """Build a model manifold from a flat key/value mapping.
-
-    kind = flat | sphere | conformal2d. sphere takes dim and curvature;
-    conformal2d takes bumps as a semicolon-separated list of
-    "A,cx,cy,sigma" quadruples (empty means the default pair).
-    """
-    kind = options.get("kind", "sphere").strip().lower()
-    if kind == "flat":
-        return FlatSpace(int(options.get("dim", 2)))
-    if kind == "sphere":
-        return ConstantCurvature(
-            int(options.get("dim", 2)), float(options.get("curvature", 1.0))
-        )
-    if kind == "conformal2d":
-        raw = options.get("bumps", "").strip()
-        if not raw:
-            return ConformalSphere2D()
-        bumps = []
-        for part in raw.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            a, cx, cy, sg = (float(t) for t in part.split(","))
-            bumps.append((a, (cx, cy), sg))
-        return ConformalSphere2D(bumps)
-    raise ValueError("unknown manifold kind %r" % kind)

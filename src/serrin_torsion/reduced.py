@@ -21,12 +21,7 @@ from .ball_solver import (
     poisson_solve,
 )
 from .curvature import FlatSpace, MetricJet
-from .sphere_spectral import (
-    PerturbationState,
-    SphereFunction,
-    ball_volume,
-    product_points,
-)
+from .sphere_spectral import PerturbationState, ball_volume, product_points
 
 __all__ = [
     "ReducedReport",
@@ -45,6 +40,12 @@ __all__ = [
 
 class SearchError(RuntimeError):
     """Critical-point search failed to converge inside the chart."""
+
+
+# find_critical: Newton steps on the kernel component per polish, and the
+# function evaluations of the derivative-free re-seed.
+MAX_POLISH = 12
+COARSE_BUDGET = 20
 
 
 def constants(N):
@@ -192,9 +193,7 @@ def find_critical(
     p_init=None,
     seed=0,
     jitter=0.01,
-    coarse_budget=20,
     tol=1e-9,
-    max_polish=12,
     chart_radius=1.5,
 ):
     """Locate a center whose solution has no translation-kernel component.
@@ -235,7 +234,7 @@ def find_critical(
     def polish(p):
         sol = solve_at(p)
         best = np.linalg.norm(sol.state.a)
-        for _ in range(max_polish):
+        for _ in range(MAX_POLISH):
             anorm = np.linalg.norm(sol.state.a)
             if anorm < tol:
                 return p, sol
@@ -259,7 +258,7 @@ def find_critical(
             return p, sol
         raise SearchError(
             "kernel component stalled at %.3g after %d polish steps"
-            % (best, max_polish)
+            % (best, MAX_POLISH)
         )
 
     try:
@@ -279,7 +278,7 @@ def find_critical(
             phi_of,
             np.zeros(N),
             method="Nelder-Mead",
-            options={"maxfev": coarse_budget, "xatol": 1e-3, "fatol": 1e-13},
+            options={"maxfev": COARSE_BUDGET, "xatol": 1e-3, "fatol": 1e-13},
         )
         p, sol = polish(move(start, np.asarray(res.x, dtype=float)))
 
@@ -309,17 +308,17 @@ class _StarMapJet(MetricJet):
         self._profile = speed * s
 
 
-def shape_derivative_check(speed, h=1e-4, max_degree=16, grid=None):
+def shape_derivative_check(speed, h=1e-4):
     """Boundary-integral energy derivative vs central finite differences.
 
     speed is an iterable of (degree, cos amplitude, sin amplitude) triples
     for the normal speed on the Euclidean unit disk. The analytic side is
     the classical Hadamard formula for the normalized torsion potential,
     -integral((J phi_nu)^2 speed); the finite-difference side re-solves the
-    energy on the mapped domains at parameter +-h. Returns a dict with
-    both values and their relative gap.
+    energy on the mapped domains at parameter +-h, on get_grid(2, 16).
+    Returns a dict with both values and their relative gap.
     """
-    grid = grid or get_grid(2, max_degree)
+    grid = get_grid(2, 16)
     basis = grid.basis
     theta = np.arctan2(basis.nodes[:, 1], basis.nodes[:, 0])
     zeta = np.zeros(len(theta))
@@ -358,12 +357,11 @@ def shape_derivative_check(speed, h=1e-4, max_degree=16, grid=None):
 class _RotationJet:
     """Pullback through a rigid rotation: an exact isometry of the disk."""
 
-    def __init__(self, angle, basis):
+    def __init__(self, angle):
         self.dim = 2
         c, s = np.cos(angle), np.sin(angle)
         R = np.array([[c, -s], [s, c]])
         self._g = R.T @ R
-        self._basis = basis
 
     def metric_and_grad(self, pts, radii=None):
         n = len(product_points(pts, radii))
@@ -373,31 +371,28 @@ class _RotationJet:
     def metric(self, pts, radii=None):
         return self.metric_and_grad(pts, radii)[0]
 
-    def boundary_metric(self):
-        return self.metric(self._basis.nodes)
 
-
-def tangential_derivative_check(h=1e-4, rate=0.7, max_degree=16, grid=None):
+def tangential_derivative_check(h=1e-4, rate=0.7):
     """Purely tangential deformation: both sides of the check vanish.
 
     The deformation field rate*(-y, x) is tangent to every circle, so its
     normal component is identically zero and the flow is a rotation. The
     analytic boundary integral picks up exact zeros; the finite-difference
-    side differentiates a constant energy.
+    side differentiates a constant energy. Solves run on get_grid(2, 16).
     """
-    grid = grid or get_grid(2, max_degree)
+    grid = get_grid(2, 16)
     basis = grid.basis
     nodes = basis.nodes
     xi = rate * np.stack([-nodes[:, 1], nodes[:, 0]], axis=1)
     normal_speed = np.einsum("pi,pi->p", xi, nodes)
     phi0 = poisson_solve(-np.ones((grid.n_r, grid.n_ang)), None, grid=grid)
-    base = _RotationJet(0.0, basis)
+    base = _RotationJet(0.0)
     J0 = energy_J(base, phi0, grid)
     trace = neumann_trace(base, phi0, grid).node_values()
     analytic = -float(basis.weights @ ((J0 * trace) ** 2 * normal_speed))
 
     def J_at(s):
-        jet = _RotationJet(s * rate, basis)
+        jet = _RotationJet(s * rate)
         phi, _ = dirichlet_solve_full(jet, grid)
         return energy_J(jet, phi, grid)
 
@@ -408,25 +403,24 @@ def tangential_derivative_check(h=1e-4, rate=0.7, max_degree=16, grid=None):
 # -- stationarity of the volume-penalized energy -------------------------------
 
 
-def stationarity_check(problem, sol, xi, h=1e-4):
+def stationarity_check(problem, sol, xi):
     """Finite-difference energy derivatives along a boundary-profile direction.
 
-    Deforms the converged perturbation by +-h xi, re-solves the torsion
-    problem, and differentiates the torsion integral, the energy, and the
-    volume. At a solution with vanishing kernel component the constant
-    Neumann trace makes dT = dvol/N^2 exactly, so the volume-penalized
-    torsion balance -dT + dvol/N^2 vanishes for every speed, while
-    d(J + vol/N^2) collapses to (1 - J^2)/N^2 dvol. Both identities are
-    returned for the caller to assert.
+    Deforms the converged perturbation by +-h xi with h = 1e-4, re-solves
+    the torsion problem, and differentiates the torsion integral, the
+    energy, and the volume. At a solution with vanishing kernel component
+    the constant Neumann trace makes dT = dvol/N^2 exactly, so the
+    volume-penalized torsion balance -dT + dvol/N^2 vanishes for every
+    speed, while d(J + vol/N^2) collapses to (1 - J^2)/N^2 dvol. Both
+    identities are returned for the caller to assert.
     """
     N = problem.manifold.dim
     v = sol.v_function()
+    h = 1e-4
     out = {}
     for sgn in (1.0, -1.0):
         state = PerturbationState.from_sphere_function(v + xi * (sgn * h))
-        jet = MetricJet(
-            problem.manifold, sol.point, sol.eps, state, problem.fidelity
-        )
+        jet = MetricJet(problem.manifold, sol.point, sol.eps, state)
         ctx = LaplaceContext(jet, problem.grid)
         phi, _ = dirichlet_solve_full(
             jet, problem.grid, context=ctx, warm_start=sol.potential

@@ -39,11 +39,17 @@ from .sphere_spectral import (
 __all__ = [
     "SerrinProblem",
     "SerrinSolution",
-    "gradient_diagnostic",
     "kernel_response_constant",
     "translation_moment_constant",
     "sweep",
 ]
+
+# Quasi-Newton solve: converged once the sup norm of script_G is below
+# SOLVE_TOL; EnvelopeError after MAX_STEPS steps, or once the Sobolev norm of
+# v exceeds ENVELOPE_NORM (the contraction envelope).
+SOLVE_TOL = 1e-11
+MAX_STEPS = 50
+ENVELOPE_NORM = 0.3
 
 
 @dataclass
@@ -57,8 +63,6 @@ class SerrinSolution:
     residual_overdetermined: SphereFunction
     iterations: list
     jet: MetricJet = None
-    grid: object = None
-    manifold: object = None
     solve_seconds: float = 0.0
 
     def v_function(self):
@@ -83,37 +87,24 @@ class SerrinSolution:
 
 
 class SerrinProblem:
-    """The solver context: manifold, resolution, metric fidelity.
+    """The solver context: a manifold and the resolution of the ball grid.
 
-    Solves are pure functions of (p, eps) given the context, so instances
-    can be shared freely across sweeps.
+    max_degree is the highest harmonic degree carried (default 16 for N=2,
+    10 for N=3) and n_radial the radial coefficients per mode (get_grid's
+    default when None). The pulled-back metric is MetricJet's truncated
+    cubic curvature model. Solves are pure functions of (p, eps) given the
+    context, so instances can be shared freely across sweeps.
     """
 
-    def __init__(
-        self,
-        manifold,
-        max_degree=None,
-        n_radial=None,
-        fidelity="truncated",
-        tol=1e-11,
-        max_steps=50,
-        envelope_norm=0.3,
-    ):
+    def __init__(self, manifold, max_degree=None, n_radial=None):
         self.manifold = manifold
         N = manifold.dim
         if max_degree is None:
             max_degree = 16 if N == 2 else 10
         self.grid = get_grid(N, max_degree, n_radial)
         self.basis = self.grid.basis
-        self.fidelity = fidelity
-        self.tol = tol
-        self.max_steps = max_steps
-        self.envelope_norm = envelope_norm
 
     # -- forward map -------------------------------------------------------
-
-    def _jet(self, p, eps, state):
-        return MetricJet(self.manifold, p, eps, state, self.fidelity)
 
     def G_map(self, p, eps, state, warm_phi=None):
         """Boundary residual of the torsion solve on the deformed domain.
@@ -122,7 +113,7 @@ class SerrinProblem:
         SphereFunction. Only the mean and degree >= 2 parts of the state
         deform the domain.
         """
-        jet = self._jet(p, eps, state)
+        jet = MetricJet(self.manifold, p, eps, state)
         phi, info = dirichlet_solve_full(
             jet, self.grid, warm_start=warm_phi
         )
@@ -160,14 +151,14 @@ class SerrinProblem:
         phi = None
         G = None
         jet = None
-        for step in range(self.max_steps):
+        for step in range(MAX_STEPS):
             resid, G, phi, jet = self.g_residual(p, eps, v, warm_phi=phi)
             rnorm = resid.norm_inf()
             history.append(rnorm)
-            if rnorm < self.tol:
+            if rnorm < SOLVE_TOL:
                 break
             v = v - calL_solve(resid)
-            if v.sobolev_norm() > self.envelope_norm:
+            if v.sobolev_norm() > ENVELOPE_NORM:
                 raise EnvelopeError(
                     "perturbation norm %.3g left the contraction envelope"
                     % v.sobolev_norm()
@@ -175,7 +166,7 @@ class SerrinProblem:
         else:
             raise EnvelopeError(
                 "no convergence in %d quasi-Newton steps (residual %.3g)"
-                % (self.max_steps, history[-1])
+                % (MAX_STEPS, history[-1])
             )
         a = (-G).degree1_vector()
         state = PerturbationState(
@@ -190,13 +181,8 @@ class SerrinProblem:
             residual_overdetermined=residual,
             iterations=history,
             jet=jet,
-            grid=self.grid,
-            manifold=self.manifold,
             solve_seconds=time.time() - t0,
         )
-
-    def solve_serrin(self, p, eps):
-        return self.solve(p, eps)
 
     # -- curvature-gradient diagnostic --------------------------------------
 
@@ -221,13 +207,6 @@ class SerrinProblem:
         return -moment
 
 
-def gradient_diagnostic(sol, problem=None):
-    """Module-level convenience wrapper around SerrinProblem.gradient_diagnostic."""
-    if problem is None:
-        problem = SerrinProblem(sol.manifold)
-    return problem.gradient_diagnostic(sol)
-
-
 def translation_moment_constant(N):
     """kappa_N with diagnostic = kappa_N eps^3 grad S + O(eps^4)."""
     return 5.0 * ball_volume(N) / (6.0 * (N + 2.0) * (N + 4.0))
@@ -244,8 +223,11 @@ def kernel_response_constant(N):
     return 1.0 / (2.0 * N * (N + 2.0) * (N + 4.0))
 
 
-def sweep(problem, p, eps_list, rescale_seed=True):
+def sweep(problem, p, eps_list):
     """Solve along an eps schedule with warm starts.
+
+    Each solve after the first starts from the previous v rescaled by
+    (eps / eps_prev)^2, the order of the leading mean perturbation.
 
     Returns (solutions, max_converged_eps). Failed solves stop the sweep at
     the first eps outside the envelope; earlier solutions are kept.
@@ -255,7 +237,7 @@ def sweep(problem, p, eps_list, rescale_seed=True):
     v_prev = None
     eps_prev = None
     for eps in eps_list:
-        if v_prev is not None and rescale_seed:
+        if v_prev is not None:
             v_init = v_prev * float((eps / eps_prev) ** 2)
         else:
             v_init = None

@@ -31,7 +31,6 @@ __all__ = [
     "ball_volume",
     "sphere_area",
     "sphere_monomial_integral",
-    "quadrature",
     "dtn",
     "L_operator",
     "calL_solve",
@@ -127,12 +126,12 @@ class SphereBasis:
     ----------
     N : ambient dimension, 2 or 3.
     max_degree : highest harmonic degree L carried.
-    n_nodes : optional quadrature-size override. For N=2 the node count; for
-        N=3 the number of Gauss-Legendre latitudes (azimuth count is twice
-        that).
+
+    The quadrature has max(6 L, 64) equispaced nodes for N=2; for N=3, L + 8
+    Gauss-Legendre latitudes times 2 (L + 8) equispaced azimuths.
     """
 
-    def __init__(self, N, max_degree, n_nodes=None):
+    def __init__(self, N, max_degree):
         if N not in (2, 3):
             raise ValueError("only S^1 and S^2 are supported, got N=%d" % N)
         self.dim = N
@@ -155,22 +154,22 @@ class SphereBasis:
             idx = np.nonzero(self.degrees == k)[0]
             self._deg_slices.append(slice(int(idx[0]), int(idx[-1]) + 1))
 
-        self.nodes, self.weights = self._build_quadrature(n_nodes)
+        self.nodes, self.weights = self._build_quadrature()
         self.Y = self.eval_matrix(self.nodes)
         self._node_grads = None
         self._node_hessians = None
 
     # -- construction helpers -------------------------------------------
 
-    def _build_quadrature(self, n_nodes):
+    def _build_quadrature(self):
         N = self.dim
         if N == 2:
-            n = n_nodes if n_nodes else max(6 * self.max_degree, 64)
+            n = max(6 * self.max_degree, 64)
             th = 2.0 * math.pi * np.arange(n) / n
             nodes = np.stack([np.cos(th), np.sin(th)], axis=1)
             weights = np.full(n, 2.0 * math.pi / n)
             return nodes, weights
-        n_mu = n_nodes if n_nodes else self.max_degree + 8
+        n_mu = self.max_degree + 8
         n_az = 2 * n_mu
         mu, wmu = np.polynomial.legendre.leggauss(n_mu)
         phi = 2.0 * math.pi * np.arange(n_az) / n_az
@@ -338,9 +337,9 @@ def product_points(dirs, radii=None):
 
 
 @lru_cache(maxsize=8)
-def get_basis(N, max_degree, n_nodes=None):
+def get_basis(N, max_degree):
     """Shared SphereBasis instances (construction is the expensive part)."""
-    return SphereBasis(N, max_degree, n_nodes)
+    return SphereBasis(N, max_degree)
 
 
 @dataclass
@@ -427,9 +426,6 @@ class SphereFunction:
         """Projection onto degrees >= 2, the non-kernel deformation part."""
         return self._masked(self.basis.degrees >= 2)
 
-    def pi1perp(self):
-        return self._masked(self.basis.degrees != 1)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -451,25 +447,6 @@ class SphereFunction:
     def _check(self, other):
         if other.basis is not self.basis:
             raise ValueError("operands live on different bases")
-
-    # -- serialization -----------------------------------------------------
-
-    def to_triples(self):
-        """(degree, order, coefficient) triples, basis order."""
-        out = []
-        degs = self.basis.degrees
-        for i, c in enumerate(self.coeffs):
-            k = int(degs[i])
-            order = i - self.basis.degree_slice(k).start
-            out.append((k, order, float(c)))
-        return out
-
-    @classmethod
-    def from_triples(cls, basis, triples):
-        c = np.zeros(basis.n_modes)
-        for k, order, val in triples:
-            c[basis.degree_slice(int(k)).start + int(order)] = val
-        return cls(basis, c)
 
 
 @dataclass
@@ -515,15 +492,6 @@ class PerturbationState:
 # -- boundary operators ----------------------------------------------------
 
 
-def quadrature(basis, f):
-    """Project a pointwise function (callable or node values) onto the basis."""
-    if callable(f):
-        values = np.asarray([f(x) for x in basis.nodes], dtype=float)
-    else:
-        values = np.asarray(f, dtype=float)
-    return basis.project_values(values)
-
-
 def dtn(v):
     """Dirichlet-to-Neumann map: multiply degree-k coefficients by k."""
     return SphereFunction(v.basis, v.coeffs * v.basis.degrees)
@@ -542,11 +510,3 @@ def calL_solve(rhs):
     k = rhs.basis.degrees.astype(float)
     symbol = np.where(k == 1.0, 1.0, (k - 1.0) / N)
     return SphereFunction(rhs.basis, rhs.coeffs / symbol)
-
-
-def calL_apply(w):
-    """Forward map of calL (used by round-trip tests)."""
-    N = w.basis.dim
-    k = w.basis.degrees.astype(float)
-    symbol = np.where(k == 1.0, 1.0, (k - 1.0) / N)
-    return SphereFunction(w.basis, w.coeffs * symbol)

@@ -10,9 +10,7 @@ from serrin_torsion.ball_solver import (
     EnvelopeError,
     LaplaceContext,
     ResolutionError,
-    decompose_solution,
     dirichlet_solve_full,
-    dtn_via_ball,
     flat_laplacian,
     get_grid,
     harmonic_extension,
@@ -31,7 +29,6 @@ from serrin_torsion.sphere_spectral import (
     PerturbationState,
     SphereFunction,
     ball_volume,
-    get_basis,
     product_points,
 )
 
@@ -62,15 +59,11 @@ def test_torsion_function_of_the_ball(grid):
 
 def test_harmonic_extension_modes(grid):
     basis = grid.basis
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((40, grid.dim))
-    pts *= (rng.uniform(0.1, 0.95, 40) / np.linalg.norm(pts, axis=1))[:, None]
     for k in (0, 1, 3):
         h = SphereFunction.from_mode(basis, k, 0, 1.0)
         u = poisson_solve(None, h, grid=grid)
-        r = np.linalg.norm(pts, axis=1)
-        want = r**k * h.evaluate(pts / r[:, None])
-        assert np.abs(u.evaluate(pts) - want).max() < 1e-11
+        want = (grid.r**k)[:, None] * h.node_values()[None, :]
+        assert np.abs(u.values() - want).max() < 1e-11
 
 
 def test_polynomial_source_oracle(grid):
@@ -152,11 +145,24 @@ def test_unresolved_source_rejected():
         poisson_solve(vals, None, grid=grid)
 
 
+@pytest.mark.xfail(
+    raises=ResolutionError,
+    strict=True,
+    reason="BallField.from_values leaks angular roundoff into the top radial "
+    "coefficients; the constant source's tail is 3.0e-9 at max_degree 28",
+)
+def test_constant_source_resolved_at_max_degree_28():
+    grid = get_grid(2, 28)
+    phi = poisson_solve(-np.ones((grid.n_r, grid.n_ang)), None, grid=grid)
+    exact = ((1.0 - grid.r**2) / 4.0)[:, None] * np.ones(grid.n_ang)
+    assert np.abs(phi.values() - exact).max() < 1e-13
+
+
 def test_dtn_through_ball_solve(grid):
     basis = grid.basis
     for k in range(basis.max_degree - 1):
         h = SphereFunction.from_mode(basis, k, 0, 1.0)
-        nd = dtn_via_ball(grid, h)
+        nd = harmonic_extension(grid, h).normal_derivative()
         assert np.abs(nd.coeffs - k * h.coeffs).max() < 1e-11
 
 
@@ -175,7 +181,7 @@ def test_psi_eps_flat_is_zero():
     grid = get_grid(2, 16)
     packet = FlatSpace(2).packet()
     field, diag = solve_psi_eps(packet, 0.1, grid)
-    assert field.max_abs() < 1e-15
+    assert np.abs(field.values()).max() < 1e-15
     assert diag["source_variant_gap"] == 0.0
 
 
@@ -366,6 +372,33 @@ def test_divergence_form_consistency():
         energy = np.einsum("pij,pi,pj->p", ctx.ginv, du, dw).reshape(shape)
         rhs = -grid.volume_integral(energy * dvol)
         assert abs(lhs - rhs) < 1e-9
+
+
+def decompose_solution(jet, phi, psi_eps_field, grid):
+    """Split a full Dirichlet solve into its model pieces and the remainder.
+
+    Returns a dict with phi0 composed with the boundary-perturbation map,
+    (1/N) * harmonic extension of v, psi_eps, and the remainder gamma defined
+    operationally as phi - phi0(rho x) - (1/N) psi_v - psi_eps.
+    """
+    N = grid.dim
+    rho = jet.rho(grid.basis.nodes, grid.r).reshape(grid.n_r, grid.n_ang)
+    rr = (grid.r**2)[:, None] * rho**2
+    phi0_rho = BallField.from_values(grid, (1.0 - rr) / (2.0 * N))
+    v = jet.state.compose() if jet.state is not None else None
+    psi_v = (
+        harmonic_extension(grid, v)
+        if v is not None
+        else BallField.zero(grid)
+    )
+    gamma = phi - phi0_rho - (1.0 / N) * psi_v - psi_eps_field
+    return {
+        "phi0_rho": phi0_rho,
+        "psi_v_over_N": (1.0 / N) * psi_v,
+        "psi_eps": psi_eps_field,
+        "gamma": gamma,
+        "gamma_max": float(np.abs(gamma.values()).max()),
+    }
 
 
 def test_decomposition_remainder_scales():

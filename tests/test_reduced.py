@@ -275,9 +275,11 @@ def test_stationarity_round_solution(round_problem):
     basis = round_problem.grid.basis
     speeds = {
         "mean": SphereFunction.constant(basis, 1.0),
-        "deg2": SphereFunction.from_triples(basis, [(2, 0, 0.7), (2, 1, -0.4)]),
+        "deg2": SphereFunction.from_mode(basis, 2, 0, 0.7)
+        + SphereFunction.from_mode(basis, 2, 1, -0.4),
         "mix": SphereFunction.constant(basis, 0.6)
-        + SphereFunction.from_triples(basis, [(2, 0, 0.3), (3, 1, 0.2)]),
+        + SphereFunction.from_mode(basis, 2, 0, 0.3)
+        + SphereFunction.from_mode(basis, 3, 1, 0.2),
     }
     for name, xi in speeds.items():
         st_out = stationarity_check(round_problem, sol, xi)

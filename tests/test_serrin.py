@@ -12,7 +12,6 @@ from serrin_torsion.curvature import (
 )
 from serrin_torsion.serrin import (
     SerrinProblem,
-    gradient_diagnostic,
     kernel_response_constant,
     sweep,
     translation_moment_constant,
@@ -213,8 +212,6 @@ def test_diagnostic_tracks_gradient(conf, conf_problem, conf_sol):
     # higher-order remainder at all
     predicted = translation_moment_constant(2) * conf_sol.eps**3
     assert abs(np.linalg.norm(m) / (predicted * np.linalg.norm(gS)) - 1.0) < 1e-10
-    # module-level wrapper agrees
-    assert_allclose(gradient_diagnostic(conf_sol, conf_problem), m, atol=0.0)
 
 
 def test_diagnostic_at_curvature_maximum(conf, conf_problem, conf_sol):

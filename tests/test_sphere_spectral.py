@@ -9,12 +9,10 @@ from serrin_torsion.sphere_spectral import (
     PerturbationState,
     SphereFunction,
     ball_volume,
-    calL_apply,
     calL_solve,
     dtn,
     get_basis,
     L_operator,
-    quadrature,
     sphere_area,
     sphere_monomial_integral,
 )
@@ -53,7 +51,7 @@ def test_basis_orthonormal(basis):
 
 
 def test_quadrature_constant(basis):
-    f = quadrature(basis, np.ones(len(basis.nodes)))
+    f = basis.project_values(np.ones(len(basis.nodes)))
     c = f.coeffs.copy()
     c[0] = 0.0
     assert np.abs(c).max() < 5e-12
@@ -63,7 +61,7 @@ def test_quadrature_constant(basis):
 def test_quadrature_harmonic_polynomial():
     # x1 x2 restricted to S^2 is a pure degree-2 harmonic
     basis = get_basis(3, 10)
-    f = quadrature(basis, basis.nodes[:, 0] * basis.nodes[:, 1])
+    f = basis.project_values(basis.nodes[:, 0] * basis.nodes[:, 1])
     for k in range(basis.max_degree + 1):
         s = basis.degree_slice(k)
         block = np.abs(f.coeffs[s.start: s.stop]).max() if s.stop > s.start else 0.0
@@ -116,7 +114,6 @@ def test_projections_partition(basis):
     f = random_function(basis, rng)
     total = f.pi0() + f.pi1() + f.pibar()
     assert np.array_equal(total.coeffs, f.coeffs)
-    assert np.array_equal(f.pi1perp().coeffs, (f.pi0() + f.pibar()).coeffs)
     # idempotent and mutually annihilating
     assert np.array_equal(f.pi1().pi1().coeffs, f.pi1().coeffs)
     assert f.pi0().pibar().norm_l2() == 0.0
@@ -135,13 +132,6 @@ def test_degree1_vector_round_trip(basis):
 def test_sobolev_norm_formula(basis):
     f = SphereFunction.from_mode(basis, 2, 0, 3.0)
     assert_allclose(f.sobolev_norm(), 3.0 * (1 + 4), rtol=1e-14)
-
-
-def test_triples_round_trip(basis):
-    rng = np.random.default_rng(7)
-    f = random_function(basis, rng)
-    g = SphereFunction.from_triples(basis, f.to_triples())
-    assert_allclose(g.coeffs, f.coeffs, atol=1e-15)
 
 
 def test_dtn_examples():
@@ -193,8 +183,11 @@ def test_calL_round_trip(seed, n):
     basis = get_basis(n, 16 if n == 2 else 10)
     rng = np.random.default_rng(seed)
     f = random_function(basis, rng, decay=1.0)
-    back = calL_apply(calL_solve(f))
-    assert np.abs(back.coeffs - f.coeffs).max() < 1e-13 * max(1.0, f.norm_inf())
+    # the symbol of calL: 1 on degree 1, (k - 1)/N on every other degree k
+    k = basis.degrees.astype(float)
+    symbol = np.where(k == 1.0, 1.0, (k - 1.0) / n)
+    back = calL_solve(f).coeffs * symbol
+    assert np.abs(back - f.coeffs).max() < 1e-13 * max(1.0, f.norm_inf())
 
 
 def test_perturbation_state_rejects_low_modes(basis):
