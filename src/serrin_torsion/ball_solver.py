@@ -77,7 +77,7 @@ class BallGrid:
     exact for every polynomial integrand the solver produces.
     """
 
-    def __init__(self, basis, n_radial=28):
+    def __init__(self, basis, n_radial):
         self.basis = basis
         self.dim = basis.dim
         self.n_radial = n_radial
@@ -146,10 +146,22 @@ class BallGrid:
         return float(self.w_vol @ values @ self.basis.weights)
 
 
-@lru_cache(maxsize=8)
-def get_grid(N, max_degree, n_radial=None):
+def get_grid(N, max_degree=None, n_radial=None):
+    """The shared BallGrid of dimension N, one per resolution.
+
+    The defaults are max_degree 16 and n_radial 28 for N = 2, and 10 and 20
+    otherwise; they are resolved before the cached build, so every way of
+    asking for a resolution returns the same grid.
+    """
+    if max_degree is None:
+        max_degree = 16 if N == 2 else 10
     if n_radial is None:
         n_radial = 28 if N == 2 else 20
+    return _build_grid(N, max_degree, n_radial)
+
+
+@lru_cache(maxsize=8)
+def _build_grid(N, max_degree, n_radial):
     return BallGrid(get_basis(N, max_degree), n_radial)
 
 

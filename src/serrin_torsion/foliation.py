@@ -12,15 +12,12 @@ a punctured neighborhood.
 import numpy as np
 from dataclasses import dataclass, field
 
-from .reduced import find_critical
-
 __all__ = [
     "FoliationChart",
     "FoliationError",
     "build_foliation_chart",
     "center_curve_through",
     "certify_foliation",
-    "critical_center_curve",
     "recentering_solve",
     "reparametrize",
     "solved_profile_curve",
@@ -29,6 +26,12 @@ __all__ = [
 
 class FoliationError(RuntimeError):
     """Leaf construction or certification failed."""
+
+
+# reparametrize: fixed-point tolerance on the direction-map gap, and its
+# iteration cap.
+INVERSE_TOL = 1e-12
+INVERSE_MAX_ITER = 50
 
 
 def recentering_solve(manifold, t, curve, profile, residual_tol=1e-12):
@@ -58,13 +61,14 @@ def recentering_solve(manifold, t, curve, profile, residual_tol=1e-12):
     return w
 
 
-def reparametrize(w, t, basis, tol=1e-12, max_iter=50):
+def reparametrize(w, t, basis):
     """Radial graph omega(t, y) of a leaf given by tangent vectors w.
 
     Projects each component of w onto the sphere basis, forms the
     direction map alpha(x) = w(x)/|w(x)|, inverts it at every quadrature
-    node by fixed-point iteration (alpha is a small perturbation of the
-    identity), and returns (omega values at the nodes, alpha node values).
+    node by fixed-point iteration to INVERSE_TOL (alpha is a small
+    perturbation of the identity), and returns (omega values at the nodes,
+    alpha node values).
     """
     w = np.asarray(w, dtype=float)
     norms = np.linalg.norm(w, axis=1)
@@ -78,11 +82,11 @@ def reparametrize(w, t, basis, tol=1e-12, max_iter=50):
     alpha_nodes = w / norms[:, None]
     y = basis.nodes
     x = np.array(y)
-    for _ in range(max_iter):
+    for _ in range(INVERSE_MAX_ITER):
         wx = w_at(x)
         ax = wx / np.linalg.norm(wx, axis=1, keepdims=True)
         gap = np.abs(ax - y).max()
-        if gap < tol:
+        if gap < INVERSE_TOL:
             break
         x = x + (y - ax)
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -198,6 +202,14 @@ def certify_foliation(chart, t_grid=None):
 def center_curve_through(manifold, p_ref, eps_ref):
     """Quadratic center curve pinned by one located critical point.
 
+    The critical centers drift quadratically from their limit point, so one
+    well-conditioned search at eps_ref (find_critical) pins the drift
+    vector and the curve is the quadratic interpolant through the base.
+    Locating centers at each small t independently would be
+    ill-conditioned: the kernel component scales like t^3, so the
+    achievable center accuracy degrades as 1/t^3 and pollutes the slope
+    certificate.
+
     The base is the scalar curvature maximum when the manifold exposes one
     (there the zero-radius limit is exact); otherwise the reference point
     itself, making the curve constant. Returns (base, curve) with
@@ -218,22 +230,6 @@ def center_curve_through(manifold, p_ref, eps_ref):
         return manifold.exp(base, np.atleast_2d(scale * w_ref))[0]
 
     return base, curve
-
-
-def critical_center_curve(problem, eps_ref=0.1, seed=0, **search_options):
-    """Center curve t -> p_t through the critical point at a reference radius.
-
-    The critical centers drift quadratically from their limit point, so one
-    well-conditioned search at eps_ref pins the drift vector and the curve
-    is the quadratic interpolant through the base. Locating centers at each
-    small t independently would be ill-conditioned: the kernel component
-    scales like t^3, so the achievable center accuracy degrades as 1/t^3
-    and pollutes the slope certificate.
-
-    Returns (base, curve) with curve(0) = base.
-    """
-    p_ref, _, _ = find_critical(problem, eps_ref, seed=seed, **search_options)
-    return center_curve_through(problem.manifold, p_ref, eps_ref)
 
 
 def solved_profile_curve(problem, curve):

@@ -27,10 +27,6 @@ __all__ = [
 ]
 
 
-def _default_grid(N):
-    return get_grid(N, 16 if N == 2 else 10)
-
-
 def euclidean_profile(volume, N):
     """Torsion energy of the Euclidean ball of the given volume.
 
@@ -43,39 +39,43 @@ def euclidean_profile(volume, N):
     return J1 * (np.asarray(volume, dtype=float) / b1) ** (-(N + 2.0) / N)
 
 
-def J_geodesic_ball(manifold, p, eps, grid=None):
+def J_geodesic_ball(manifold, p, eps):
     """Torsion energy of the unperturbed geodesic ball of radius eps.
 
     The pull-back to the unit ball uses the plain ball jet (no boundary
     perturbation), whose metric is smooth, so the solve keeps spectral
-    accuracy; the unit-ball energy is rescaled back to the ambient ball.
+    accuracy on the default grid; the unit-ball energy is rescaled back to
+    the ambient ball.
     """
     N = manifold.dim
-    grid = grid or _default_grid(N)
+    grid = get_grid(N)
     jet = MetricJet(manifold, np.asarray(p, dtype=float), eps)
     phi, _ = dirichlet_solve_full(jet, grid)
     return energy_J(jet, phi, grid) / eps ** (N + 2)
 
 
-def ball_volume_at(manifold, p, eps, grid=None):
+def ball_volume_at(manifold, p, eps):
     """Riemannian volume of the geodesic ball of radius eps around p."""
     N = manifold.dim
-    grid = grid or _default_grid(N)
+    grid = get_grid(N)
     jet = MetricJet(manifold, np.asarray(p, dtype=float), eps)
     vol, _ = volumes(jet, grid, context=LaplaceContext(jet, grid))
     return vol * eps**N
 
 
-def matched_radius(manifold, p, volume, grid=None, rel_tol=1e-12):
+# matched_radius: relative tolerance of the root solve in eps.
+MATCH_RTOL = 1e-12
+
+
+def matched_radius(manifold, p, volume):
     """Radius eps with |B_eps(p)| = volume, by bracketing root solve."""
     if volume <= 0:
         raise ValueError("volume must be positive")
     N = manifold.dim
-    grid = grid or _default_grid(N)
     eps0 = (volume / ball_volume(N)) ** (1.0 / N)
 
     def gap(eps):
-        return ball_volume_at(manifold, p, eps, grid) - volume
+        return ball_volume_at(manifold, p, eps) - volume
 
     lo, hi = 0.7 * eps0, 1.3 * eps0
     glo, ghi = gap(lo), gap(hi)
@@ -83,7 +83,7 @@ def matched_radius(manifold, p, volume, grid=None, rel_tol=1e-12):
         raise ValueError(
             "volume %.3g not bracketed near eps = %.3g" % (volume, eps0)
         )
-    eps = brentq(gap, lo, hi, xtol=1e-15, rtol=rel_tol)
+    eps = brentq(gap, lo, hi, xtol=1e-15, rtol=MATCH_RTOL)
     if abs(gap(eps)) / volume > 1e-10:
         raise ValueError("volume matching stalled at %.3g" % (gap(eps) / volume))
     return eps
@@ -109,7 +109,7 @@ class ProfilePoint:
         }
 
 
-def profile_expansion(manifold, volume_grid, p=None, grid=None):
+def profile_expansion(manifold, volume_grid, p=None):
     """Candidate isochoric profile along a volume grid.
 
     Evaluates the geodesic-ball torsion energy at the scalar-curvature
@@ -119,7 +119,6 @@ def profile_expansion(manifold, volume_grid, p=None, grid=None):
     curvature response of the profile.
     """
     N = manifold.dim
-    grid = grid or _default_grid(N)
     if p is None:
         if hasattr(manifold, "scalar_max_point"):
             p = manifold.scalar_max_point()
@@ -128,8 +127,8 @@ def profile_expansion(manifold, volume_grid, p=None, grid=None):
     p = np.asarray(p, dtype=float)
     points = []
     for v in np.asarray(volume_grid, dtype=float):
-        eps = matched_radius(manifold, p, float(v), grid)
-        Jb = J_geodesic_ball(manifold, p, eps, grid)
+        eps = matched_radius(manifold, p, float(v))
+        Jb = J_geodesic_ball(manifold, p, eps)
         Te = float(euclidean_profile(v, N))
         points.append(
             ProfilePoint(

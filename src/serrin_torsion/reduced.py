@@ -4,16 +4,16 @@ The reduced functional assigns to each ball center the torsion energy of
 the solved over-determined domain plus a volume term; its critical points
 are exactly the centers whose solutions carry no translation-kernel
 component. This module evaluates that functional, locates its critical
-points, and cross-checks the underlying shape calculus by independent
-finite differences.
+points by one Newton search on the kernel component whose Jacobian is the
+curvature model c_N eps^3 Hess S (no derivative-free re-seed), and
+cross-checks the underlying shape calculus by independent finite
+differences.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.optimize import minimize
 
 from .ball_solver import (
-    EnvelopeError,
     LaplaceContext,
     dirichlet_solve_full,
     get_grid,
@@ -21,6 +21,7 @@ from .ball_solver import (
     poisson_solve,
 )
 from .curvature import FlatSpace, MetricJet
+from .serrin import kernel_response_constant
 from .sphere_spectral import PerturbationState, ball_volume, product_points
 
 __all__ = [
@@ -42,10 +43,10 @@ class SearchError(RuntimeError):
     """Critical-point search failed to converge inside the chart."""
 
 
-# find_critical: Newton steps on the kernel component per polish, and the
-# function evaluations of the derivative-free re-seed.
+# find_critical: Newton steps on the kernel component, and the step of the
+# central differences of grad S that give the model Jacobian.
 MAX_POLISH = 12
-COARSE_BUDGET = 20
+HESSIAN_STEP = 1e-4
 
 
 def constants(N):
@@ -200,12 +201,17 @@ def find_critical(
 
     Starts from p_init (falling back to the manifold's scalar-curvature
     maximum when it exposes one, else the origin), applies seeded jitter,
-    and drives the kernel component a(p) to zero by finite-difference
-    Newton steps. All stepping goes through the exponential map with
-    tangent-frame coefficients, so embedded and chart-based point
-    representations are handled alike. When the Newton iteration stalls
-    from a poor start, one round of derivative-free descent on the reduced
-    energy re-seeds it. Returns (point, solution, info).
+    and drives the kernel component a(p) to zero by Newton steps. Since
+    a = kernel_response_constant(N) eps^3 grad S + O(eps^4), the Jacobian
+    is the model c_N eps^3 Hess S, from central differences of the
+    scalar-curvature gradient at every iterate, so no solve is spent on it.
+    All stepping goes through the exponential map with tangent-frame
+    coefficients, so embedded and chart-based point representations are
+    handled alike. There is no derivative-free re-seed: a singular model
+    Jacobian (Hess S = 0, as on constant curvature), a step longer than
+    0.5, an iterate farther than chart_radius from p_init, or MAX_POLISH
+    steps without reaching tol raise SearchError, and an EnvelopeError of a
+    solve propagates. Returns (point, solution, info).
     """
     manifold = problem.manifold
     N = manifold.dim
@@ -220,77 +226,51 @@ def find_critical(
     def move(p, w):
         return manifold.exp(p, np.atleast_2d(w))[0]
 
-    start = move(p_init, jitter * rng.standard_normal(N))
+    scale = kernel_response_constant(N) * eps**3
+    axes = HESSIAN_STEP * np.vstack([np.eye(N), -np.eye(N)])
 
-    evals = {"solves": 0}
-    warm = {"v": None}
+    def model_jacobian(p):
+        grads = np.array(
+            [manifold.scalar_gradient(q) for q in manifold.exp(p, axes)]
+        )
+        return scale * (grads[:N] - grads[N:]).T / (2.0 * HESSIAN_STEP)
 
-    def solve_at(p):
-        evals["solves"] += 1
-        sol = problem.solve(p, eps, v_init=warm["v"])
-        warm["v"] = sol.v_function()
-        return sol
-
-    def polish(p):
-        sol = solve_at(p)
-        best = np.linalg.norm(sol.state.a)
-        for _ in range(MAX_POLISH):
-            anorm = np.linalg.norm(sol.state.a)
-            if anorm < tol:
-                return p, sol
-            h = 0.02
-            jac = np.empty((N, N))
-            for c in range(N):
-                e = np.zeros(N)
-                e[c] = h
-                ap = solve_at(move(p, e)).state.a
-                am = solve_at(move(p, -e)).state.a
-                jac[:, c] = (ap - am) / (2.0 * h)
-            step = np.linalg.solve(jac, sol.state.a)
-            if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 0.5:
-                raise SearchError("kernel-component Newton step diverged")
-            p = move(p, -step)
-            if manifold.distance(p_init, p) > chart_radius:
-                raise SearchError("search left the chart")
-            sol = solve_at(p)
-            best = min(best, float(np.linalg.norm(sol.state.a)))
-        if np.linalg.norm(sol.state.a) < tol:
-            return p, sol
+    p = start = move(p_init, jitter * rng.standard_normal(N))
+    sol = problem.solve(p, eps)
+    solves = 1
+    anorm = best = float(np.linalg.norm(sol.state.a))
+    for _ in range(MAX_POLISH):
+        if anorm < tol:
+            break
+        try:
+            step = np.linalg.solve(model_jacobian(p), sol.state.a)
+        except np.linalg.LinAlgError as exc:
+            raise SearchError("singular model Jacobian (Hess S)") from exc
+        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 0.5:
+            raise SearchError("kernel-component Newton step diverged")
+        p = move(p, -step)
+        if manifold.distance(p_init, p) > chart_radius:
+            raise SearchError("search left the chart")
+        # warm-started from the previous iterate's perturbation
+        sol = problem.solve(p, eps, v_init=sol.v_function())
+        solves += 1
+        anorm = float(np.linalg.norm(sol.state.a))
+        best = min(best, anorm)
+    if not anorm < tol:
         raise SearchError(
-            "kernel component stalled at %.3g after %d polish steps"
+            "kernel component stalled at %.3g after %d Newton steps"
             % (best, MAX_POLISH)
         )
-
-    try:
-        p, sol = polish(start)
-    except (SearchError, EnvelopeError, np.linalg.LinAlgError):
-        # re-seed by a short derivative-free descent on the reduced energy,
-        # parameterized in the tangent space at the jittered start
-        def phi_of(w):
-            try:
-                rep = reduced_functional(problem, move(start, w), eps)
-            except EnvelopeError:
-                return np.inf
-            evals["solves"] += 1
-            return rep.phi_eps
-
-        res = minimize(
-            phi_of,
-            np.zeros(N),
-            method="Nelder-Mead",
-            options={"maxfev": COARSE_BUDGET, "xatol": 1e-3, "fatol": 1e-13},
-        )
-        p, sol = polish(move(start, np.asarray(res.x, dtype=float)))
-
-    info = {
-        "solves": evals["solves"],
-        "a_norm": float(np.linalg.norm(sol.state.a)),
-        "start": start,
-    }
+    info = {"solves": solves, "a_norm": anorm, "start": start}
     return p, sol, info
 
 
 # -- shape-derivative checks --------------------------------------------------
+
+# Parameter step of the finite-difference side of both checks, and the
+# angular rate of the rigid rotation of the tangential check.
+SHAPE_STEP = 1e-4
+ROTATION_RATE = 0.7
 
 
 class _StarMapJet(MetricJet):
@@ -308,15 +288,15 @@ class _StarMapJet(MetricJet):
         self._profile = speed * s
 
 
-def shape_derivative_check(speed, h=1e-4):
+def shape_derivative_check(speed):
     """Boundary-integral energy derivative vs central finite differences.
 
     speed is an iterable of (degree, cos amplitude, sin amplitude) triples
     for the normal speed on the Euclidean unit disk. The analytic side is
     the classical Hadamard formula for the normalized torsion potential,
     -integral((J phi_nu)^2 speed); the finite-difference side re-solves the
-    energy on the mapped domains at parameter +-h, on get_grid(2, 16).
-    Returns a dict with both values and their relative gap.
+    energy on the mapped domains at parameter +-SHAPE_STEP, on
+    get_grid(2, 16). Returns a dict with both values and their relative gap.
     """
     grid = get_grid(2, 16)
     basis = grid.basis
@@ -344,7 +324,7 @@ def shape_derivative_check(speed, h=1e-4):
         phi, _ = dirichlet_solve_full(jet, grid)
         return energy_J(jet, phi, grid)
 
-    fd = (J_at(h) - J_at(-h)) / (2.0 * h)
+    fd = (J_at(SHAPE_STEP) - J_at(-SHAPE_STEP)) / (2.0 * SHAPE_STEP)
     rel = abs(fd - analytic) / max(abs(analytic), 1e-300)
     return {
         "analytic": analytic,
@@ -372,18 +352,19 @@ class _RotationJet:
         return self.metric_and_grad(pts, radii)[0]
 
 
-def tangential_derivative_check(h=1e-4, rate=0.7):
+def tangential_derivative_check():
     """Purely tangential deformation: both sides of the check vanish.
 
-    The deformation field rate*(-y, x) is tangent to every circle, so its
-    normal component is identically zero and the flow is a rotation. The
-    analytic boundary integral picks up exact zeros; the finite-difference
-    side differentiates a constant energy. Solves run on get_grid(2, 16).
+    The deformation field ROTATION_RATE * (-y, x) is tangent to every
+    circle, so its normal component is identically zero and the flow is a
+    rotation. The analytic boundary integral picks up exact zeros; the
+    finite-difference side differentiates a constant energy. Solves run on
+    get_grid(2, 16).
     """
     grid = get_grid(2, 16)
     basis = grid.basis
     nodes = basis.nodes
-    xi = rate * np.stack([-nodes[:, 1], nodes[:, 0]], axis=1)
+    xi = ROTATION_RATE * np.stack([-nodes[:, 1], nodes[:, 0]], axis=1)
     normal_speed = np.einsum("pi,pi->p", xi, nodes)
     phi0 = poisson_solve(-np.ones((grid.n_r, grid.n_ang)), None, grid=grid)
     base = _RotationJet(0.0)
@@ -392,11 +373,11 @@ def tangential_derivative_check(h=1e-4, rate=0.7):
     analytic = -float(basis.weights @ ((J0 * trace) ** 2 * normal_speed))
 
     def J_at(s):
-        jet = _RotationJet(s * rate)
+        jet = _RotationJet(s * ROTATION_RATE)
         phi, _ = dirichlet_solve_full(jet, grid)
         return energy_J(jet, phi, grid)
 
-    fd = (J_at(h) - J_at(-h)) / (2.0 * h)
+    fd = (J_at(SHAPE_STEP) - J_at(-SHAPE_STEP)) / (2.0 * SHAPE_STEP)
     return {"analytic": analytic, "finite_difference": fd, "J0": J0}
 
 

@@ -89,19 +89,16 @@ class SerrinSolution:
 class SerrinProblem:
     """The solver context: a manifold and the resolution of the ball grid.
 
-    max_degree is the highest harmonic degree carried (default 16 for N=2,
-    10 for N=3) and n_radial the radial coefficients per mode (get_grid's
-    default when None). The pulled-back metric is MetricJet's truncated
-    cubic curvature model. Solves are pure functions of (p, eps) given the
-    context, so instances can be shared freely across sweeps.
+    max_degree is the highest harmonic degree carried and n_radial the
+    radial coefficients per mode; None takes get_grid's defaults, so the
+    problem shares the default grid. The pulled-back metric is MetricJet's
+    truncated cubic curvature model. Solves are pure functions of (p, eps)
+    given the context, so instances can be shared freely across sweeps.
     """
 
     def __init__(self, manifold, max_degree=None, n_radial=None):
         self.manifold = manifold
-        N = manifold.dim
-        if max_degree is None:
-            max_degree = 16 if N == 2 else 10
-        self.grid = get_grid(N, max_degree, n_radial)
+        self.grid = get_grid(manifold.dim, max_degree, n_radial)
         self.basis = self.grid.basis
 
     # -- forward map -------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from serrin_torsion.ball_solver import (
+    _build_grid,
     BallField,
     EnvelopeError,
     LaplaceContext,
@@ -25,6 +26,7 @@ from serrin_torsion.curvature import (
     FlatSpace,
     MetricJet,
 )
+from serrin_torsion.serrin import SerrinProblem
 from serrin_torsion.sphere_spectral import (
     PerturbationState,
     SphereFunction,
@@ -45,6 +47,18 @@ def random_field(grid, rng, decay=9.0):
     c /= (1.0 + np.arange(M)[None, :]) ** decay
     c /= (1.0 + grid.basis.degrees[:, None]) ** 2
     return BallField(grid, c)
+
+
+def test_one_grid_per_resolution():
+    # the defaults are resolved before the cached build, so the problem's
+    # grid, the default grid and the spelled-out resolution are one object
+    # built once
+    _build_grid.cache_clear()
+    grid = get_grid(2, 16)
+    assert SerrinProblem(ConformalSphere2D()).grid is grid
+    assert get_grid(2) is grid
+    assert get_grid(2, 16, 28) is grid
+    assert _build_grid.cache_info().misses == 1
 
 
 def test_torsion_function_of_the_ball(grid):

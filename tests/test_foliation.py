@@ -12,12 +12,13 @@ from serrin_torsion.foliation import (
     FoliationChart,
     FoliationError,
     build_foliation_chart,
+    center_curve_through,
     certify_foliation,
-    critical_center_curve,
     recentering_solve,
     reparametrize,
     solved_profile_curve,
 )
+from serrin_torsion.reduced import find_critical
 from serrin_torsion.serrin import SerrinProblem
 from serrin_torsion.sphere_spectral import SphereFunction, get_basis
 
@@ -50,7 +51,8 @@ def round_setup():
 def conf_setup():
     manifold = ConformalSphere2D()
     problem = SerrinProblem(manifold)
-    base, curve = critical_center_curve(problem, eps_ref=0.1, seed=0)
+    p_ref, _, _ = find_critical(problem, 0.1, seed=0)
+    base, curve = center_curve_through(manifold, p_ref, 0.1)
     profile = solved_profile_curve(problem, curve)
     return manifold, problem, base, curve, profile
 

@@ -167,8 +167,8 @@ def test_geodesic_ball_is_candidate_optimum(conf):
     vol_hat, _ = volumes(sol.jet, problem.grid, context=ctx)
     v_pert = vol_hat * eps**2
     J_pert = energy_J(sol.jet, sol.potential, problem.grid, context=ctx) / eps**4
-    eps_m = matched_radius(conf, pmax, v_pert, problem.grid)
-    J_ball = J_geodesic_ball(conf, pmax, eps_m, problem.grid)
+    eps_m = matched_radius(conf, pmax, v_pert)
+    J_ball = J_geodesic_ball(conf, pmax, eps_m)
     assert J_ball >= J_pert * (1.0 - 1e-8)
     assert abs(J_ball - J_pert) / J_pert < 1e-10
 

@@ -204,7 +204,9 @@ def test_find_critical_conformal(conf_problem, conf):
     assert np.linalg.norm(sol.state.a) == info["a_norm"]
     dist = conf.distance(pmax, p)
     assert dist / eps**2 < 0.05
-    assert info["solves"] <= 40
+    # Newton on the model Jacobian c_N eps^3 Hess S: no solve is spent on
+    # derivatives (measured 2 to 4 solves over seeds 0-9)
+    assert info["solves"] <= 5
     # the kernel component really vanishes there: the solved state at p has
     # no degree-1 content beyond roundoff
     assert np.linalg.norm(sol.state.a) < 1e-9
@@ -217,6 +219,13 @@ def test_find_critical_round_immediate(round_problem):
     assert info["solves"] == 1
     assert info["a_norm"] < 1e-12
     assert abs(np.linalg.norm(p) - 1.0) < 1e-12
+
+
+def test_find_critical_singular_model_jacobian(round_problem):
+    # constant curvature: Hess S = 0, so with tol = 0 the first Newton step
+    # meets a singular model Jacobian, which must surface as SearchError
+    with pytest.raises(SearchError):
+        find_critical(round_problem, 0.1, tol=0.0)
 
 
 def test_find_critical_chart_guard(conf_problem):
@@ -257,12 +266,12 @@ def test_shape_derivative_random_speeds():
         speed = [(0, float(rng.uniform(0.5, 1.0) * rng.choice([-1, 1])), 0.0)]
         for k in range(1, 6):
             speed.append((k, float(rng.normal(0, 0.3)), float(rng.normal(0, 0.3))))
-        out = shape_derivative_check(speed, h=1e-4)
+        out = shape_derivative_check(speed)
         assert out["rel_error"] < 1e-6
 
 
 def test_tangential_deformation_both_sides_vanish():
-    out = tangential_derivative_check(rate=0.7)
+    out = tangential_derivative_check()
     assert abs(out["analytic"]) < 1e-12
     assert abs(out["finite_difference"]) < 1e-10
 
