@@ -136,6 +136,13 @@ class BallGrid:
             self._lu.append(lu_factor(sysmat))
             self.bc_deriv.append(k + 2.0 * js * (js + b + 1.0))
 
+        # (3, n_r, n_modes): r^(k-j), j = 0, 1, 2, for each mode's degree k;
+        # zero where j > k, since derivatives of order above k vanish
+        deg = basis.degrees
+        self.mode_powers = np.stack([np.where(
+            deg >= j, self.r[:, None] ** np.maximum(deg - j, 0), 0.0
+        ) for j in range(3)])
+
         # product-grid caches
         self.w_vol = self.wr * self.r ** (N - 1)
         self.points = product_points(basis.nodes, self.r)
@@ -210,55 +217,39 @@ class BallField:
 
         Returns (u, du, d2u) with shapes (P,), (P, N), (P, N, N) where
         P = n_r * n_ang, flattened radius-major to match grid.points.
+
+        Mode m of degree k is G(r^2) H_m(x) with H_m = r^k Y_m: G, G', G''
+        of every mode, times r^k, r^(k-1), r^(k-2) (grid.mode_powers), meet
+        Y, grad H and Hess H at the nodes in one matrix product per order;
+        the chain-rule factors of x = r theta are applied pointwise.
         """
         grid, basis = self.grid, self.grid.basis
         N = grid.dim
-        n_r, n_ang = grid.n_r, grid.n_ang
-        theta = basis.nodes
-        dH = basis.node_grads()
-        d2H = basis.node_hessians()
-        u = np.zeros((n_r, n_ang))
-        du = np.zeros((n_r, n_ang, N))
-        d2u = np.zeros((n_r, n_ang, N, N))
-        r = grid.r
-        eye = np.eye(N)
+        n_r, n_ang, n_modes = grid.n_r, grid.n_ang, basis.n_modes
+        G = np.empty((3, n_r, n_modes))  # G, G', G'' of every mode
         for k in range(basis.max_degree + 1):
             s = basis.degree_slice(k)
-            c = self.coeffs[s]
-            G0 = grid.Q[k] @ c.T      # (n_r, n_k), G(s)
-            G1 = grid.Qs[k] @ c.T     # G'(s)
-            G2 = grid.Qss[k] @ c.T    # G''(s)
-            Yk = basis.Y[s]           # (n_k, n_ang)
-            A0 = G0 @ Yk              # (n_r, n_ang)
-            A1 = G1 @ Yk
-            A2 = G2 @ Yk
-            rk = r**k
-            u += rk[:, None] * A0
-            # grad: r^{k+1} 2 theta_i G' H + r^{k-1} G dH
-            du += (rk * r)[:, None, None] * 2.0 * A1[:, :, None] * theta[None, :, :]
-            B0 = np.einsum("mq,mai->qai", G0.T, dH[s], optimize=True)
-            if k >= 1:
-                du += (r ** (k - 1))[:, None, None] * B0
-            # hess: r^{k+2} 4 tt G'' H + r^k 2 dij G' H
-            #       + r^k 2 (t_i dH_j + t_j dH_i) G' + r^{k-2} G d2H
-            d2u += (
-                (rk * grid.s)[:, None, None, None]
-                * 4.0
-                * A2[:, :, None, None]
-                * (theta[:, :, None] * theta[:, None, :])[None]
-            )
-            d2u += rk[:, None, None, None] * 2.0 * A1[:, :, None, None] * eye[None, None]
-            B1 = np.einsum("mq,mai->qai", G1.T, dH[s], optimize=True)
-            cross = (
-                theta[None, :, :, None] * B1[:, :, None, :]
-                + theta[None, :, None, :] * B1[:, :, :, None]
-            )
-            d2u += rk[:, None, None, None] * 2.0 * cross
-            if k >= 2:
-                C0 = np.einsum("mq,maij->qaij", G0.T, d2H[s], optimize=True)
-                d2u += (r ** (k - 2))[:, None, None, None] * C0
+            c = self.coeffs[s].T
+            G[0][:, s] = grid.Q[k] @ c
+            G[1][:, s] = grid.Qs[k] @ c
+            G[2][:, s] = grid.Qss[k] @ c
+        R0, R1, R2 = grid.mode_powers
+        dH = basis.node_grads().reshape(n_modes, n_ang * N)
+        d2H = basis.node_hessians().reshape(n_modes, n_ang * N * N)
+        A = (G * R0).reshape(3 * n_r, n_modes) @ basis.Y
+        B = (G[:2] * R1).reshape(2 * n_r, n_modes) @ dH
+        A0, A1, A2 = A.reshape(3, n_r, n_ang, 1)
+        B0, B1 = B.reshape(2, n_r, n_ang, N)
+        d2u = ((G[0] * R2) @ d2H).reshape(n_r, n_ang, N, N)
+        x = grid.r[:, None, None] * basis.nodes[None]  # (n_r, n_ang, N)
+        du = 2.0 * A1 * x + B0
+        # 4 G'' x_i x_j H + 2 G' (d_ij H + x_i d_j H + x_j d_i H) + G d_ij H
+        d2u += 4.0 * A2[..., None] * x[..., :, None] * x[..., None, :]
+        d2u += 2.0 * (x[..., :, None] * B1[..., None, :]
+                      + B1[..., :, None] * x[..., None, :])
+        d2u += 2.0 * A1[..., None] * np.eye(N)
         P = n_r * n_ang
-        return u.reshape(P), du.reshape(P, N), d2u.reshape(P, N, N)
+        return A0.reshape(P), du.reshape(P, N), d2u.reshape(P, N, N)
 
     # -- boundary data -----------------------------------------------------
 
@@ -433,25 +424,28 @@ class LaplaceContext:
     Assembles, once per metric, the inverse metric and the first-order drift
     vector of lap_g u = g^{ij} u_ij + b^j u_j with
     b^j = d_i g^{ij} + (1/2) g^{ij} d_i log det g, on the product grid.
+    The drift is g^{-1} ((1/2) d log det g - w), w_l = g^{ik} d_i g_kl. One
+    batched Cholesky of g checks positivity, and the product of its
+    diagonal is the volume element sqrt det g.
     """
 
     def __init__(self, jet, grid):
         self.grid = grid
         g, dg = jet.metric_and_grad(grid.basis.nodes, grid.r)
-        self.ginv = np.linalg.inv(g)
-        # d_c ginv = -ginv dg_c ginv
-        dginv = -np.einsum(
-            "pik,pckl,plj->pcij", self.ginv, dg, self.ginv, optimize=True
-        )
-        term1 = np.einsum("piij->pj", dginv)
-        dlog = np.einsum("pab,pcab->pc", self.ginv, dg, optimize=True)
-        term2 = 0.5 * np.einsum("pij,pi->pj", self.ginv, dlog, optimize=True)
-        self.drift = term1 + term2
-        if np.any(np.linalg.eigvalsh(g)[:, 0] <= 0):
-            raise EnvelopeError("pulled-back metric lost positivity")
-        self.sqrt_det = np.sqrt(np.linalg.det(g))
+        try:
+            chol = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise EnvelopeError("pulled-back metric lost positivity") from None
+        # a NaN metric need not fail the factorization
+        self.sqrt_det = np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1)
         if not np.all(np.isfinite(self.sqrt_det)):
             raise EnvelopeError("pulled-back metric lost positivity")
+        self.ginv = np.linalg.inv(g)
+        w = np.einsum("pik,pikl->pl", self.ginv, dg, optimize=True)
+        dlog = np.einsum("pab,pcab->pc", self.ginv, dg, optimize=True)
+        self.drift = np.einsum(
+            "pij,pj->pi", self.ginv, 0.5 * dlog - w, optimize=True
+        )
 
     def apply_values(self, field):
         """lap_g field as pointwise values (n_r, n_ang)."""

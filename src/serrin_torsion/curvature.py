@@ -181,22 +181,29 @@ def truncated_chart(packet, Y):
     """Cubic normal-coordinate metric model built from a curvature packet.
 
     Same signature as constant_curvature_chart; Y in true normal coordinates.
+    Every term is a matrix product of the point tensors Y, Y(x)Y (P, N^2)
+    and Y(x)Y(x)Y (P, N^3) with the curvature tensors reshaped to match.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    N = packet.dim
+    P, N = Y.shape
     R = packet.riemann
     nR = packet.nabla_riemann
-    d = np.eye(N)
-    quad = np.einsum("akbl,pk,pl->pab", R, Y, Y, optimize=True)
-    cub = np.einsum("akblm,pk,pl,pm->pab", nR, Y, Y, Y, optimize=True)
-    g = d[None] + quad / 3.0 + cub / 6.0
-    dquad = np.einsum("acbl,pl->pcab", R, Y) + np.einsum("akbc,pk->pcab", R, Y)
-    dcub = (
-        np.einsum("acblm,pl,pm->pcab", nR, Y, Y, optimize=True)
-        + np.einsum("akbcm,pk,pm->pcab", nR, Y, Y, optimize=True)
-        + np.einsum("akblc,pk,pl->pcab", nR, Y, Y, optimize=True)
+    YY = (Y[:, :, None] * Y[:, None, :]).reshape(P, N**2)
+    YYY = (YY[:, :, None] * Y[:, None, :]).reshape(P, N**3)
+    # g_ab = d_ab + R[a,k,b,l] y^k y^l / 3 + nR[a,k,b,l,m] y^k y^l y^m / 6
+    g = YYY @ (nR.transpose(1, 3, 4, 0, 2).reshape(N**3, N**2) / 6.0)
+    del YYY  # freed before the (P, N^3) derivative product: peak memory
+    g += YY @ (R.transpose(1, 3, 0, 2).reshape(N**2, N**2) / 3.0)
+    g = np.eye(N) + g.reshape(P, N, N)
+    # d_c g_ab: R[a,c,b,l] y^l + R[a,k,b,c] y^k, and nR with c in each of
+    # its three y slots; one product of [y, y(x)y] with both tensors
+    dR = R.transpose(3, 1, 0, 2) + R.transpose(1, 3, 0, 2)
+    dnR = (nR.transpose(3, 4, 1, 0, 2) + nR.transpose(1, 4, 3, 0, 2)
+           + nR.transpose(1, 3, 4, 0, 2))
+    dg = np.hstack([Y, YY]) @ np.vstack(
+        [dR.reshape(N, N**3) / 3.0, dnR.reshape(N**2, N**3) / 6.0]
     )
-    dg = dquad / 3.0 + dcub / 6.0
+    dg = dg.reshape(P, N, N, N)
     return g, dg
 
 

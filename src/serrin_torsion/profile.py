@@ -50,8 +50,9 @@ def J_geodesic_ball(manifold, p, eps):
     N = manifold.dim
     grid = get_grid(N)
     jet = MetricJet(manifold, np.asarray(p, dtype=float), eps)
-    phi, _ = dirichlet_solve_full(jet, grid)
-    return energy_J(jet, phi, grid) / eps ** (N + 2)
+    ctx = LaplaceContext(jet, grid)
+    phi, _ = dirichlet_solve_full(jet, grid, context=ctx)
+    return energy_J(jet, phi, grid, context=ctx) / eps ** (N + 2)
 
 
 def ball_volume_at(manifold, p, eps):

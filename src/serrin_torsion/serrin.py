@@ -141,7 +141,7 @@ class SerrinProblem:
         tolerance or when the perturbation norm leaves the contraction
         envelope.
         """
-        t0 = time.time()
+        t0 = time.perf_counter()
         p = np.asarray(p, dtype=float)
         v = v_init if v_init is not None else self.seed(p, eps)
         history = []
@@ -178,7 +178,7 @@ class SerrinProblem:
             residual_overdetermined=residual,
             iterations=history,
             jet=jet,
-            solve_seconds=time.time() - t0,
+            solve_seconds=time.perf_counter() - t0,
         )
 
     # -- curvature-gradient diagnostic --------------------------------------

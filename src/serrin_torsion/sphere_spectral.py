@@ -191,10 +191,6 @@ class SphereBasis:
         """Index slice of the modes of degree k."""
         return self._deg_slices[k]
 
-    def degree_multiplicity(self, k):
-        s = self._deg_slices[k]
-        return s.stop - s.start
-
     # -- polynomial evaluation -------------------------------------------
 
     def _powers(self, pts):

@@ -80,6 +80,52 @@ def test_harmonic_extension_modes(grid):
         assert np.abs(u.values() - want).max() < 1e-11
 
 
+@pytest.mark.parametrize("N,max_degree", [(2, 16), (2, 24), (3, 10)])
+def test_derivatives_polynomial_closed_form(N, max_degree):
+    """Value, gradient and Hessian of a loaded polynomial of degree <= 8
+    against their closed forms; L=24 is off the default grid, so it checks
+    the per-grid power table too."""
+    grid = get_grid(N, max_degree)
+    rng = np.random.default_rng(30 + N + max_degree)
+    # C[e] is the coefficient of x^e, for |e| <= 8
+    degree = sum(np.ix_(*(np.arange(9),) * N))
+    C = rng.standard_normal((9,) * N) / (1.0 + degree) ** 2 * (degree <= 8)
+    powers = grid.points.T[:, :, None] ** np.arange(9)  # (N, P, 9)
+
+    def evaluate(C):
+        out = powers[0] @ C.reshape(9, -1)
+        for d in range(1, N):
+            out = np.einsum("pa,pab->pb", powers[d],
+                            out.reshape(len(out), 9, -1))
+        return out[:, 0]
+
+    def diff(C, i):
+        k = np.arange(9).reshape([-1 if d == i else 1 for d in range(N)])
+        return np.roll(C * k, -1, axis=i)
+
+    u = BallField.from_values(grid, evaluate(C).reshape(grid.n_r, grid.n_ang))
+    # |x|^(2j) H_k with k + 2j <= 8 spans the polynomial; from_values leaks
+    # roundoff outside that support (see poisson_solve), and the high
+    # radial and angular derivatives amplify it beyond 1e-11, so the leak
+    # is bounded here and cut before the derivatives are compared
+    support = (grid.basis.degrees[:, None]
+               + 2 * np.arange(grid.n_radial)[None, :]) <= 8
+    leak = np.abs(u.coeffs[~support]).max() / np.abs(u.coeffs).max()
+    assert leak < 1e-9
+    val, grad, hess = BallField(grid, u.coeffs * support).derivatives()
+    want_grad = np.stack([evaluate(diff(C, i)) for i in range(N)], -1)
+    want_hess = np.stack([
+        np.stack([evaluate(diff(diff(C, i), j)) for j in range(N)], -1)
+        for i in range(N)
+    ], -2)
+    # inside the support the projection itself carries the basis roundoff,
+    # which grows with max_degree: the Hessian is off by 1.2e-11 at L=24
+    tol = 1e-11 if max_degree <= 16 else 5e-11
+    for got, want in ((val, evaluate(C)), (grad, want_grad),
+                      (hess, want_hess)):
+        assert np.abs(got - want).max() < tol * np.abs(want).max()
+
+
 def test_polynomial_source_oracle(grid):
     """Random monomial-in-r sources against the closed-form solution."""
     N = grid.dim
@@ -365,6 +411,12 @@ def test_positivity_loss_rejected():
     jet = MetricJet(man, man.origin(), 0.35)
     with pytest.raises(EnvelopeError):
         dirichlet_solve_full(jet, grid)
+    # N=3: the Cholesky factorization of the metric fails, and that must
+    # surface as EnvelopeError, not LinAlgError
+    man = ConstantCurvature(3, 40.0)
+    jet = MetricJet(man, man.origin(), 0.35)
+    with pytest.raises(EnvelopeError, match="lost positivity"):
+        LaplaceContext(jet, get_grid(3, 10))
 
 
 def test_divergence_form_consistency():
