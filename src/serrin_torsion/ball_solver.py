@@ -303,13 +303,6 @@ def poisson_solve(f, h=None, grid=None):
     h is a SphereFunction or None. Mode-by-mode radial solve; raises
     ResolutionError when the source's last radial coefficient exceeds
     SOURCE_TAIL_TOL times its largest one.
-
-    Limit: BallField.from_values leaks angular roundoff into the top radial
-    coefficients even for a constant source, and the leak grows with
-    max_degree. For f = -1 on get_grid(2, L) the tail fraction is 5.5e-13
-    at L=16, 1.4e-11 at L=24, 3.0e-9 at L=28 and 1.2e-8 at L=32, so from
-    L=28 on this source is rejected with ResolutionError, and with it the
-    cold start of dirichlet_solve_full.
     """
     if isinstance(f, BallField):
         src = f

@@ -2,23 +2,23 @@
 
 Everything downstream (ball solves, the over-determined solver, the reduced
 functional) works in coefficient space over an orthonormal basis of real
-spherical harmonics. Harmonics are stored as homogeneous harmonic polynomials
-in Cartesian coordinates, which makes gradients/Hessians of their solid
-extensions exact and cheap, and keeps degree-1 modes literally proportional to
-the coordinate functions x^i (the translation kernel of the linearized
-problem).
+spherical harmonics. Every mode is a closed-form solid harmonic: for N = 2
+the real and imaginary parts of (x + iy)^k, for N = 3 the real and imaginary
+parts of the regular solid harmonics R_lm (Helgaker, Jorgensen & Olsen,
+Molecular Electronic-Structure Theory, 2000, section 6.4). Values come from
+their stable recurrences. A derivative of a solid harmonic is a solid
+harmonic one degree lower, so gradients and Hessians are linear maps on
+coefficient vectors. The degree-1 modes are the coordinate functions x^i in
+coordinate order (the translation kernel of the linearized problem).
 
-The boundary operators live here too: the Dirichlet-to-Neumann map (symbol k
-on degree k), the Steklov-shifted operator L (symbol k - 1, kernel = degree
-one), and the preconditioner calL used by the quasi-Newton solver
-(calL = (1/N) L on the degree-1 complement, identity on degree 1).
+The boundary preconditioner calL used by the quasi-Newton solver lives here
+too: calL = (1/N) L on the degree-1 complement and the identity on degree 1,
+where the Steklov-shifted operator L has symbol k - 1 on degree k.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -30,9 +30,6 @@ __all__ = [
     "product_points",
     "ball_volume",
     "sphere_area",
-    "sphere_monomial_integral",
-    "dtn",
-    "L_operator",
     "calL_solve",
 ]
 
@@ -47,80 +44,23 @@ def sphere_area(N):
     return N * ball_volume(N)
 
 
-def sphere_monomial_integral(alpha):
-    """Exact integral of x^alpha over S^{N-1}, N = len(alpha).
-
-    Zero when any exponent is odd; otherwise
-    2 * prod Gamma((a_i+1)/2) / Gamma((|a|+N)/2).
-    """
-    if any(a % 2 for a in alpha):
-        return 0.0
-    num = 2.0
-    for a in alpha:
-        num *= math.gamma((a + 1) / 2.0)
-    return num / math.gamma((sum(alpha) + len(alpha)) / 2.0)
-
-
-def _monomials(deg, n):
-    """Sorted list of exponent tuples of total degree deg in n variables."""
-    out = [a for a in _iproduct(range(deg + 1), repeat=n) if sum(a) == deg]
-    out.sort()
-    return out
-
-
-def _harmonic_coefficients(deg, n):
-    """Coefficient matrix of an orthonormal basis of degree-deg harmonics.
-
-    Returns (exps, C) where exps lists the degree-deg monomials and C has one
-    column per basis polynomial. Orthonormality is with respect to the
-    L^2(S^{n-1}) inner product, enforced through exact monomial moments.
-    Degrees 0 and 1 are special-cased so the basis is {1} and {x_i} up to
-    scalar normalization, in coordinate order.
-    """
-    exps = _monomials(deg, n)
-    if deg == 0:
-        C = np.array([[1.0 / math.sqrt(sphere_area(n))]])
-        return exps, C
-    if deg == 1:
-        # exps sorted ascending puts x_n first; reorder columns to x_1..x_n
-        C = np.zeros((n, n))
-        scale = 1.0 / math.sqrt(ball_volume(n))
-        for i in range(n):
-            row = exps.index(tuple(1 if d == i else 0 for d in range(n)))
-            C[row, i] = scale
-        return exps, C
-    # kernel of the Laplacian acting on degree-deg monomials
-    dst = _monomials(deg - 2, n)
-    idx = {a: i for i, a in enumerate(dst)}
-    Lmat = np.zeros((len(dst), len(exps)))
-    for j, a in enumerate(exps):
-        for d in range(n):
-            if a[d] >= 2:
-                b = list(a)
-                b[d] -= 2
-                Lmat[idx[tuple(b)], j] += a[d] * (a[d] - 1)
-    _, s, Vt = np.linalg.svd(Lmat, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    C = Vt[rank:].T
-    # Gram matrix over the sphere from exact monomial moments
-    t = len(exps)
-    Q = np.empty((t, t))
-    for i, ai in enumerate(exps):
-        for j, aj in enumerate(exps):
-            Q[i, j] = sphere_monomial_integral(
-                tuple(x + y for x, y in zip(ai, aj))
-            )
-    G = C.T @ Q @ C
-    C = C @ np.linalg.inv(np.linalg.cholesky(G)).T
-    return exps, C
-
-
 class SphereBasis:
     """Orthonormal real spherical harmonics up to max_degree on S^{N-1}.
 
-    Holds the polynomial representation of every mode, an angular quadrature
-    grid exact well beyond degree 2*max_degree, and cached node evaluations of
-    each mode and of the gradient/Hessian of its solid-harmonic extension.
+    Mode j is H_j = scale_j * (Re, Im) F_lm, a real or imaginary part of a
+    complex solid harmonic, labelled (l, m, part):
+    - N = 2: F_kk = (x + iy)^k; degree 0 is 1/sqrt(2 pi), degree k >= 1
+      the pair (Re, Im) z^k / sqrt(pi).
+    - N = 3: F_lm = R_lm, m = 0..l, from R_00 = 1,
+      R_{l+1,l+1} = -(x + iy) R_ll / (2l + 2) and
+      (l+1-m)(l+1+m) R_{l+1,m} = (2l+1) z R_lm - r^2 R_{l-1,m}. The modes
+      are (-1)^m sqrt(2) (Re, Im) R_lm / |R_lm| for m >= 1, then
+      R_l0 / |R_l0|, with |R_lm|^2 = 4 pi / ((2l+1) (l-m)! (l+m)!) over
+      the sphere.
+    The maps D[i] give d_i H_m = sum_j D[i, j, m] H_j in closed form from
+    the ladder relations of F (see _ladder). The class also holds an angular
+    quadrature grid exact well beyond degree 2*max_degree, and cached node
+    evaluations of each mode and of its gradient and Hessian.
 
     Parameters
     ----------
@@ -138,22 +78,36 @@ class SphereBasis:
         self.max_degree = max_degree
         self.area = sphere_area(N)
 
-        degrees = []
-        polys = []  # (exps array (t,N), coeffs (t,)) per mode
-        for k in range(max_degree + 1):
-            exps, C = _harmonic_coefficients(k, N)
-            E = np.array(exps, dtype=np.int64).reshape(len(exps), N)
-            for m in range(C.shape[1]):
-                degrees.append(k)
-                polys.append((E, C[:, m].copy()))
-        self.degrees = np.array(degrees, dtype=np.int64)
-        self.polys = polys
-        self.n_modes = len(polys)
+        labels = [(0, 0, 0)]
+        for l in range(1, max_degree + 1):
+            if N == 2:
+                labels += [(l, l, 0), (l, l, 1)]
+            else:
+                labels += [(l, m, part) for m in range(1, l + 1)
+                           for part in (0, 1)] + [(l, 0, 0)]
+        self._labels = labels
+        self._index = {lab: j for j, lab in enumerate(labels)}
+        l, m, part = np.array(labels, dtype=np.int64).T
+        self.degrees = l
+        self.n_modes = len(labels)
+        self._table_index = (l, m) if N == 3 else (l,)
+        self._imag = part == 1
+        # squared L^2 norm over the sphere of (Re, Im) F_lm
+        if N == 2:
+            norm2 = np.where(l == 0, 2.0 * math.pi, math.pi)
+            sign = 1.0
+        else:
+            fact = np.cumprod([1.0] + list(range(1, 2 * max_degree + 1)))
+            norm2 = 4.0 * math.pi / ((2 * l + 1) * fact[l - m] * fact[l + m])
+            norm2 = np.where(m > 0, 0.5 * norm2, norm2)
+            sign = (-1.0) ** m
+        self._scale = sign / np.sqrt(norm2)
         self._deg_slices = []
         for k in range(max_degree + 1):
             idx = np.nonzero(self.degrees == k)[0]
             self._deg_slices.append(slice(int(idx[0]), int(idx[-1]) + 1))
 
+        self.D = self._derivative_maps()
         self.nodes, self.weights = self._build_quadrature()
         self.Y = self.eval_matrix(self.nodes)
         self._node_grads = None
@@ -185,124 +139,117 @@ class SphereBasis:
             q += n_az
         return nodes, weights
 
+    def _ladder(self, l, m):
+        """(axis, c, (l', m')) with d_axis F_lm = sum of c F_l'm'."""
+        if l == 0:
+            return ()
+        if self.dim == 2:
+            # d_x z^k = k z^(k-1), d_y z^k = i k z^(k-1)
+            return (0, l, (l - 1, l - 1)), (1, 1j * l, (l - 1, l - 1))
+        # d_z R_lm = R_{l-1,m}, (d_x + i d_y) R_lm = R_{l-1,m+1} and
+        # (d_x - i d_y) R_lm = -R_{l-1,m-1}
+        up, down = (l - 1, m + 1), (l - 1, m - 1)
+        return ((0, 0.5, up), (0, -0.5, down), (1, -0.5j, up),
+                (1, -0.5j, down), (2, 1.0, (l - 1, m)))
+
+    def _in_modes(self, l, m):
+        """F_lm as a complex combination of the real modes; for m < 0,
+        R_{l,m} = (-1)^m conj R_{l,-m}."""
+        w = np.zeros(self.n_modes, dtype=complex)
+        if abs(m) > l:
+            return w
+        sign, conj = ((-1.0) ** m, -1.0) if m < 0 else (1.0, 1.0)
+        re = self._index[(l, abs(m), 0)]
+        w[re] = sign / self._scale[re]
+        im = self._index.get((l, abs(m), 1))
+        if im is not None:
+            w[im] = conj * sign * 1j / self._scale[im]
+        return w
+
+    def _derivative_maps(self):
+        """The (N, n_modes, n_modes) maps d_i H_m = sum_j D[i, j, m] H_j."""
+        D = np.zeros((self.dim, self.n_modes, self.n_modes))
+        for j, (l, m, part) in enumerate(self._labels):
+            for axis, c, target in self._ladder(l, m):
+                v = self._scale[j] * c * self._in_modes(*target)
+                D[axis, :, j] += v.imag if part else v.real
+        return D
+
     # -- mode bookkeeping ------------------------------------------------
 
     def degree_slice(self, k):
         """Index slice of the modes of degree k."""
         return self._deg_slices[k]
 
-    # -- polynomial evaluation -------------------------------------------
+    # -- evaluation ------------------------------------------------------
 
-    def _powers(self, pts):
-        # P[d, e, p] = pts[p, d] ** e for e <= max_degree
+    def _complex_table(self, pts):
+        """F at the points: (L+1, n) for N=2, (L+1, L+1, n) indexed
+        [l, m] for N=3 (zero for m > l)."""
         L = self.max_degree
-        P = np.empty((self.dim, L + 1, pts.shape[0]))
-        P[:, 0, :] = 1.0
-        for e in range(1, L + 1):
-            P[:, e, :] = P[:, e - 1, :] * pts.T
-        return P
-
-    def _degree_polys(self, k):
-        """(exps (t, N), coefficient columns (t, n_k)) of degree-k modes."""
-        s = self._deg_slices[k]
-        columns = np.stack([c for _, c in self.polys[s]], axis=1)
-        return self.polys[s.start][0], columns
-
-    def _poly_derivatives(self, P, E, C, order):
-        """Derivatives of order 0, 1 or 2 of the polynomials
-        sum_t C[t, j] x^E[t] at the points with power table P, shaped
-        (n, n_pts) + (N,) * order with n = C.shape[1]."""
-        N = self.dim
-        eye = np.eye(N, dtype=np.int64)
-        out = np.zeros((C.shape[1], P.shape[2]) + (N,) * order)
-        for idx in combinations_with_replacement(range(N), order):
-            # d^idx x^E = (falling factorial) x^(E - idx)
-            coef = np.ones(len(E))
-            shifted = E
-            for d in idx:
-                coef = coef * shifted[:, d]
-                shifted = shifted - eye[d]
-            live = coef != 0
-            if not np.any(live):
-                continue
-            vals = (C[live] * coef[live, None]).T @ self._mono_values(
-                P, shifted[live]
+        w = pts[:, 0] + 1j * pts[:, 1]
+        if self.dim == 2:
+            F = np.ones((L + 1, len(pts)), dtype=complex)
+            for k in range(L):
+                F[k + 1] = w * F[k]
+            return F
+        z = pts[:, 2]
+        r2 = np.einsum("pi,pi->p", pts, pts)
+        F = np.zeros((L + 1, L + 1, len(pts)), dtype=complex)
+        F[0, 0] = 1.0
+        for l in range(L):
+            m = np.arange(l + 1)[:, None]
+            below = r2 * F[l - 1, : l + 1] if l else 0.0
+            F[l + 1, : l + 1] = ((2 * l + 1) * z * F[l, : l + 1] - below) / (
+                (l + 1 - m) * (l + 1 + m)
             )
-            for perm in set(permutations(idx)):
-                out[(slice(None), slice(None)) + perm] = vals
-        return out
-
-    def _mode_tables(self, pts, order):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        P = self._powers(pts)
-        return np.concatenate(
-            [
-                self._poly_derivatives(P, *self._degree_polys(k), order)
-                for k in range(self.max_degree + 1)
-            ]
-        )
+            F[l + 1, l + 1] = -w * F[l, l] / (2 * l + 2)
+        return F
 
     def eval_matrix(self, pts):
         """Values of every solid harmonic at the given points, (n_modes, n_pts)."""
-        return self._mode_tables(pts, 0)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        F = self._complex_table(pts)[self._table_index]
+        parts = np.where(self._imag[:, None], F.imag, F.real)
+        return self._scale[:, None] * parts
 
     def eval_grad_matrix(self, pts):
         """Gradients of the solid harmonics, (n_modes, n_pts, N)."""
-        return self._mode_tables(pts, 1)
+        Y = self.eval_matrix(pts)
+        return np.stack([Di.T @ Y for Di in self.D], axis=-1)
 
     def eval_hess_matrix(self, pts):
         """Hessians of the solid harmonics, (n_modes, n_pts, N, N)."""
-        return self._mode_tables(pts, 2)
-
-    @staticmethod
-    def _mono_values(P, exps):
-        mono = P[0, exps[:, 0], :]
-        for d in range(1, exps.shape[1]):
-            mono = mono * P[d, exps[:, d], :]
-        return mono
+        Y = self.eval_matrix(pts)
+        N, n = self.dim, self.n_modes
+        DD = np.matmul(self.D[:, None], self.D[None])  # [a, b] = D[a] @ D[b]
+        H = DD.transpose(0, 1, 3, 2).reshape(N * N * n, n) @ Y
+        H = H.reshape(N, N, n, -1).transpose(2, 3, 0, 1)
+        return np.ascontiguousarray(H)
 
     def solid_jet(self, coeffs, dirs, radii=None):
         """Value, gradient and Hessian of the solid extension sum_m c_m H_m.
 
-        Evaluated by homogeneity: the modes of each degree k collapse into
-        one homogeneous polynomial w_k, whose value, gradient and Hessian
-        are computed once at the points dirs and scaled by r^k, r^(k-1) and
-        r^(k-2) for every radius r. The result lives on the product set
-        {r d : r in radii, d in dirs}, flattened radius-major like
-        BallGrid.points; radii=None is the single radius 1, i.e. the points
-        dirs themselves. Returns shapes (P,), (P, N), (P, N, N).
+        The gradient and Hessian have the coefficient vectors D c and D D c,
+        so all three are read off one value table at the points dirs, each
+        mode scaled by r^deg for every radius r. The result lives on the
+        product set {r d : r in radii, d in dirs}, flattened radius-major
+        like BallGrid.points; radii=None is the single radius 1, i.e. the
+        points dirs themselves. Returns shapes (P,), (P, N), (P, N, N).
         """
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         radii = np.ones(1) if radii is None else np.asarray(radii, dtype=float)
-        n, N = dirs.shape
-        degs = [
-            k
-            for k in range(self.max_degree + 1)
-            if np.any(coeffs[self._deg_slices[k]])
-        ]
-        size = radii.size * n
-        if not degs:
-            return np.zeros(size), np.zeros((size, N)), np.zeros((size, N, N))
-        P = self._powers(dirs)
-        polys = []
-        for k in degs:
-            E, C = self._degree_polys(k)
-            polys.append((E, (C @ coeffs[self._deg_slices[k]])[:, None]))
-        k = np.array(degs, dtype=float)
-        r = radii[:, None]
-        # (radius, degree) factors; derivatives of order above k vanish
-        scales = (
-            r**k,
-            np.where(k >= 1, r ** np.maximum(k - 1.0, 0.0), 0.0),
-            np.where(k >= 2, r ** np.maximum(k - 2.0, 0.0), 0.0),
-        )
-        out = []
-        for j, scale in enumerate(scales):
-            table = np.stack(
-                [self._poly_derivatives(P, E, c, j).ravel() for E, c in polys]
-            )
-            out.append((scale @ table).reshape((size,) + (N,) * j))
-        return tuple(out)
+        N = self.dim
+        grad = self.D @ coeffs  # (N, n_modes)
+        hess = np.moveaxis(self.D @ grad.T, 1, 0).reshape(self.n_modes, N * N)
+        K = np.concatenate([coeffs[:, None], grad.T, hess], axis=1)
+        Y = self.eval_matrix(dirs)
+        # per degree k, the table of the degree-k part; then sum r^k * table
+        W = np.stack([Y[s].T @ K[s] for s in self._deg_slices])
+        k = np.arange(self.max_degree + 1)
+        out = (radii[:, None] ** k) @ W.reshape(len(k), -1)
+        out = out.reshape(-1, K.shape[1])
+        return out[:, 0], out[:, 1 : N + 1], out[:, N + 1 :].reshape(-1, N, N)
 
     def node_grads(self):
         if self._node_grads is None:
@@ -384,9 +331,6 @@ class SphereFunction:
     def evaluate(self, pts):
         return self.coeffs @ self.basis.eval_matrix(pts)
 
-    def norm_l2(self):
-        return float(np.linalg.norm(self.coeffs))
-
     def norm_inf(self):
         """Sup norm approximated on the quadrature grid."""
         return float(np.abs(self.node_values()).max())
@@ -411,9 +355,6 @@ class SphereFunction:
         c = np.zeros_like(self.coeffs)
         c[keep] = self.coeffs[keep]
         return SphereFunction(self.basis, c)
-
-    def pi0(self):
-        return self._masked(self.basis.degrees == 0)
 
     def pi1(self):
         return self._masked(self.basis.degrees == 1)
@@ -486,16 +427,6 @@ class PerturbationState:
 
 
 # -- boundary operators ----------------------------------------------------
-
-
-def dtn(v):
-    """Dirichlet-to-Neumann map: multiply degree-k coefficients by k."""
-    return SphereFunction(v.basis, v.coeffs * v.basis.degrees)
-
-
-def L_operator(w):
-    """Steklov-shifted operator: factor (k - 1) on degree k; kernel = degree 1."""
-    return SphereFunction(w.basis, w.coeffs * (w.basis.degrees - 1.0))
 
 
 def calL_solve(rhs):

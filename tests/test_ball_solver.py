@@ -80,11 +80,11 @@ def test_harmonic_extension_modes(grid):
         assert np.abs(u.values() - want).max() < 1e-11
 
 
-@pytest.mark.parametrize("N,max_degree", [(2, 16), (2, 24), (3, 10)])
+@pytest.mark.parametrize("N,max_degree", [(2, 16), (2, 24), (2, 32), (3, 10)])
 def test_derivatives_polynomial_closed_form(N, max_degree):
     """Value, gradient and Hessian of a loaded polynomial of degree <= 8
-    against their closed forms; L=24 is off the default grid, so it checks
-    the per-grid power table too."""
+    against their closed forms; L=24 and 32 are off the default grid, so
+    they check the per-grid power table too."""
     grid = get_grid(N, max_degree)
     rng = np.random.default_rng(30 + N + max_degree)
     # C[e] is the coefficient of x^e, for |e| <= 8
@@ -104,22 +104,23 @@ def test_derivatives_polynomial_closed_form(N, max_degree):
         return np.roll(C * k, -1, axis=i)
 
     u = BallField.from_values(grid, evaluate(C).reshape(grid.n_r, grid.n_ang))
-    # |x|^(2j) H_k with k + 2j <= 8 spans the polynomial; from_values leaks
-    # roundoff outside that support (see poisson_solve), and the high
-    # radial and angular derivatives amplify it beyond 1e-11, so the leak
-    # is bounded here and cut before the derivatives are compared
+    # |x|^(2j) H_k with k + 2j <= 8 spans the polynomial; outside that
+    # support from_values leaves roundoff, and the second derivatives of
+    # the top Jacobi polynomials amplify 1e-13 radial coefficients to a
+    # Hessian error of about 1e-7, so the leak is bounded here and cut
+    # before the derivatives are compared
     support = (grid.basis.degrees[:, None]
                + 2 * np.arange(grid.n_radial)[None, :]) <= 8
     leak = np.abs(u.coeffs[~support]).max() / np.abs(u.coeffs).max()
-    assert leak < 1e-9
+    assert leak < 1e-12
     val, grad, hess = BallField(grid, u.coeffs * support).derivatives()
     want_grad = np.stack([evaluate(diff(C, i)) for i in range(N)], -1)
     want_hess = np.stack([
         np.stack([evaluate(diff(diff(C, i), j)) for j in range(N)], -1)
         for i in range(N)
     ], -2)
-    # inside the support the projection itself carries the basis roundoff,
-    # which grows with max_degree: the Hessian is off by 1.2e-11 at L=24
+    # inside the support the projection itself carries radial roundoff,
+    # which grows with max_degree: the Hessian is off by 1.1e-11 at L=24
     tol = 1e-11 if max_degree <= 16 else 5e-11
     for got, want in ((val, evaluate(C)), (grad, want_grad),
                       (hess, want_hess)):
@@ -205,15 +206,14 @@ def test_unresolved_source_rejected():
         poisson_solve(vals, None, grid=grid)
 
 
-@pytest.mark.xfail(
-    raises=ResolutionError,
-    strict=True,
-    reason="BallField.from_values leaks angular roundoff into the top radial "
-    "coefficients; the constant source's tail is 3.0e-9 at max_degree 28",
-)
-def test_constant_source_resolved_at_max_degree_28():
-    grid = get_grid(2, 28)
-    phi = poisson_solve(-np.ones((grid.n_r, grid.n_ang)), None, grid=grid)
+@pytest.mark.parametrize("max_degree", [28, 32])
+def test_constant_source_resolved_at_max_degree(max_degree):
+    # the projected constant keeps its radial tail at roundoff at high
+    # max_degree, so the flat torsion problem is accepted and exact
+    grid = get_grid(2, max_degree)
+    source = -np.ones((grid.n_r, grid.n_ang))
+    assert BallField.from_values(grid, source).tail_fraction() < 1e-12
+    phi = poisson_solve(source, None, grid=grid)
     exact = ((1.0 - grid.r**2) / 4.0)[:, None] * np.ones(grid.n_ang)
     assert np.abs(phi.values() - exact).max() < 1e-13
 

@@ -53,6 +53,24 @@ def conf_problem(conf):
     return SerrinProblem(conf)
 
 
+def test_results_converge_in_max_degree(conf):
+    """v0, |a| and J at eps 0.2 do not move as the angular resolution
+    grows: the conformal sphere off its maximum (N=2, L = 16..32) and the
+    round 3-sphere (L = 8..12)."""
+    rnd = ConstantCurvature(3, 1.0)
+    cases = ((conf, np.array([0.3, -0.2]), (16, 20, 24, 28, 32)),
+             (rnd, rnd.origin(), (8, 10, 12)))
+    for manifold, p, degrees in cases:
+        rows = []
+        for L in degrees:
+            rep = reduced_functional(SerrinProblem(manifold, max_degree=L),
+                                     p, 0.2)
+            state = rep.solution.state
+            rows.append([state.v0, np.linalg.norm(state.a), rep.J_value])
+        rows = np.array(rows)
+        assert np.abs(rows - rows[0]).max() < 1e-12
+
+
 # -- constants ---------------------------------------------------------------
 
 

@@ -10,12 +10,31 @@ from serrin_torsion.sphere_spectral import (
     SphereFunction,
     ball_volume,
     calL_solve,
-    dtn,
     get_basis,
-    L_operator,
+    product_points,
     sphere_area,
-    sphere_monomial_integral,
 )
+
+
+def dtn(v):
+    """Dirichlet-to-Neumann map of the unit ball: degree k times k."""
+    return SphereFunction(v.basis, v.coeffs * v.basis.degrees)
+
+
+def L_operator(w):
+    """Steklov-shifted operator DtN - 1: factor k - 1 on degree k, so its
+    kernel is degree 1."""
+    return SphereFunction(w.basis, w.coeffs * (w.basis.degrees - 1.0))
+
+
+def norm_l2(f):
+    """L^2(S^{N-1}) norm, by Parseval the coefficient norm."""
+    return float(np.linalg.norm(f.coeffs))
+
+
+def pi0(f):
+    """Projection onto the constants."""
+    return SphereFunction(f.basis, f.coeffs * (f.basis.degrees == 0))
 
 
 def random_function(basis, rng, decay=2.0):
@@ -36,18 +55,13 @@ def test_surface_measures():
     assert_allclose(ball_volume(3), 4 * np.pi / 3, rtol=1e-15)
 
 
-def test_monomial_integrals():
-    # odd exponents vanish, and the classical low-order even values hold
-    assert sphere_monomial_integral((1, 0)) == 0.0
-    assert sphere_monomial_integral((3, 2, 0)) == 0.0
-    assert_allclose(sphere_monomial_integral((2, 0)), np.pi, rtol=1e-14)
-    assert_allclose(sphere_monomial_integral((0, 2, 0)), 4 * np.pi / 3, rtol=1e-14)
-    assert_allclose(sphere_monomial_integral((2, 2, 0)), 4 * np.pi / 15, rtol=1e-14)
-
-
 def test_basis_orthonormal(basis):
-    G = (basis.Y * basis.weights) @ basis.Y.T
-    assert np.abs(G - np.eye(basis.n_modes)).max() < 2e-12
+    # the default degree and a high one: the recurrence keeps the Gram
+    # error at roundoff as max_degree grows
+    N = basis.dim
+    for b in (basis, get_basis(N, 32 if N == 2 else 18)):
+        G = (b.Y * b.weights) @ b.Y.T
+        assert np.abs(G - np.eye(b.n_modes)).max() < 5e-14
 
 
 def test_quadrature_constant(basis):
@@ -86,7 +100,7 @@ def test_parseval(basis):
     rng = np.random.default_rng(3)
     f = random_function(basis, rng)
     l2 = np.sqrt(np.sum(f.node_values() ** 2 * basis.weights))
-    assert_allclose(f.norm_l2(), l2, rtol=1e-12)
+    assert_allclose(norm_l2(f), l2, rtol=1e-12)
 
 
 def test_evaluate_matches_node_values(basis):
@@ -103,21 +117,60 @@ def test_euler_identity_and_harmonicity(basis):
     H = basis.eval_hess_matrix(pts)
     radial = np.einsum("mpi,pi->mp", G, pts)
     assert np.abs(radial - basis.degrees[:, None] * Y).max() < 1e-10
-    # high-degree harmonic coefficients come from a numerical nullspace, so
-    # the Laplacian cancellation carries monomial-conditioning roundoff
     lap = np.einsum("mpii->mp", H)
-    assert np.abs(lap).max() < 1e-8
+    assert np.abs(lap).max() < 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_derivative_tables_match_differences(N):
+    # gradient and Hessian tables against central differences of the
+    # value and gradient tables, inside the ball and off the unit sphere
+    basis = get_basis(N, 12)
+    pts = np.random.default_rng(11).uniform(-0.6, 0.6, (9, N))
+    h = 1e-5
+    steps = h * np.eye(N)
+    fd_grad = np.stack([basis.eval_matrix(pts + e) - basis.eval_matrix(pts - e)
+                        for e in steps], -1) / (2 * h)
+    fd_hess = np.stack([basis.eval_grad_matrix(pts + e)
+                        - basis.eval_grad_matrix(pts - e) for e in steps],
+                       -1) / (2 * h)
+    assert np.abs(basis.eval_grad_matrix(pts) - fd_grad).max() < 1e-8
+    assert np.abs(basis.eval_hess_matrix(pts) - fd_hess).max() < 1e-7
+
+
+@pytest.mark.parametrize("N,max_degree", [(2, 16), (3, 10)])
+def test_solid_jet_matches_tables(N, max_degree):
+    # on the product set (dirs, radii), including the origin, against the
+    # point tables; the coefficients carry degree-0 and degree-1 content
+    basis = get_basis(N, max_degree)
+    rng = np.random.default_rng(12)
+    c = rng.standard_normal(basis.n_modes) / (1.0 + basis.degrees) ** 2
+    dirs = basis.nodes[::5]
+    radii = np.array([0.0, 0.3, 0.77, 1.0])
+    pts = product_points(dirs, radii)
+    want = (
+        c @ basis.eval_matrix(pts),
+        np.einsum("m,mpi->pi", c, basis.eval_grad_matrix(pts)),
+        np.einsum("m,mpij->pij", c, basis.eval_hess_matrix(pts)),
+    )
+    for got, w in zip(basis.solid_jet(c, dirs, radii), want):
+        assert got.shape == w.shape
+        assert np.abs(got - w).max() < 1e-13
+    # radii=None is the points themselves, which need not be unit vectors
+    val, grad, hess = basis.solid_jet(c, pts)
+    assert np.abs(val - want[0]).max() < 1e-13
+    assert np.abs(hess - want[2]).max() < 1e-13
 
 
 def test_projections_partition(basis):
     rng = np.random.default_rng(5)
     f = random_function(basis, rng)
-    total = f.pi0() + f.pi1() + f.pibar()
+    total = pi0(f) + f.pi1() + f.pibar()
     assert np.array_equal(total.coeffs, f.coeffs)
     # idempotent and mutually annihilating
     assert np.array_equal(f.pi1().pi1().coeffs, f.pi1().coeffs)
-    assert f.pi0().pibar().norm_l2() == 0.0
-    assert f.pi1().pi0().norm_l2() == 0.0
+    assert norm_l2(pi0(f).pibar()) == 0.0
+    assert norm_l2(pi0(f.pi1())) == 0.0
 
 
 def test_degree1_vector_round_trip(basis):
@@ -137,7 +190,7 @@ def test_sobolev_norm_formula(basis):
 def test_dtn_examples():
     basis = get_basis(2, 16)
     v0 = SphereFunction.constant(basis, 4.0)
-    assert dtn(v0).norm_l2() == 0.0
+    assert norm_l2(dtn(v0)) == 0.0
     x1 = SphereFunction.from_degree1_vector(basis, np.array([1.0, 0.0]))
     assert_allclose(dtn(x1).coeffs, x1.coeffs, atol=1e-15)
     # one degree-3 Fourier mode maps to three times itself
@@ -162,7 +215,7 @@ def test_L_operator_spectrum(basis):
     a = np.zeros(basis.dim)
     a[-1] = 1.0
     x_last = SphereFunction.from_degree1_vector(basis, a)
-    assert L_operator(x_last).norm_l2() == 0.0
+    assert norm_l2(L_operator(x_last)) == 0.0
     w2 = SphereFunction.from_mode(basis, 2, 0, 1.0)
     assert_allclose(L_operator(w2).coeffs, w2.coeffs, atol=1e-15)
 
@@ -206,8 +259,8 @@ def test_perturbation_state_decomposition(basis):
     assert_allclose(state.v0, v.mean(), rtol=1e-12)
     assert_allclose(state.a, v.degree1_vector(), atol=1e-14)
     assert_allclose(state.compose().coeffs, v.coeffs, atol=1e-13)
-    assert state.vbar.pi0().norm_l2() == 0.0
-    assert state.vbar.pi1().norm_l2() == 0.0
+    assert norm_l2(pi0(state.vbar)) == 0.0
+    assert norm_l2(state.vbar.pi1()) == 0.0
 
 
 def test_domain_profile_drops_translations(basis):
