@@ -419,7 +419,7 @@ class LaplaceContext:
     b^j = d_i g^{ij} + (1/2) g^{ij} d_i log det g, on the product grid.
     The drift is g^{-1} ((1/2) d log det g - w), w_l = g^{ik} d_i g_kl. One
     batched Cholesky of g checks positivity, and the product of its
-    diagonal is the volume element sqrt det g.
+    diagonal is the volume element sqrt det g, kept as (n_r, n_ang).
     """
 
     def __init__(self, jet, grid):
@@ -429,8 +429,10 @@ class LaplaceContext:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             raise EnvelopeError("pulled-back metric lost positivity") from None
+        self.sqrt_det = np.prod(
+            np.diagonal(chol, axis1=1, axis2=2), axis=1
+        ).reshape(grid.n_r, grid.n_ang)
         # a NaN metric need not fail the factorization
-        self.sqrt_det = np.prod(np.diagonal(chol, axis1=1, axis2=2), axis=1)
         if not np.all(np.isfinite(self.sqrt_det)):
             raise EnvelopeError("pulled-back metric lost positivity")
         self.ginv = np.linalg.inv(g)
@@ -456,22 +458,24 @@ class LaplaceContext:
         return out.reshape(self.grid.n_r, self.grid.n_ang)
 
 
-def dirichlet_solve_full(jet, grid, context=None, warm_start=None):
+def dirichlet_solve_full(jet, grid, warm_start=None):
     """Solve -lap_g(phi) = 1 in B_1, phi = 0 on the boundary.
 
     Frozen-Laplacian Picard iteration: phi <- poisson_solve(-1 - (lap_g -
     lap) phi). Returns (phi, info) with the iteration history, the final
-    pointwise residual of lap_g phi + 1, and the relative radial tail of
-    the final Picard source. Raises EnvelopeError on non-convergence or
-    loss of interior positivity, and ResolutionError from poisson_solve
-    when a Picard source is not resolved radially. warm_start seeds the
-    iteration with a previous potential (same grid) to save steps.
+    pointwise residual of lap_g phi + 1, the relative radial tail of the
+    final Picard source, the torsion integral of phi and the volume, both
+    against sqrt det g (unit-ball scale). Raises EnvelopeError on
+    non-convergence or loss of interior positivity, and ResolutionError
+    from poisson_solve when a Picard source is not resolved radially.
+    warm_start seeds the iteration with a previous potential (same grid)
+    to save steps.
 
     The pulled-back metric of a MetricJet is smooth on the closed ball, so
     every Picard source is spectrally resolved and poisson_solve checks
     each one with its strict tail bound.
     """
-    ctx = context if context is not None else LaplaceContext(jet, grid)
+    ctx = LaplaceContext(jet, grid)
     ones = np.ones((grid.n_r, grid.n_ang))
     phi = warm_start if warm_start is not None else poisson_solve(
         -ones, None, grid=grid
@@ -500,26 +504,31 @@ def dirichlet_solve_full(jet, grid, context=None, warm_start=None):
         "history": history,
         "residual": residual,
         "source_tail": src.tail_fraction(),
+        "torsion": grid.volume_integral(vals * ctx.sqrt_det),
+        "volume": grid.volume_integral(ctx.sqrt_det),
     }
     return phi, info
 
 
-def neumann_trace(jet, phi, grid=None):
+def neumann_trace(jet, phi):
     """Boundary trace g(grad phi, outward unit normal) for Dirichlet-zero phi.
 
     Equals -|grad phi|_g on the boundary; computed as the Euclidean radial
-    derivative times sqrt(g^{ij} theta_i theta_j) at r = 1.
+    derivative times sqrt(g^rr) at r = 1, g^rr = g^{ij} theta_i theta_j.
+    Returns (trace, area): the same boundary metric gives the area of the
+    unit sphere under g, the integral of sqrt(g^rr det g) against the round
+    measure (unit-ball scale).
     """
-    grid = grid or phi.grid
-    basis = grid.basis
+    basis = phi.grid.basis
     nd = phi.normal_derivative()
     nd_vals = nd.node_values()
     # legitimate torsion traces are O(1/N); anything near roundoff scale is
     # a degenerate input, not a small trace
     if np.abs(nd_vals).min() < 1e-8:
         raise EnvelopeError("degenerate boundary gradient in Neumann trace")
-    g = jet.metric(basis.nodes)
+    g, _ = jet.metric_and_grad(basis.nodes)
     ginv = np.linalg.inv(g)
     grr = np.einsum("pij,pi,pj->p", ginv, basis.nodes, basis.nodes)
     vals = nd_vals * np.sqrt(grr)
-    return basis.project_values(vals)
+    area = float(basis.weights @ np.sqrt(grr * np.linalg.det(g)))
+    return basis.project_values(vals), area

@@ -446,12 +446,11 @@ def cmd_find_critical(cfg, out, seed, workers, args, report):
     eps_raw = _get(cfg, "find-critical", "eps", "0.1")
     eps_list = validate_radii(parse_grid(eps_raw, "eps"), "eps")
     options = {}
-    raw_tol = _get(cfg, "find-critical", "tol")
-    if raw_tol is not None:
-        options["tol"] = validate_positive(float(raw_tol), "tol")
-    raw_jitter = _get(cfg, "find-critical", "jitter")
-    if raw_jitter is not None:
-        options["jitter"] = validate_positive(float(raw_jitter), "jitter")
+    for key in ("tol", "jitter"):
+        if _get(cfg, "find-critical", key) is not None:
+            options[key] = validate_positive(
+                _get_float(cfg, "find-critical", key), key
+            )
     manifold = problem.manifold
     limit = (
         np.asarray(manifold.scalar_max_point(), dtype=float)
@@ -627,7 +626,12 @@ def cmd_run_acceptance(cfg, out, seed, workers, args, report):
     strict = bool(getattr(args, "strict", False))
     raw_strict = _get(cfg, "acceptance", "strict")
     if raw_strict is not None:
-        strict = raw_strict.strip().lower() in ("1", "true", "yes", "on")
+        word = raw_strict.strip().lower()
+        if word not in configparser.ConfigParser.BOOLEAN_STATES:
+            raise ConfigError(
+                "[acceptance] strict is not a boolean: %r" % raw_strict
+            )
+        strict = configparser.ConfigParser.BOOLEAN_STATES[word]
     ids = _parse_checks(_get(cfg, "acceptance", "checks"))
     engine = AcceptanceRun(seed=seed)
     records = engine.run_all(ids)

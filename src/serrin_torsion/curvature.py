@@ -640,9 +640,6 @@ class MetricJet:
         w, dw, d2w = prof.basis.solid_jet(prof.coeffs, pts, radii)
         return 1.0 + w, dw, d2w
 
-    def rho(self, pts, radii=None):
-        return self.rho_jet(pts, radii)[0]
-
     # -- metric callbacks ------------------------------------------------------
 
     def metric_and_grad(self, pts, radii=None):
@@ -668,6 +665,3 @@ class MetricJet:
         dg += np.einsum("pab,paic,pbj->pcij", gbar, K, J, optimize=True)
         dg += np.einsum("pab,pai,pbjc->pcij", gbar, J, K, optimize=True)
         return g, dg
-
-    def metric(self, pts, radii=None):
-        return self.metric_and_grad(pts, radii)[0]

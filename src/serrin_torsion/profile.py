@@ -13,7 +13,6 @@ from scipy.optimize import brentq
 
 from .ball_solver import LaplaceContext, dirichlet_solve_full, get_grid
 from .curvature import MetricJet
-from .reduced import energy_J, volumes
 from .sphere_spectral import ball_volume
 
 __all__ = [
@@ -50,9 +49,8 @@ def J_geodesic_ball(manifold, p, eps):
     N = manifold.dim
     grid = get_grid(N)
     jet = MetricJet(manifold, np.asarray(p, dtype=float), eps)
-    ctx = LaplaceContext(jet, grid)
-    phi, _ = dirichlet_solve_full(jet, grid, context=ctx)
-    return energy_J(jet, phi, grid, context=ctx) / eps ** (N + 2)
+    _, info = dirichlet_solve_full(jet, grid)
+    return 1.0 / info["torsion"] / eps ** (N + 2)
 
 
 def ball_volume_at(manifold, p, eps):
@@ -60,7 +58,7 @@ def ball_volume_at(manifold, p, eps):
     N = manifold.dim
     grid = get_grid(N)
     jet = MetricJet(manifold, np.asarray(p, dtype=float), eps)
-    vol, _ = volumes(jet, grid, context=LaplaceContext(jet, grid))
+    vol = grid.volume_integral(LaplaceContext(jet, grid).sqrt_det)
     return vol * eps**N
 
 

@@ -14,28 +14,22 @@ import numpy as np
 from dataclasses import dataclass
 
 from .ball_solver import (
-    LaplaceContext,
     dirichlet_solve_full,
     get_grid,
     neumann_trace,
-    poisson_solve,
 )
 from .curvature import FlatSpace, MetricJet
 from .serrin import kernel_response_constant
-from .sphere_spectral import PerturbationState, ball_volume, product_points
+from .sphere_spectral import ball_volume, product_points
 
 __all__ = [
     "ReducedReport",
     "SearchError",
     "constants",
-    "energy_J",
     "find_critical",
     "reduced_functional",
     "shape_derivative_check",
-    "stationarity_check",
     "tangential_derivative_check",
-    "torsion_integral",
-    "volumes",
 ]
 
 
@@ -69,39 +63,6 @@ def constants(N):
     if abs(beta) <= 1e-6:
         raise ValueError("degenerate eps^2 coefficient at N = %d" % N)
     return alpha, beta, J1, c
-
-
-# -- quadratures against the pulled-back volume element ----------------------
-
-
-def torsion_integral(jet, phi, grid=None, context=None):
-    """Integral of the potential against the metric volume element."""
-    grid = grid or phi.grid
-    ctx = context if context is not None else LaplaceContext(jet, grid)
-    weight = ctx.sqrt_det.reshape(grid.n_r, grid.n_ang)
-    return phi.integral(weight=weight)
-
-
-def energy_J(jet, phi, grid=None, context=None):
-    """Torsion energy 1 / integral(phi dvol) of a solved potential."""
-    return 1.0 / torsion_integral(jet, phi, grid=grid, context=context)
-
-
-def volumes(jet, grid, context=None):
-    """(volume, boundary area) of the unit ball under the pulled-back metric.
-
-    These are the rescaled quantities; multiply by eps^N and eps^(N-1) for
-    the ambient-scale ball. The area element on the coordinate sphere is
-    sqrt(g^{ij} x_i x_j) sqrt(det g) against the round measure.
-    """
-    ctx = context if context is not None else LaplaceContext(jet, grid)
-    vol = grid.volume_integral(ctx.sqrt_det.reshape(grid.n_r, grid.n_ang))
-    basis = grid.basis
-    gb = jet.metric(basis.nodes)
-    ginv = np.linalg.inv(gb)
-    grr = np.einsum("pij,pi,pj->p", ginv, basis.nodes, basis.nodes)
-    dens = np.sqrt(grr * np.linalg.det(gb))
-    return float(vol), float(basis.weights @ dens)
 
 
 # -- the reduced functional ----------------------------------------------------
@@ -155,19 +116,17 @@ def reduced_functional(problem, p, eps, solution=None):
     """Evaluate the reduced energy at a ball center.
 
     problem is a SerrinProblem; the solve is reused when passed in. The
-    report's normalized field F rescales the energy offset by the eps^2
+    energy J = 1 / torsion and the volume term are read off the accounting
+    the solve recorded, so nothing is re-evaluated here. The report's
+    normalized field F rescales the energy offset by the eps^2
     response coefficient, except on flat manifolds where that quotient is
     0/0 and the report carries a flat flag instead.
     """
     p = np.asarray(p, dtype=float)
     sol = solution if solution is not None else problem.solve(p, eps)
-    grid = problem.grid
-    ctx = LaplaceContext(sol.jet, grid)
-    T = torsion_integral(sol.jet, sol.potential, grid, context=ctx)
-    J = 1.0 / T
-    vol, area = volumes(sol.jet, grid, context=ctx)
+    J = 1.0 / sol.torsion
     N = problem.manifold.dim
-    phi_eps = J + vol / N**2
+    phi_eps = J + sol.volume / N**2
     alpha, beta, _, _ = constants(N)
     flat = _is_flat(problem.manifold, p)
     F = 0.0 if flat else (phi_eps - alpha) / (beta * eps**2)
@@ -175,12 +134,12 @@ def reduced_functional(problem, p, eps, solution=None):
         eps=eps,
         point=p,
         J_value=J,
-        volume=vol,
-        boundary_area=area,
+        volume=sol.volume,
+        boundary_area=sol.area,
         phi_eps=phi_eps,
         F_value=F,
         flat=flat,
-        torsion=T,
+        torsion=sol.torsion,
         solution=sol,
     )
 
@@ -313,16 +272,14 @@ def shape_derivative_check(speed):
 
     # base solve on the disk itself (s = 0 map is the identity)
     base_jet = _StarMapJet(0.0, speed_fn)
-    phi0 = poisson_solve(-np.ones((grid.n_r, grid.n_ang)), None, grid=grid)
-    ctx0 = LaplaceContext(base_jet, grid)
-    J0 = energy_J(base_jet, phi0, grid, context=ctx0)
-    trace = neumann_trace(base_jet, phi0, grid).node_values()
-    analytic = -float(basis.weights @ ((J0 * trace) ** 2 * zeta))
+    phi0, info0 = dirichlet_solve_full(base_jet, grid)
+    J0 = 1.0 / info0["torsion"]
+    trace, _ = neumann_trace(base_jet, phi0)
+    analytic = -float(basis.weights @ ((J0 * trace.node_values()) ** 2 * zeta))
 
     def J_at(s):
-        jet = _StarMapJet(s, speed_fn)
-        phi, _ = dirichlet_solve_full(jet, grid)
-        return energy_J(jet, phi, grid)
+        _, info = dirichlet_solve_full(_StarMapJet(s, speed_fn), grid)
+        return 1.0 / info["torsion"]
 
     fd = (J_at(SHAPE_STEP) - J_at(-SHAPE_STEP)) / (2.0 * SHAPE_STEP)
     rel = abs(fd - analytic) / max(abs(analytic), 1e-300)
@@ -348,9 +305,6 @@ class _RotationJet:
         g = np.broadcast_to(self._g, (n, 2, 2)).copy()
         return g, np.zeros((n, 2, 2, 2))
 
-    def metric(self, pts, radii=None):
-        return self.metric_and_grad(pts, radii)[0]
-
 
 def tangential_derivative_check():
     """Purely tangential deformation: both sides of the check vanish.
@@ -366,59 +320,17 @@ def tangential_derivative_check():
     nodes = basis.nodes
     xi = ROTATION_RATE * np.stack([-nodes[:, 1], nodes[:, 0]], axis=1)
     normal_speed = np.einsum("pi,pi->p", xi, nodes)
-    phi0 = poisson_solve(-np.ones((grid.n_r, grid.n_ang)), None, grid=grid)
     base = _RotationJet(0.0)
-    J0 = energy_J(base, phi0, grid)
-    trace = neumann_trace(base, phi0, grid).node_values()
-    analytic = -float(basis.weights @ ((J0 * trace) ** 2 * normal_speed))
+    phi0, info0 = dirichlet_solve_full(base, grid)
+    J0 = 1.0 / info0["torsion"]
+    trace, _ = neumann_trace(base, phi0)
+    analytic = -float(
+        basis.weights @ ((J0 * trace.node_values()) ** 2 * normal_speed)
+    )
 
     def J_at(s):
-        jet = _RotationJet(s * ROTATION_RATE)
-        phi, _ = dirichlet_solve_full(jet, grid)
-        return energy_J(jet, phi, grid)
+        _, info = dirichlet_solve_full(_RotationJet(s * ROTATION_RATE), grid)
+        return 1.0 / info["torsion"]
 
     fd = (J_at(SHAPE_STEP) - J_at(-SHAPE_STEP)) / (2.0 * SHAPE_STEP)
     return {"analytic": analytic, "finite_difference": fd, "J0": J0}
-
-
-# -- stationarity of the volume-penalized energy -------------------------------
-
-
-def stationarity_check(problem, sol, xi):
-    """Finite-difference energy derivatives along a boundary-profile direction.
-
-    Deforms the converged perturbation by +-h xi with h = 1e-4, re-solves
-    the torsion problem, and differentiates the torsion integral, the
-    energy, and the volume. At a solution with vanishing kernel component
-    the constant Neumann trace makes dT = dvol/N^2 exactly, so the
-    volume-penalized torsion balance -dT + dvol/N^2 vanishes for every
-    speed, while d(J + vol/N^2) collapses to (1 - J^2)/N^2 dvol. Both
-    identities are returned for the caller to assert.
-    """
-    N = problem.manifold.dim
-    v = sol.v_function()
-    h = 1e-4
-    out = {}
-    for sgn in (1.0, -1.0):
-        state = PerturbationState.from_sphere_function(v + xi * (sgn * h))
-        jet = MetricJet(problem.manifold, sol.point, sol.eps, state)
-        ctx = LaplaceContext(jet, problem.grid)
-        phi, _ = dirichlet_solve_full(
-            jet, problem.grid, context=ctx, warm_start=sol.potential
-        )
-        T = torsion_integral(jet, phi, problem.grid, context=ctx)
-        vol, area = volumes(jet, problem.grid, context=ctx)
-        out[sgn] = (T, 1.0 / T, vol, area)
-    dT, dJ, dvol, darea = (
-        (out[1.0][i] - out[-1.0][i]) / (2.0 * h) for i in range(4)
-    )
-    J0 = 0.5 * (out[1.0][1] + out[-1.0][1])
-    return {
-        "dT": dT,
-        "dJ": dJ,
-        "dvol": dvol,
-        "darea": darea,
-        "torsion_balance": -dT + dvol / N**2,
-        "combined": dJ + dvol / N**2,
-        "combined_expected": (1.0 - J0**2) / N**2 * dvol,
-    }

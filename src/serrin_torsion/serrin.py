@@ -40,7 +40,6 @@ __all__ = [
     "SerrinProblem",
     "SerrinSolution",
     "kernel_response_constant",
-    "translation_moment_constant",
     "sweep",
 ]
 
@@ -54,7 +53,12 @@ ENVELOPE_NORM = 0.3
 
 @dataclass
 class SerrinSolution:
-    """Converged solution of the over-determined problem at one (p, eps)."""
+    """Converged solution of the over-determined problem at one (p, eps).
+
+    torsion, volume and area are the energy accounting of the last forward
+    map, at unit-ball scale: the integral of the potential and of 1 against
+    sqrt det g, and the area of the deformed boundary.
+    """
 
     eps: float
     point: np.ndarray
@@ -62,7 +66,9 @@ class SerrinSolution:
     potential: object  # BallField
     residual_overdetermined: SphereFunction
     iterations: list
-    jet: MetricJet = None
+    torsion: float
+    volume: float
+    area: float
     solve_seconds: float = 0.0
 
     def v_function(self):
@@ -106,24 +112,25 @@ class SerrinProblem:
     def G_map(self, p, eps, state, warm_phi=None):
         """Boundary residual of the torsion solve on the deformed domain.
 
-        Returns (G, phi, jet) with G = neumann_trace + 1/N as a
-        SphereFunction. Only the mean and degree >= 2 parts of the state
+        Returns (G, phi, info) with G = neumann_trace + 1/N as a
+        SphereFunction and info the dirichlet_solve_full info plus the
+        boundary "area". Only the mean and degree >= 2 parts of the state
         deform the domain.
         """
         jet = MetricJet(self.manifold, p, eps, state)
         phi, info = dirichlet_solve_full(
             jet, self.grid, warm_start=warm_phi
         )
-        trace = neumann_trace(jet, phi, self.grid)
+        trace, info["area"] = neumann_trace(jet, phi)
         N = self.manifold.dim
         G = trace + SphereFunction.constant(self.basis, 1.0 / N)
-        return G, phi, jet
+        return G, phi, info
 
     def g_residual(self, p, eps, v, warm_phi=None):
         """script_G(v) = G(domain part of v) + Pi_1 v, plus the solve outputs."""
         state = PerturbationState.from_sphere_function(v)
-        G, phi, jet = self.G_map(p, eps, state, warm_phi=warm_phi)
-        return G + v.pi1(), G, phi, jet
+        G, phi, info = self.G_map(p, eps, state, warm_phi=warm_phi)
+        return G + v.pi1(), G, phi, info
 
     # -- the solve ----------------------------------------------------------
 
@@ -146,10 +153,8 @@ class SerrinProblem:
         v = v_init if v_init is not None else self.seed(p, eps)
         history = []
         phi = None
-        G = None
-        jet = None
         for step in range(MAX_STEPS):
-            resid, G, phi, jet = self.g_residual(p, eps, v, warm_phi=phi)
+            resid, G, phi, info = self.g_residual(p, eps, v, warm_phi=phi)
             rnorm = resid.norm_inf()
             history.append(rnorm)
             if rnorm < SOLVE_TOL:
@@ -177,7 +182,9 @@ class SerrinProblem:
             potential=phi,
             residual_overdetermined=residual,
             iterations=history,
-            jet=jet,
+            torsion=info["torsion"],
+            volume=info["volume"],
+            area=info["area"],
             solve_seconds=time.perf_counter() - t0,
         )
 
@@ -202,11 +209,6 @@ class SerrinProblem:
         # integral of x^i times the trace: |B_1| times the degree-1 vector
         moment = N * ball_volume(N) * nd.degree1_vector()
         return -moment
-
-
-def translation_moment_constant(N):
-    """kappa_N with diagnostic = kappa_N eps^3 grad S + O(eps^4)."""
-    return 5.0 * ball_volume(N) / (6.0 * (N + 2.0) * (N + 4.0))
 
 
 def kernel_response_constant(N):

@@ -303,7 +303,7 @@ def test_full_solve_dilation_exact():
     phi, info = dirichlet_solve_full(jet, grid)
     exact = (1 + v0) ** 2 * ((1.0 - grid.r**2) / 4.0)[:, None]
     assert np.abs(phi.values() - exact).max() < 1e-11
-    tr = neumann_trace(jet, phi, grid)
+    tr, _ = neumann_trace(jet, phi)
     assert np.abs(tr.node_values() + (1 + v0) / 2.0).max() < 1e-11
 
 
@@ -325,7 +325,7 @@ def test_neumann_trace_euclidean():
     grid = get_grid(3, 10)
     jet = MetricJet(FlatSpace(3), np.zeros(3), 0.0)
     phi, _ = dirichlet_solve_full(jet, grid)
-    tr = neumann_trace(jet, phi, grid)
+    tr, _ = neumann_trace(jet, phi)
     assert np.abs(tr.node_values() + 1.0 / 3.0).max() < 1e-12
 
 
@@ -339,7 +339,7 @@ def test_cross_fidelity_trace_agreement():
         for fid in ("truncated", "exact"):
             jet = MetricJet(man, man.origin(), eps, fidelity=fid)
             phi, _ = dirichlet_solve_full(jet, grid)
-            traces.append(neumann_trace(jet, phi, grid))
+            traces.append(neumann_trace(jet, phi)[0])
         gaps.append((traces[0] - traces[1]).norm_inf())
     slope = np.polyfit(np.log(eps_list), np.log(gaps), 1)[0]
     assert gaps[-1] < 3e-5
@@ -388,7 +388,7 @@ def test_trace_independent_of_interior_extension(manifold, p, max_degree):
     for cls in (MetricJet, _RadialWeightJet):
         jet = cls(manifold, p, 0.15, state)
         phi, _ = dirichlet_solve_full(jet, grid)
-        traces.append(neumann_trace(jet, phi, grid))
+        traces.append(neumann_trace(jet, phi)[0])
     # The deformation moves the trace by about 5e-3; the extensions agreed
     # to 1.7e-8 (N=2) and 4.1e-8 (N=3). The gap is angular truncation: it
     # grows with the top-degree content of vbar and shrinks as max_degree
@@ -402,7 +402,7 @@ def test_degenerate_trace_rejected():
     flatprof = ((1.0 - grid.r**2) ** 2)[:, None] * np.ones(grid.n_ang)
     phi = BallField.from_values(grid, flatprof)
     with pytest.raises(EnvelopeError):
-        neumann_trace(jet, phi, grid)
+        neumann_trace(jet, phi)
 
 
 def test_positivity_loss_rejected():
@@ -433,7 +433,7 @@ def test_divergence_form_consistency():
         _, dw, _ = w.derivatives()
         shape = (grid.n_r, grid.n_ang)
         lap_u = ctx.apply_values(u)
-        dvol = ctx.sqrt_det.reshape(shape)
+        dvol = ctx.sqrt_det
         lhs = grid.volume_integral(lap_u * w.values() * dvol)
         energy = np.einsum("pij,pi,pj->p", ctx.ginv, du, dw).reshape(shape)
         rhs = -grid.volume_integral(energy * dvol)
@@ -448,7 +448,8 @@ def decompose_solution(jet, phi, psi_eps_field, grid):
     operationally as phi - phi0(rho x) - (1/N) psi_v - psi_eps.
     """
     N = grid.dim
-    rho = jet.rho(grid.basis.nodes, grid.r).reshape(grid.n_r, grid.n_ang)
+    rho, _, _ = jet.rho_jet(grid.basis.nodes, grid.r)
+    rho = rho.reshape(grid.n_r, grid.n_ang)
     rr = (grid.r**2)[:, None] * rho**2
     phi0_rho = BallField.from_values(grid, (1.0 - rr) / (2.0 * N))
     v = jet.state.compose() if jet.state is not None else None

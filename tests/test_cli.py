@@ -235,6 +235,18 @@ def test_find_critical_json_contents(critical_run):
     assert header == "eps,p0,p1,a_norm,solves,dist_over_eps2"
 
 
+@pytest.mark.parametrize("key", ["tol", "jitter"])
+def test_find_critical_rejects_non_numeric_option(tmp_path, capsys, key):
+    cfg = tmp_path / "crit.ini"
+    cfg.write_text(CONF_RUN + "\n[find-critical]\neps = 0.1\n%s = abc\n" % key)
+    out = tmp_path / "out"
+    assert main(["find-critical", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "config_error"
+    assert "[find-critical] %s" % key in err["error"]["message"]
+    assert not (out / "find_critical.json").exists()
+
+
 def test_foliate_from_critical_run(tmp_path, critical_run):
     cfg = tmp_path / "fol.ini"
     cfg.write_text(
@@ -322,6 +334,33 @@ def test_run_acceptance_documented_discrepancy_gate(tmp_path, capsys):
     assert main(["run-acceptance", "--config", str(cfg), "--strict"]) == 1
     out = capsys.readouterr().out
     assert "gate: FAIL" in out
+
+
+@pytest.mark.parametrize("word", ["ture", "2", ""])
+def test_run_acceptance_rejects_non_boolean_strict(tmp_path, capsys, word):
+    # a misspelt switch must not silently run the non-strict gate
+    cfg = tmp_path / "acc.ini"
+    cfg.write_text("[acceptance]\nchecks = 12\nstrict = %s\n" % word)
+    out = tmp_path / "out"
+    assert main(["run-acceptance", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "config_error"
+    assert "[acceptance] strict" in err["error"]["message"]
+    assert not (out / "acceptance.json").exists()
+
+
+def test_run_acceptance_strict_boolean_words(tmp_path, capsys):
+    cfg = tmp_path / "acc.ini"
+    for word, strict in (("Yes", True), (" off ", False)):
+        cfg.write_text("[acceptance]\nchecks = 12\nstrict = %s\n" % word)
+        out = tmp_path / word.strip()
+        assert (
+            main(["run-acceptance", "--config", str(cfg), "--out", str(out)])
+            == 0
+        )
+        payload = json.loads((out / "acceptance.json").read_text())
+        assert payload["strict"] is strict
+    capsys.readouterr()
 
 
 def test_run_acceptance_rejects_unknown_check(tmp_path, capsys):

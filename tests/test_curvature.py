@@ -497,7 +497,7 @@ def test_pullback_identity_limit():
     jet = MetricJet(FlatSpace(2), np.zeros(2), 0.0)
     rng = np.random.default_rng(6)
     pts = rng.uniform(-0.6, 0.6, (9, 2))
-    g = jet.metric(pts)
+    g, _ = jet.metric_and_grad(pts)
     assert np.abs(g - np.eye(2)).max() < 1e-15
 
 
@@ -508,7 +508,7 @@ def test_pullback_dilation():
     jet = MetricJet(FlatSpace(2), np.zeros(2), 0.0, state=state)
     rng = np.random.default_rng(7)
     pts = rng.uniform(-0.6, 0.6, (9, 2))
-    g = jet.metric(pts)
+    g, _ = jet.metric_and_grad(pts)
     assert np.abs(g - (1 + v0) ** 2 * np.eye(2)).max() < 1e-13
 
 
@@ -517,8 +517,10 @@ def test_pullback_cross_fidelity():
     x = np.array([[0.5, 0.0]])
     gaps = []
     for eps in (0.1, 0.2):
-        gt = MetricJet(man, man.origin(), eps, fidelity="truncated").metric(x)
-        ge = MetricJet(man, man.origin(), eps, fidelity="exact").metric(x)
+        gt, ge = (
+            MetricJet(man, man.origin(), eps, fidelity=f).metric_and_grad(x)[0]
+            for f in ("truncated", "exact")
+        )
         gaps.append(np.abs(gt - ge).max())
     assert gaps[0] < 5e-7
     assert 10.0 < gaps[1] / gaps[0] < 22.0
@@ -530,7 +532,9 @@ def test_pullback_identity_rate():
     pts = rng.uniform(-0.5, 0.5, (20, 3))
     eps_list = (0.02, 0.05, 0.1)
     devs = [
-        np.abs(MetricJet(man, man.origin(), e).metric(pts) - np.eye(3)).max()
+        np.abs(
+            MetricJet(man, man.origin(), e).metric_and_grad(pts)[0] - np.eye(3)
+        ).max()
         for e in eps_list
     ]
     slope = np.polyfit(np.log(eps_list), np.log(devs), 1)[0]
@@ -579,7 +583,7 @@ def test_rho_jet_product_set_matches_points(N, max_degree):
         assert a.shape == b.shape
         assert np.abs(a - b).max() < 1e-13
     # r = 1: rho is one plus the boundary profile v0 + vbar, degree 1 dropped
-    rho = jet.rho(basis.nodes, np.ones(1))
+    rho = jet.rho_jet(basis.nodes, np.ones(1))[0]
     profile = state.domain_profile().node_values()
     assert np.abs(rho - 1.0 - profile).max() < 1e-13
 
@@ -594,7 +598,9 @@ def test_metric_gradient_consistency():
     for c in range(2):
         e = np.zeros(2)
         e[c] = h
-        fd = (jet.metric(pts + e) - jet.metric(pts - e)) / (2 * h)
+        gp, _ = jet.metric_and_grad(pts + e)
+        gm, _ = jet.metric_and_grad(pts - e)
+        fd = (gp - gm) / (2 * h)
         assert np.abs(fd - dg[:, c]).max() < 1e-8
 
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from serrin_torsion.ball_solver import get_grid, dirichlet_solve_full
+from serrin_torsion.ball_solver import (
+    LaplaceContext,
+    dirichlet_solve_full,
+    get_grid,
+    neumann_trace,
+)
 from serrin_torsion.curvature import (
     ConformalSphere2D,
     ConstantCurvature,
@@ -16,14 +21,10 @@ from serrin_torsion.fitting import fit_even_series, loglog_slope
 from serrin_torsion.reduced import (
     SearchError,
     constants,
-    energy_J,
     find_critical,
     reduced_functional,
     shape_derivative_check,
-    stationarity_check,
     tangential_derivative_check,
-    torsion_integral,
-    volumes,
 )
 from serrin_torsion.serrin import SerrinProblem
 from serrin_torsion.sphere_spectral import (
@@ -120,14 +121,13 @@ def test_second_moment_of_unit_ball(N):
 def test_energy_and_volumes_flat(flat_problem):
     grid = flat_problem.grid
     jet = MetricJet(flat_problem.manifold, np.zeros(2), 0.1)
-    phi, _ = dirichlet_solve_full(jet, grid)
+    phi, info = dirichlet_solve_full(jet, grid)
     alpha, _, J1, _ = constants(2)
-    assert abs(energy_J(jet, phi, grid) - J1) < 1e-12
-    vol, area = volumes(jet, grid)
-    assert abs(vol - np.pi) < 1e-13
+    assert abs(1.0 / info["torsion"] - J1) < 1e-12
+    _, area = neumann_trace(jet, phi)
+    assert abs(info["volume"] - np.pi) < 1e-13
     assert abs(area - 2 * np.pi) < 1e-13
-    T = torsion_integral(jet, phi, grid)
-    assert abs(T - np.pi / 8.0) < 1e-13
+    assert abs(info["torsion"] - np.pi / 8.0) < 1e-13
 
 
 def test_energy_and_volumes_dilation(flat_problem):
@@ -139,12 +139,64 @@ def test_energy_and_volumes_dilation(flat_problem):
         SphereFunction.constant(grid.basis, v0)
     )
     jet = MetricJet(flat_problem.manifold, np.zeros(2), 0.1, state)
-    vol, area = volumes(jet, grid)
-    assert abs(vol - np.pi * (1 + v0) ** 2) < 1e-13
+    phi, info = dirichlet_solve_full(jet, grid)
+    _, area = neumann_trace(jet, phi)
+    assert abs(info["volume"] - np.pi * (1 + v0) ** 2) < 1e-13
     assert abs(area - 2 * np.pi * (1 + v0)) < 1e-13
-    phi, _ = dirichlet_solve_full(jet, grid)
     _, _, J1, _ = constants(2)
-    assert abs(energy_J(jet, phi, grid) - J1 * (1 + v0) ** -4) < 1e-12
+    assert abs(1.0 / info["torsion"] - J1 * (1 + v0) ** -4) < 1e-12
+
+
+ACCOUNTING_CASES = {
+    "round2-origin": (ConstantCurvature(2, 1.0), None),
+    "round3-origin": (ConstantCurvature(3, 1.0), None),
+    "conformal-off-max": (ConformalSphere2D(), np.array([0.3, -0.2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCOUNTING_CASES))
+def test_solution_accounting_is_the_forward_map(case, monkeypatch):
+    """The torsion, volume and area a solution carries are exactly those of
+    its last forward map: a fresh LaplaceContext of the same domain and
+    the boundary-metric formula reproduce them bit for bit, and the
+    reduced functional reads them without touching the metric again."""
+    manifold, p = ACCOUNTING_CASES[case]
+    problem = SerrinProblem(manifold)
+    grid = problem.grid
+    nodes = grid.basis.nodes
+    sol = problem.solve(manifold.origin() if p is None else p, 0.1)
+    jet = MetricJet(manifold, sol.point, sol.eps, sol.state)
+    ctx = LaplaceContext(jet, grid)
+    assert sol.torsion == grid.volume_integral(
+        sol.potential.values() * ctx.sqrt_det
+    )
+    assert sol.volume == grid.volume_integral(ctx.sqrt_det)
+    g, _ = jet.metric_and_grad(nodes)
+    grr = np.einsum("pij,pi,pj->p", np.linalg.inv(g), nodes, nodes)
+    area = float(grid.basis.weights @ np.sqrt(grr * np.linalg.det(g)))
+    assert sol.area == area
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        LaplaceContext, "__init__", counted("context", LaplaceContext.__init__)
+    )
+    monkeypatch.setattr(
+        MetricJet, "metric_and_grad", counted("metric", MetricJet.metric_and_grad)
+    )
+    rep = reduced_functional(problem, sol.point, sol.eps, solution=sol)
+    assert calls == []
+    assert rep.torsion == sol.torsion
+    assert rep.J_value == 1.0 / sol.torsion
+    assert rep.volume == sol.volume
+    assert rep.boundary_area == sol.area
 
 
 # -- the reduced functional ----------------------------------------------------
@@ -295,6 +347,43 @@ def test_tangential_deformation_both_sides_vanish():
 
 
 # -- stationarity of the volume-penalized energy ---------------------------------
+
+
+def stationarity_check(problem, sol, xi):
+    """Finite-difference energy derivatives along a boundary-profile direction.
+
+    Deforms the converged perturbation by +-h xi with h = 1e-4, re-runs the
+    forward map warm-started from the solution, and differentiates the
+    torsion integral, the energy, and the volume it records. At a solution
+    with vanishing kernel component the constant Neumann trace makes
+    dT = dvol/N^2 exactly, so the volume-penalized torsion balance
+    -dT + dvol/N^2 vanishes for every speed, while d(J + vol/N^2)
+    collapses to (1 - J^2)/N^2 dvol.
+    """
+    N = problem.manifold.dim
+    v = sol.v_function()
+    h = 1e-4
+    out = {}
+    for sgn in (1.0, -1.0):
+        state = PerturbationState.from_sphere_function(v + xi * (sgn * h))
+        _, _, info = problem.G_map(
+            sol.point, sol.eps, state, warm_phi=sol.potential
+        )
+        T = info["torsion"]
+        out[sgn] = (T, 1.0 / T, info["volume"], info["area"])
+    dT, dJ, dvol, darea = (
+        (out[1.0][i] - out[-1.0][i]) / (2.0 * h) for i in range(4)
+    )
+    J0 = 0.5 * (out[1.0][1] + out[-1.0][1])
+    return {
+        "dT": dT,
+        "dJ": dJ,
+        "dvol": dvol,
+        "darea": darea,
+        "torsion_balance": -dT + dvol / N**2,
+        "combined": dJ + dvol / N**2,
+        "combined_expected": (1.0 - J0**2) / N**2 * dvol,
+    }
 
 
 def test_stationarity_round_solution(round_problem):

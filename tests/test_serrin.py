@@ -14,13 +14,21 @@ from serrin_torsion.serrin import (
     SerrinProblem,
     kernel_response_constant,
     sweep,
-    translation_moment_constant,
 )
-from serrin_torsion.sphere_spectral import PerturbationState, SphereFunction
+from serrin_torsion.sphere_spectral import (
+    PerturbationState,
+    SphereFunction,
+    ball_volume,
+)
 
 
 def cosine(u, v):
     return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+
+def translation_moment_constant(N):
+    """kappa_N with gradient_diagnostic = kappa_N eps^3 grad S + O(eps^4)."""
+    return 5.0 * ball_volume(N) / (6.0 * (N + 2.0) * (N + 4.0))
 
 
 @pytest.fixture(scope="module")
