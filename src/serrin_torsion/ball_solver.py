@@ -12,8 +12,10 @@ is reproduced at machine precision.
 The variable-coefficient solve (metric Laplacians of pulled-back geodesic-ball
 metrics) runs a frozen-Laplacian Picard iteration: each step solves the flat
 Poisson problem with the metric correction moved to the right-hand side. The
-metric enters only through a pointwise evaluation callback on the quadrature
-grid, so this module does not care where the metric comes from.
+metric enters only through the jet's laplace_coefficients on the quadrature
+grid (inverse metric, drift and volume element of lap_g), and the boundary
+metric of neumann_trace through its metric_and_grad, so this module does
+not care where the metric comes from.
 """
 
 import math
@@ -414,33 +416,22 @@ def flat_laplacian(field):
 class LaplaceContext:
     """Frozen pointwise metric data for repeated Laplacian applications.
 
-    Assembles, once per metric, the inverse metric and the first-order drift
-    vector of lap_g u = g^{ij} u_ij + b^j u_j with
-    b^j = d_i g^{ij} + (1/2) g^{ij} d_i log det g, on the product grid.
-    The drift is g^{-1} ((1/2) d log det g - w), w_l = g^{ik} d_i g_kl. One
-    batched Cholesky of g checks positivity, and the product of its
-    diagonal is the volume element sqrt det g, kept as (n_r, n_ang).
+    Holds, once per metric, the inverse metric g^{ij}, the first-order drift
+    b^j = d_i g^{ij} + (1/2) g^{ij} d_i log det g of
+    lap_g u = g^{ij} u_ij + b^j u_j, and the volume element sqrt det g,
+    kept as (n_r, n_ang), all from jet.laplace_coefficients on the product
+    grid. A volume element that is not positive (NaN where the metric is
+    not positive definite) is an EnvelopeError.
     """
 
     def __init__(self, jet, grid):
         self.grid = grid
-        g, dg = jet.metric_and_grad(grid.basis.nodes, grid.r)
-        try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise EnvelopeError("pulled-back metric lost positivity") from None
-        self.sqrt_det = np.prod(
-            np.diagonal(chol, axis1=1, axis2=2), axis=1
-        ).reshape(grid.n_r, grid.n_ang)
-        # a NaN metric need not fail the factorization
-        if not np.all(np.isfinite(self.sqrt_det)):
-            raise EnvelopeError("pulled-back metric lost positivity")
-        self.ginv = np.linalg.inv(g)
-        w = np.einsum("pik,pikl->pl", self.ginv, dg, optimize=True)
-        dlog = np.einsum("pab,pcab->pc", self.ginv, dg, optimize=True)
-        self.drift = np.einsum(
-            "pij,pj->pi", self.ginv, 0.5 * dlog - w, optimize=True
+        self.ginv, self.drift, sqrt_det = jet.laplace_coefficients(
+            grid.basis.nodes, grid.r
         )
+        if not np.all(sqrt_det > 0.0):
+            raise EnvelopeError("pulled-back metric lost positivity")
+        self.sqrt_det = sqrt_det.reshape(grid.n_r, grid.n_ang)
 
     def apply_values(self, field):
         """lap_g field as pointwise values (n_r, n_ang)."""
@@ -480,14 +471,15 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
     phi = warm_start if warm_start is not None else poisson_solve(
         -ones, None, grid=grid
     )
+    vals = phi.values()
     history = []
     for it in range(PICARD_MAX_ITER):
         corr = ctx.correction_values(phi)
         src = BallField.from_values(grid, -ones - corr)
-        new = poisson_solve(src, None)
-        step = float(np.abs(new.values() - phi.values()).max())
+        phi = poisson_solve(src, None)
+        prev, vals = vals, phi.values()
+        step = float(np.abs(vals - prev).max())
         history.append(step)
-        phi = new
         if step < PICARD_TOL:
             break
     else:
@@ -495,7 +487,6 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
             "Picard iteration did not reach %g in %d steps (last %g)"
             % (PICARD_TOL, PICARD_MAX_ITER, history[-1])
         )
-    vals = phi.values()
     if vals.min() <= 0.0:
         raise EnvelopeError("torsion potential lost interior positivity")
     residual = float(np.abs(ctx.apply_values(phi) + 1.0).max())

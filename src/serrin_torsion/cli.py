@@ -623,7 +623,7 @@ def _parse_checks(text):
 
 
 def cmd_run_acceptance(cfg, out, seed, workers, args, report):
-    strict = bool(getattr(args, "strict", False))
+    strict = False
     raw_strict = _get(cfg, "acceptance", "strict")
     if raw_strict is not None:
         word = raw_strict.strip().lower()
@@ -632,6 +632,8 @@ def cmd_run_acceptance(cfg, out, seed, workers, args, report):
                 "[acceptance] strict is not a boolean: %r" % raw_strict
             )
         strict = configparser.ConfigParser.BOOLEAN_STATES[word]
+    # the command-line flag wins over the config key
+    strict = strict or bool(getattr(args, "strict", False))
     ids = _parse_checks(_get(cfg, "acceptance", "checks"))
     engine = AcceptanceRun(seed=seed)
     records = engine.run_all(ids)

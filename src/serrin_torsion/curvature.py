@@ -585,6 +585,29 @@ class ConformalSphere2D(ModelManifold):
 # -- metric jet ----------------------------------------------------------------
 
 
+def _sym_cofactors(g):
+    """Cofactor matrix, determinant and leading 1x1 / 2x2 minor of symmetric
+    (P, N, N) matrices, N = 2 or 3, in closed form; g is positive definite
+    where the minor and the determinant are positive (Sylvester)."""
+    cof = np.empty_like(g)
+    if g.shape[1] == 2:
+        cof[:, 0, 0] = g[:, 1, 1]
+        cof[:, 1, 1] = g[:, 0, 0]
+        cof[:, 0, 1] = cof[:, 1, 0] = -g[:, 0, 1]
+        minor = g[:, 0, 0]
+    else:
+        (g00, g01, g02), (_, g11, g12), (_, _, g22) = g.transpose(1, 2, 0)
+        cof[:, 0, 0] = g11 * g22 - g12 * g12
+        cof[:, 1, 1] = g00 * g22 - g02 * g02
+        cof[:, 2, 2] = g00 * g11 - g01 * g01
+        cof[:, 0, 1] = cof[:, 1, 0] = g02 * g12 - g01 * g22
+        cof[:, 0, 2] = cof[:, 2, 0] = g01 * g12 - g02 * g11
+        cof[:, 1, 2] = cof[:, 2, 1] = g01 * g02 - g00 * g12
+        minor = np.minimum(g00, cof[:, 2, 2])
+    det = np.einsum("pa,pa->p", g[:, 0], cof[:, 0])
+    return cof, det, minor
+
+
 class MetricJet:
     """Pointwise metric of a perturbed geodesic ball, pulled back to B_1.
 
@@ -665,3 +688,53 @@ class MetricJet:
         dg += np.einsum("pab,paic,pbj->pcij", gbar, K, J, optimize=True)
         dg += np.einsum("pab,pai,pbjc->pcij", gbar, J, K, optimize=True)
         return g, dg
+
+    def laplace_coefficients(self, pts, radii=None):
+        """(g^-1 (P,N,N), b (P,N), sqrt det g (P,)) of the pulled-back metric
+        Laplacian lap_g u = g^ij u_ij + b^j u_j at unit-ball points, with
+        b = g^-1 ((1/2) d log det g - w), w_l = g^ik d_i g_kl.
+
+        The chart is evaluated once at Y = rho x, and its own operator
+        (gbar^-1 by cofactors, bbar = gbar^-1 ((1/2) d log det gbar - wbar))
+        is pulled through the Jacobian J = rho I + x (d rho)^T, a rank-one
+        update of a multiple of the identity: with q = rho + x . d rho,
+        J^-1 = (I - x (d rho)^T / q) / rho and det J = rho^(N-1) q, so
+
+            g^-1 = J^-1 gbar^-1 J^-T,    sqrt det g = det J sqrt det gbar,
+            b = J^-1 (bbar - x tr(g^-1 d2 rho) - 2 g^-1 d rho).
+
+        sqrt det g is NaN wherever gbar is not positive definite (leading
+        minors) or det J is not positive (a folded domain map); on an
+        unfolded map that is exactly where g is not positive definite.
+        """
+        rho, drho, d2rho = self.rho_jet(pts, radii)
+        x = product_points(pts, radii)
+        N = x.shape[1]
+        gbar, dgbar = self._chart(self.eps * (rho[:, None] * x))
+        cof, det, minor = _sym_cofactors(gbar)
+        q = rho + np.einsum("pi,pi->p", x, drho)
+        det_J = rho ** (N - 1) * q
+        # NaN marks a point off the envelope; it propagates to every output
+        det[~((minor > 0) & (det > 0) & (det_J > 0))] = np.nan
+        M = cof / det[:, None, None]
+        dlog = np.einsum("pab,pcab->pc", M, dgbar)
+        w = np.einsum("pik,pikl->pl", M, dgbar)
+        # eps: chain rule from true to scaled coordinates
+        bbar = np.einsum("pij,pj->pi", M, self.eps * (0.5 * dlog - w))
+        # pull-back: with m = gbar^-1 d rho and s = m . d rho, g^-1 is
+        # (M - x u^T - u x^T) / rho^2 for u = m / q - s x / (2 q^2);
+        # J^-1 x = x / q and g^-1 d rho = J^-1 m / q = (m - s x / q) / (rho q)
+        m = np.einsum("pij,pj->pi", M, drho)
+        s = np.einsum("pi,pi->p", m, drho)
+        u = (m - (0.5 * s / q)[:, None] * x) / q[:, None]
+        xu = x[:, :, None] * u[:, None, :]
+        ginv = M - xu
+        ginv -= xu.transpose(0, 2, 1)
+        ginv /= (rho**2)[:, None, None]
+        t = np.einsum("pij,pij->p", ginv, d2rho)
+        # b = J^-1 v - t x / q with v = bbar - 2 g^-1 d rho, and
+        # J^-1 v = (v - x (d rho . v) / q) / rho
+        v = bbar - (2.0 / (rho * q))[:, None] * (m - (s / q)[:, None] * x)
+        dv = np.einsum("pi,pi->p", drho, v)
+        drift = v / rho[:, None] - ((dv / rho + t) / q)[:, None] * x
+        return ginv, drift, det_J * np.sqrt(det)

@@ -299,11 +299,18 @@ class _RotationJet:
         c, s = np.cos(angle), np.sin(angle)
         R = np.array([[c, -s], [s, c]])
         self._g = R.T @ R
+        self._ginv = np.linalg.inv(self._g)
+        self._sqrt_det = np.prod(np.diag(np.linalg.cholesky(self._g)))
 
     def metric_and_grad(self, pts, radii=None):
         n = len(product_points(pts, radii))
         g = np.broadcast_to(self._g, (n, 2, 2)).copy()
         return g, np.zeros((n, 2, 2, 2))
+
+    def laplace_coefficients(self, pts, radii=None):
+        n = len(product_points(pts, radii))
+        ginv = np.broadcast_to(self._ginv, (n, 2, 2)).copy()
+        return ginv, np.zeros((n, 2)), np.full(n, self._sqrt_det)
 
 
 def tangential_derivative_check():

@@ -419,6 +419,23 @@ def test_positivity_loss_rejected():
         LaplaceContext(jet, get_grid(3, 10))
 
 
+def test_folded_domain_map_rejected():
+    """A boundary profile steep enough to fold x -> rho x (rho + x . grad
+    rho < 0 inside the ball) is off the envelope, although J^T gbar J stays
+    positive definite through the fold."""
+    grid = get_grid(2, 16)
+    man = ConstantCurvature(2, 1.0)
+    vbar = SphereFunction.from_mode(grid.basis, 6, 0, 0.3)
+    jet = MetricJet(man, man.origin(), 0.1, PerturbationState(0.0, vbar))
+    rho, drho, _ = jet.rho_jet(grid.basis.nodes, grid.r)
+    q = rho + np.einsum("pi,pi->p", grid.points, drho)
+    assert (q < 0.0).sum() > 0
+    g, _ = jet.metric_and_grad(grid.basis.nodes, grid.r)
+    assert np.linalg.eigvalsh(g).min() > 0.0
+    with pytest.raises(EnvelopeError, match="lost positivity"):
+        LaplaceContext(jet, grid)
+
+
 def test_divergence_form_consistency():
     """Integration by parts for the metric Laplacian, both fidelities."""
     grid = get_grid(2, 16)

@@ -363,6 +363,21 @@ def test_run_acceptance_strict_boolean_words(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_acceptance_strict_flag_wins_over_config(tmp_path, capsys):
+    # --strict asks for the strict gate whatever the config key says
+    cfg = tmp_path / "acc.ini"
+    cfg.write_text("[acceptance]\nchecks = 6\nstrict = false\n")
+    out = tmp_path / "out"
+    args = ["run-acceptance", "--config", str(cfg), "--out", str(out)]
+    assert main(args + ["--strict"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "acceptance 06 ball_energy_coefficient: FAIL"
+    assert lines[1] == "gate: FAIL (0 passed, 1 failed, 0 documented)"
+    payload = json.loads((out / "acceptance.json").read_text())
+    assert payload["strict"] is True
+    assert payload["gate_passed"] is False
+
+
 def test_run_acceptance_rejects_unknown_check(tmp_path, capsys):
     cfg = tmp_path / "acc.ini"
     cfg.write_text("[acceptance]\nchecks = 13\n")

@@ -23,6 +23,7 @@ from serrin_torsion.curvature import (
     constant_curvature_chart,
     truncated_chart,
 )
+from serrin_torsion.reduced import _StarMapJet
 from serrin_torsion.sphere_spectral import PerturbationState, SphereFunction, get_basis
 
 
@@ -605,6 +606,68 @@ def test_metric_gradient_consistency():
 
 
 # -- Laplace-Beltrami through the jet -------------------------------------------
+
+
+def generic_laplace_coefficients(jet, pts, radii=None):
+    """Oracle for MetricJet.laplace_coefficients: the generic assembly from
+    the pulled-back metric and its gradient, g^-1 by a dense inverse and
+    the drift g^-1 ((1/2) d log det g - w), w_l = g^ik d_i g_kl."""
+    g, dg = jet.metric_and_grad(pts, radii)
+    ginv = np.linalg.inv(g)
+    w = np.einsum("pik,pikl->pl", ginv, dg)
+    dlog = np.einsum("pab,pcab->pc", ginv, dg)
+    drift = np.einsum("pij,pj->pi", ginv, 0.5 * dlog - w)
+    return ginv, drift, np.sqrt(np.linalg.det(g))
+
+
+def _band_limited(basis, seed, amplitude, low):
+    """Seeded SphereFunction with content on degrees low..6 only."""
+    rng = np.random.default_rng(seed)
+    band = (basis.degrees >= low) & (basis.degrees <= 6)
+    c = np.where(band, rng.standard_normal(basis.n_modes), 0.0)
+    return SphereFunction(basis, amplitude * c / (1.0 + basis.degrees))
+
+
+def _coefficient_jets():
+    jets = {}
+    for N in (2, 3):
+        basis = get_grid(N).basis
+        state = PerturbationState(0.01, _band_limited(basis, 20 + N, 0.02, 2))
+        man = ConstantCurvature(N, 1.0)
+        for fid in ("truncated", "exact"):
+            jets["round%d-%s" % (N, fid)] = MetricJet(
+                man, man.origin(), 0.2, state, fidelity=fid
+            )
+    basis = get_grid(2).basis
+    state = PerturbationState(-0.01, _band_limited(basis, 24, 0.02, 2))
+    jets["conformal-off-max"] = MetricJet(
+        ConformalSphere2D(), np.array([0.3, -0.2]), 0.2, state
+    )
+    jets["star-map-degree1"] = _StarMapJet(1.0, _band_limited(basis, 25, 0.02, 1))
+    return jets
+
+
+COEFFICIENT_JETS = _coefficient_jets()
+
+
+@pytest.mark.parametrize("case", sorted(COEFFICIENT_JETS))
+def test_laplace_coefficients_match_generic_assembly(case):
+    jet = COEFFICIENT_JETS[case]
+    basis = get_grid(jet.dim).basis
+    if case.startswith("star"):
+        assert np.abs(jet._profile.coeffs[basis.degrees == 1]).max() > 0.0
+    radii = np.concatenate([[0.0], get_grid(jet.dim).r, [1.0]])
+    got = jet.laplace_coefficients(basis.nodes, radii)
+    want = generic_laplace_coefficients(jet, basis.nodes, radii)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() < 1e-13
+    # arbitrary points, radii=None
+    pts = np.random.default_rng(7).uniform(-0.55, 0.55, (40, jet.dim))
+    got = jet.laplace_coefficients(pts)
+    want = generic_laplace_coefficients(jet, pts)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() < 1e-13
 
 
 def test_laplacian_euclidean_torsion():

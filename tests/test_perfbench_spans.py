@@ -1,0 +1,60 @@
+"""The benchmark's tracer wraps names that exist in the package.
+
+perfbench/spans.py patches package methods and functions by name from
+outside the package. A renamed method target breaks `run.py --trace 1`
+(the tracer reads it from its owner's __dict__), and a renamed function
+target silently drops a layer from the trace. The tracer is loaded by path,
+so this only reads perfbench/.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+
+# Function targets the tracer still lists although no traced module defines
+# them, with the reason; each stays an expected failure until the benchmark
+# drops or re-points it.
+STALE_FUNCTION_TARGETS = {
+    "minimize": "reduced no longer imports scipy's minimize (the Nelder-Mead "
+    "re-seed is gone), so reduced.search_fallbacks counts nothing",
+}
+
+
+@pytest.mark.parametrize(
+    "owner, attr",
+    [(owner, attr) for owner, attr, _, _ in spans._CLASS_TARGETS],
+    ids=["%s.%s" % (o.__name__, a) for o, a, _, _ in spans._CLASS_TARGETS],
+)
+def test_class_target_in_owner_dict(owner, attr):
+    assert attr in owner.__dict__
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(
+            name,
+            marks=pytest.mark.xfail(
+                strict=True, reason=STALE_FUNCTION_TARGETS[name]
+            ),
+        )
+        if name in STALE_FUNCTION_TARGETS
+        else name
+        for name, _, _ in spans._FUNCTION_TARGETS
+    ],
+)
+def test_function_target_in_a_traced_module(name):
+    assert any(name in vars(module) for module in spans._MODULES)

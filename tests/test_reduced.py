@@ -191,6 +191,11 @@ def test_solution_accounting_is_the_forward_map(case, monkeypatch):
     monkeypatch.setattr(
         MetricJet, "metric_and_grad", counted("metric", MetricJet.metric_and_grad)
     )
+    monkeypatch.setattr(
+        MetricJet,
+        "laplace_coefficients",
+        counted("coefficients", MetricJet.laplace_coefficients),
+    )
     rep = reduced_functional(problem, sol.point, sol.eps, solution=sol)
     assert calls == []
     assert rep.torsion == sol.torsion
