@@ -16,6 +16,16 @@ metric enters only through the jet's laplace_coefficients on the quadrature
 grid (inverse metric, drift and volume element of lap_g), and the boundary
 metric of neumann_trace through its metric_and_grad, so this module does
 not care where the metric comes from.
+
+The correction (lap_g - lap) u is applied Hessian-free, by sum
+factorization (Orszag, J. Comput. Phys. 37, 1980): with every mode written
+G(r^2) H(x), the metric is contracted into the chain-rule factors of
+grad u and Hess u once per metric (LaplaceContext), and each application
+meets them with the mode sums of G'H, G''H, G grad H, G' grad H and the
+packed G Hess H, three matrix products over the modes (BallField.derivatives).
+No pointwise gradient or Hessian is ever assembled. The flat Poisson solve
+treats all modes of a degree at once, one matrix product with the inverse of
+that degree's radial system.
 """
 
 import math
@@ -23,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.special import eval_jacobi
 
 from .sphere_spectral import (
@@ -101,9 +110,13 @@ class BallGrid:
         self.Qss = []
         # projection weights: coefficients of a sampled radial profile
         self.proj = []
-        # factored mode-wise Poisson matrices and Laplacian operators
-        self._lu = []
+        # mode-wise Laplacian operators, and the inverses of the mode-wise
+        # Poisson systems (the first M - 1 Laplacian rows, then the boundary
+        # row); with explicit inverses the modes of a degree are one small
+        # matrix product, which BLAS keeps on one thread, where a
+        # multi-column LU solve starts every BLAS thread on an M x M system
         self.lap_op = []
+        self.solve_op = []
         self.bc_deriv = []
         t = 2.0 * self.s - 1.0
         for k in range(L + 1):
@@ -135,7 +148,7 @@ class BallGrid:
             op = norm[:, None] * ((Q.T * wk) @ A)
             self.lap_op.append(op)
             sysmat = np.vstack([op[: M - 1, :], np.ones((1, M))])
-            self._lu.append(lu_factor(sysmat))
+            self.solve_op.append(np.linalg.inv(sysmat))
             self.bc_deriv.append(k + 2.0 * js * (js + b + 1.0))
 
         # (3, n_r, n_modes): r^(k-j), j = 0, 1, 2, for each mode's degree k;
@@ -204,59 +217,54 @@ class BallField:
 
     # -- pointwise evaluation ---------------------------------------------
 
-    def values(self):
-        """Values on the product grid, (n_r, n_ang)."""
+    def _profiles(self, order):
+        """G, G', ... through the order-th s-derivative of every mode's
+        radial profile at the radial nodes, (order + 1, n_r, n_modes)."""
         grid, basis = self.grid, self.grid.basis
-        out = np.zeros((grid.n_r, grid.n_ang))
-        for k in range(basis.max_degree + 1):
-            s = basis.degree_slice(k)
-            prof = grid.Q[k] @ self.coeffs[s].T  # (n_r, n_k)
-            out += (grid.r**k)[:, None] * (prof @ basis.Y[s])
-        return out
-
-    def derivatives(self):
-        """Values, gradients and Hessians on the product grid.
-
-        Returns (u, du, d2u) with shapes (P,), (P, N), (P, N, N) where
-        P = n_r * n_ang, flattened radius-major to match grid.points.
-
-        Mode m of degree k is G(r^2) H_m(x) with H_m = r^k Y_m: G, G', G''
-        of every mode, times r^k, r^(k-1), r^(k-2) (grid.mode_powers), meet
-        Y, grad H and Hess H at the nodes in one matrix product per order;
-        the chain-rule factors of x = r theta are applied pointwise.
-        """
-        grid, basis = self.grid, self.grid.basis
-        N = grid.dim
-        n_r, n_ang, n_modes = grid.n_r, grid.n_ang, basis.n_modes
-        G = np.empty((3, n_r, n_modes))  # G, G', G'' of every mode
+        tables = (grid.Q, grid.Qs, grid.Qss)[: order + 1]
+        G = np.empty((order + 1, grid.n_r, basis.n_modes))
         for k in range(basis.max_degree + 1):
             s = basis.degree_slice(k)
             c = self.coeffs[s].T
-            G[0][:, s] = grid.Q[k] @ c
-            G[1][:, s] = grid.Qs[k] @ c
-            G[2][:, s] = grid.Qss[k] @ c
+            for Gj, T in zip(G, tables):
+                Gj[:, s] = T[k] @ c
+        return G
+
+    def values(self):
+        """Values on the product grid, (n_r, n_ang)."""
+        G = self._profiles(0)[0]
+        return (G * self.grid.mode_powers[0]) @ self.grid.basis.Y
+
+    def derivatives(self):
+        """Spectral chain-rule products of the field on the product grid.
+
+        Mode m of degree k is G(r^2) H_m(x) with H_m = r^k Y_m, so
+            grad u = sum_m 2 G' H x + G grad H,
+            Hess u = sum_m 4 G'' H x x^T + 2 G' (H I + x grad H^T
+                     + grad H x^T) + G Hess H.
+        Returns the mode sums these need, from three matrix products of G,
+        G', G'' (times r^k, r^(k-1), r^(k-2) from grid.mode_powers) with
+        the node tables of the basis:
+            (G'H, G''H)             as (2, n_r, n_ang),
+            (G grad H, G' grad H)   as (2, n_r, N, n_ang),
+            G Hess H                as (n_r, N(N+1)/2, n_ang), its upper
+                                    triangle packed like basis.node_hessians().
+        The chain-rule factors of x = r theta are left to the caller.
+        """
+        grid, basis = self.grid, self.grid.basis
+        n_r, n_ang, n_modes = grid.n_r, grid.n_ang, basis.n_modes
+        G = self._profiles(2)
         R0, R1, R2 = grid.mode_powers
-        dH = basis.node_grads().reshape(n_modes, n_ang * N)
-        d2H = basis.node_hessians().reshape(n_modes, n_ang * N * N)
-        A = (G * R0).reshape(3 * n_r, n_modes) @ basis.Y
-        B = (G[:2] * R1).reshape(2 * n_r, n_modes) @ dH
-        A0, A1, A2 = A.reshape(3, n_r, n_ang, 1)
-        B0, B1 = B.reshape(2, n_r, n_ang, N)
-        d2u = ((G[0] * R2) @ d2H).reshape(n_r, n_ang, N, N)
-        x = grid.r[:, None, None] * basis.nodes[None]  # (n_r, n_ang, N)
-        du = 2.0 * A1 * x + B0
-        # 4 G'' x_i x_j H + 2 G' (d_ij H + x_i d_j H + x_j d_i H) + G d_ij H
-        d2u += 4.0 * A2[..., None] * x[..., :, None] * x[..., None, :]
-        d2u += 2.0 * (x[..., :, None] * B1[..., None, :]
-                      + B1[..., :, None] * x[..., None, :])
-        d2u += 2.0 * A1[..., None] * np.eye(N)
-        P = n_r * n_ang
-        return A0.reshape(P), du.reshape(P, N), d2u.reshape(P, N, N)
+        dH = basis.node_grads().reshape(n_modes, -1)
+        d2H = basis.node_hessians()
+        radial = (G[1:] * R0).reshape(2 * n_r, n_modes) @ basis.Y
+        grad = (G[:2] * R1).reshape(2 * n_r, n_modes) @ dH
+        hess = (G[0] * R2) @ d2H.reshape(n_modes, -1)
+        return (radial.reshape(2, n_r, n_ang),
+                grad.reshape(2, n_r, grid.dim, n_ang),
+                hess.reshape(n_r, d2H.shape[1], n_ang))
 
     # -- boundary data -----------------------------------------------------
-
-    def boundary_trace(self):
-        return SphereFunction(self.grid.basis, self.coeffs.sum(axis=1))
 
     def normal_derivative(self):
         """Euclidean radial derivative on the boundary as a SphereFunction."""
@@ -302,9 +310,10 @@ def poisson_solve(f, h=None, grid=None):
     """Solve lap(psi) = f in B_1 with psi = h on the boundary.
 
     f may be a BallField, pointwise values (n_r, n_ang), or None (Laplace).
-    h is a SphereFunction or None. Mode-by-mode radial solve; raises
-    ResolutionError when the source's last radial coefficient exceeds
-    SOURCE_TAIL_TOL times its largest one.
+    h is a SphereFunction or None. One radial solve per degree, all modes of
+    the degree at once; raises ResolutionError when the source is not finite
+    or its last radial coefficient exceeds SOURCE_TAIL_TOL times its largest
+    one, and ValueError on non-finite boundary data.
     """
     if isinstance(f, BallField):
         src = f
@@ -318,20 +327,26 @@ def poisson_solve(f, h=None, grid=None):
             raise ValueError("grid required for pointwise sources")
         src = BallField.from_values(grid, np.asarray(f, dtype=float))
     basis = grid.basis
-    if src is not None and src.tail_fraction() > SOURCE_TAIL_TOL:
-        raise ResolutionError(
-            "source has unresolved radial tail; raise n_radial"
-        )
     M = grid.n_radial
-    out = np.zeros((basis.n_modes, M))
-    hc = h.coeffs if h is not None else None
-    rhs = np.empty(M)
+    # each mode's system: its first M - 1 source coefficients, then its
+    # boundary value
+    rhs = np.zeros((basis.n_modes, M))
+    if src is not None:
+        if not np.isfinite(src.coeffs).all():
+            raise ResolutionError("source is not finite")
+        if src.tail_fraction() > SOURCE_TAIL_TOL:
+            raise ResolutionError(
+                "source has unresolved radial tail; raise n_radial"
+            )
+        rhs[:, : M - 1] = src.coeffs[:, : M - 1]
+    if h is not None:
+        if not np.isfinite(h.coeffs).all():
+            raise ValueError("boundary data is not finite")
+        rhs[:, M - 1] = h.coeffs
+    out = np.empty_like(rhs)
     for k in range(basis.max_degree + 1):
         s = basis.degree_slice(k)
-        for m in range(s.start, s.stop):
-            rhs[: M - 1] = src.coeffs[m, : M - 1] if src is not None else 0.0
-            rhs[M - 1] = hc[m] if hc is not None else 0.0
-            out[m] = lu_solve(grid._lu[k], rhs)
+        out[s] = rhs[s] @ grid.solve_op[k].T
     return BallField(grid, out)
 
 
@@ -416,37 +431,77 @@ def flat_laplacian(field):
 class LaplaceContext:
     """Frozen pointwise metric data for repeated Laplacian applications.
 
-    Holds, once per metric, the inverse metric g^{ij}, the first-order drift
+    Takes, once per metric, the inverse metric g^{ij}, the first-order drift
     b^j = d_i g^{ij} + (1/2) g^{ij} d_i log det g of
     lap_g u = g^{ij} u_ij + b^j u_j, and the volume element sqrt det g,
     kept as (n_r, n_ang), all from jet.laplace_coefficients on the product
     grid. A volume element that is not positive (NaN where the metric is
     not positive definite) is an EnvelopeError.
+
+    With A = g^-1 - I and every mode written G(r^2) H(x), the correction is
+        (lap_g - lap) u = 2 (tr A + b.x) G'H + 4 x.A.x G''H + b.G grad H
+                          + 4 A x.G' grad H + A : G Hess H,
+    summed over the modes. The weights of those five products replace g^-1
+    and b on the first contraction, so a context built for its volume
+    element alone never pays for them; each contraction then meets them
+    with the products of BallField.derivatives, without a pointwise Hessian.
     """
 
     def __init__(self, jet, grid):
         self.grid = grid
-        self.ginv, self.drift, sqrt_det = jet.laplace_coefficients(
+        ginv, drift, sqrt_det = jet.laplace_coefficients(
             grid.basis.nodes, grid.r
         )
         if not np.all(sqrt_det > 0.0):
             raise EnvelopeError("pulled-back metric lost positivity")
         self.sqrt_det = sqrt_det.reshape(grid.n_r, grid.n_ang)
+        self._coefficients = (ginv, drift)
+        self._weights = None
+
+    def _contraction_weights(self, ginv, b):
+        """Pointwise weights of the products of BallField.derivatives, in
+        their layouts: (2, n_r, n_ang), (2, n_r, N, n_ang) and
+        (n_r, N(N+1)/2, n_ang)."""
+        grid = self.grid
+        N, n_r, n_ang = grid.dim, grid.n_r, grid.n_ang
+        ginv = ginv.reshape(n_r, n_ang, N, N)
+        b = b.reshape(n_r, n_ang, N)
+        x = grid.points.reshape(n_r, n_ang, N)
+        radial = np.zeros((2, n_r, n_ang))
+        grad = np.empty((2, n_r, N, n_ang))
+        hess = np.empty((n_r, N * (N + 1) // 2, n_ang))
+
+        def A(i, j):
+            # g^-1 - I entrywise, the identity taken off before any product
+            # so that a metric near the identity keeps its relative accuracy
+            return ginv[..., i, j] - 1.0 if i == j else ginv[..., i, j]
+
+        # A : Hess counts each off-diagonal entry of the packed triangle twice
+        for q, (i, j) in enumerate(zip(*np.triu_indices(N))):
+            hess[:, q] = A(i, j) if i == j else 2.0 * A(i, j)
+        for i in range(N):
+            Ax = sum(A(i, j) * x[..., j] for j in range(N))
+            grad[0, :, i] = b[..., i]
+            grad[1, :, i] = 4.0 * Ax
+            radial[0] += 2.0 * (A(i, i) + b[..., i] * x[..., i])
+            radial[1] += 4.0 * x[..., i] * Ax
+        return radial, grad, hess
+
+    def correction_values(self, field):
+        """(lap_g - lap) field, pointwise (n_r, n_ang)."""
+        if self._weights is None:
+            self._weights = self._contraction_weights(*self._coefficients)
+            self._coefficients = None
+        w_radial, w_grad, w_hess = self._weights
+        radial, grad, hess = field.derivatives()
+        radial *= w_radial
+        grad *= w_grad
+        hess *= w_hess
+        return radial.sum(axis=0) + grad.sum(axis=(0, 2)) + hess.sum(axis=1)
 
     def apply_values(self, field):
         """lap_g field as pointwise values (n_r, n_ang)."""
-        _, du, d2u = field.derivatives()
-        out = np.einsum("pij,pij->p", self.ginv, d2u, optimize=True)
-        out += np.einsum("pj,pj->p", self.drift, du, optimize=True)
-        return out.reshape(self.grid.n_r, self.grid.n_ang)
-
-    def correction_values(self, field):
-        """(lap_g - lap) field, pointwise."""
-        _, du, d2u = field.derivatives()
-        gm = self.ginv - np.eye(self.grid.dim)[None]
-        out = np.einsum("pij,pij->p", gm, d2u, optimize=True)
-        out += np.einsum("pj,pj->p", self.drift, du, optimize=True)
-        return out.reshape(self.grid.n_r, self.grid.n_ang)
+        return self.correction_values(field) + flat_laplacian(field).values()
 
 
 def dirichlet_solve_full(jet, grid, warm_start=None):
@@ -458,7 +513,8 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
     final Picard source, the torsion integral of phi and the volume, both
     against sqrt det g (unit-ball scale). Raises EnvelopeError on
     non-convergence or loss of interior positivity, and ResolutionError
-    from poisson_solve when a Picard source is not resolved radially.
+    from poisson_solve when a Picard source is not finite or not resolved
+    radially.
     warm_start seeds the iteration with a previous potential (same grid)
     to save steps.
 

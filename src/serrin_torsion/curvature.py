@@ -64,45 +64,6 @@ class CurvaturePacket:
     riemann: np.ndarray  # (N, N, N, N)
     nabla_riemann: np.ndarray  # (N, N, N, N, N), derivative slot last
 
-    def validate(self, tol=1e-10):
-        """Check the algebraic and differential identities; raise on failure.
-
-        Returns the dict of measured violations (useful in diagnostics).
-        """
-        R = self.riemann
-        nR = self.nabla_riemann
-        checks = {}
-        checks["antisym_front"] = np.abs(R + R.transpose(1, 0, 2, 3)).max()
-        checks["antisym_back"] = np.abs(R + R.transpose(0, 1, 3, 2)).max()
-        checks["pair_symmetry"] = np.abs(R - R.transpose(2, 3, 0, 1)).max()
-        checks["bianchi_first"] = np.abs(
-            R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)
-        ).max()
-        checks["ricci_contraction"] = np.abs(
-            self.ricci + np.einsum("ikil->kl", R)
-        ).max()
-        checks["ricci_symmetry"] = np.abs(self.ricci - self.ricci.T).max()
-        checks["scalar_trace"] = abs(self.scalar - float(np.trace(self.ricci)))
-        checks["d_antisym_front"] = np.abs(nR + nR.transpose(1, 0, 2, 3, 4)).max()
-        checks["d_antisym_back"] = np.abs(nR + nR.transpose(0, 1, 3, 2, 4)).max()
-        checks["d_pair_symmetry"] = np.abs(nR - nR.transpose(2, 3, 0, 1, 4)).max()
-        checks["bianchi_second"] = np.abs(
-            nR
-            + nR.transpose(0, 1, 3, 4, 2)
-            + nR.transpose(0, 1, 4, 2, 3)
-        ).max()
-        # trace of the derivative reproduces the scalar-curvature gradient
-        dS = -np.einsum("ikikm->m", nR)
-        checks["scalar_gradient_trace"] = np.abs(dS - self.scalar_gradient).max()
-        bad = {k: v for k, v in checks.items() if v > tol}
-        if bad:
-            raise ValueError("curvature packet fails identities: %s" % bad)
-        return checks
-
-    def nabla_ricci(self):
-        """grad Ric as a (N, N, N) array, derivative slot last."""
-        return -np.einsum("ikilm->klm", self.nabla_riemann)
-
 
 # -- closed-form constant-curvature profile ----------------------------------
 
@@ -460,9 +421,6 @@ class ConformalSphere2D(ModelManifold):
         if order >= 3:
             result.append(out3)
         return tuple(result)
-
-    def conformal_factor(self, Z):
-        return self._f_jet(Z, order=1)[0]
 
     def gauss_curvature(self, Z):
         f, _, d2f = self._f_jet(Z, order=2)

@@ -60,7 +60,8 @@ class SphereBasis:
     The maps D[i] give d_i H_m = sum_j D[i, j, m] H_j in closed form from
     the ladder relations of F (see _ladder). The class also holds an angular
     quadrature grid exact well beyond degree 2*max_degree, and cached node
-    evaluations of each mode and of its gradient and Hessian.
+    evaluations of each mode, of its gradient and of the upper triangle of
+    its Hessian.
 
     Parameters
     ----------
@@ -252,13 +253,25 @@ class SphereBasis:
         return out[:, 0], out[:, 1 : N + 1], out[:, N + 1 :].reshape(-1, N, N)
 
     def node_grads(self):
+        """Gradients of the modes at the nodes, (n_modes, N, n_nodes): the
+        component axis sits ahead of the nodes, so a product over modes
+        lays out each component as one block of nodes."""
         if self._node_grads is None:
-            self._node_grads = self.eval_grad_matrix(self.nodes)
+            self._node_grads = np.ascontiguousarray(
+                self.eval_grad_matrix(self.nodes).transpose(0, 2, 1)
+            )
         return self._node_grads
 
     def node_hessians(self):
+        """Upper triangles of the mode Hessians at the nodes,
+        (n_modes, N(N+1)/2, n_nodes), entries in np.triu_indices(N) order;
+        the Hessians are symmetric, so the lower triangle is not kept."""
         if self._node_hessians is None:
-            self._node_hessians = self.eval_hess_matrix(self.nodes)
+            i, j = np.triu_indices(self.dim)
+            H = self.eval_hess_matrix(self.nodes)
+            self._node_hessians = np.ascontiguousarray(
+                H[:, :, i, j].transpose(0, 2, 1)
+            )
         return self._node_hessians
 
     # -- transforms --------------------------------------------------------

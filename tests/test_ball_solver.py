@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import lu_factor, lu_solve
 
 from serrin_torsion.ball_solver import (
     _build_grid,
@@ -26,6 +27,7 @@ from serrin_torsion.curvature import (
     FlatSpace,
     MetricJet,
 )
+from serrin_torsion.reduced import _RotationJet, _StarMapJet
 from serrin_torsion.serrin import SerrinProblem
 from serrin_torsion.sphere_spectral import (
     PerturbationState,
@@ -47,6 +49,47 @@ def random_field(grid, rng, decay=9.0):
     c /= (1.0 + np.arange(M)[None, :]) ** decay
     c /= (1.0 + grid.basis.degrees[:, None]) ** 2
     return BallField(grid, c)
+
+
+def assemble_derivatives(field, magnitude=False):
+    """Oracle: value, gradient and Hessian of a field on the product grid,
+    (P,), (P, N), (P, N, N), assembled pointwise from the chain-rule
+    products of BallField.derivatives:
+        grad u = 2 G'H x + G grad H,
+        Hess u = 4 G''H x x^T + 2 G'H I + 2 (x G' grad H^T
+                 + G' grad H x^T) + G Hess H.
+    magnitude=True assembles the absolute values of the products and of x
+    instead: the size of the summed terms, which bounds the roundoff."""
+    grid = field.grid
+    N, P = grid.dim, grid.n_r * grid.n_ang
+    radial, grad, hess = (np.abs(a) if magnitude else a
+                          for a in field.derivatives())
+    G1H, G2H = radial.reshape(2, P, 1, 1)
+    G0dH, G1dH = grad.transpose(0, 1, 3, 2).reshape(2, P, N)
+    packed = hess.transpose(0, 2, 1).reshape(P, -1)
+    i, j = np.triu_indices(N)
+    G0d2H = np.empty((P, N, N))
+    G0d2H[:, i, j] = packed
+    G0d2H[:, j, i] = packed
+    x = np.abs(grid.points) if magnitude else grid.points
+    du = 2.0 * G1H[:, :, 0] * x + G0dH
+    xx = x[:, :, None] * x[:, None, :]
+    xg = x[:, :, None] * G1dH[:, None, :]
+    d2u = (4.0 * G2H * xx + 2.0 * G1H * np.eye(N)
+           + 2.0 * (xg + xg.transpose(0, 2, 1)) + G0d2H)
+    u = field.values().reshape(P)
+    return (np.abs(u) if magnitude else u), du, d2u
+
+
+def boundary_trace(field):
+    """Oracle: the boundary values of a field, whose Jacobi profiles all
+    equal 1 at r = 1."""
+    return SphereFunction(field.grid.basis, field.coeffs.sum(axis=1))
+
+
+def nabla_ricci(packet):
+    """Oracle: grad Ric as an (N, N, N) array, derivative slot last."""
+    return -np.einsum("ikilm->klm", packet.nabla_riemann)
 
 
 def test_one_grid_per_resolution():
@@ -113,7 +156,7 @@ def test_derivatives_polynomial_closed_form(N, max_degree):
                + 2 * np.arange(grid.n_radial)[None, :]) <= 8
     leak = np.abs(u.coeffs[~support]).max() / np.abs(u.coeffs).max()
     assert leak < 1e-12
-    val, grad, hess = BallField(grid, u.coeffs * support).derivatives()
+    val, grad, hess = assemble_derivatives(BallField(grid, u.coeffs * support))
     want_grad = np.stack([evaluate(diff(C, i)) for i in range(N)], -1)
     want_hess = np.stack([
         np.stack([evaluate(diff(diff(C, i), j)) for j in range(N)], -1)
@@ -196,7 +239,57 @@ def test_maximum_principle(grid):
 def test_dirichlet_zero_boundary_trace(grid):
     rng = np.random.default_rng(6)
     u = poisson_solve(random_field(grid, rng), None)
-    assert u.boundary_trace().norm_inf() < 1e-12
+    assert boundary_trace(u).norm_inf() < 1e-12
+
+
+def test_values_match_per_degree_sums(grid):
+    # one product over all modes against the sum over degrees of
+    # r^k (radial profile) (angular table)
+    u = random_field(grid, np.random.default_rng(10))
+    basis = grid.basis
+    want = np.zeros((grid.n_r, grid.n_ang))
+    for k in range(basis.max_degree + 1):
+        s = basis.degree_slice(k)
+        prof = grid.Q[k] @ u.coeffs[s].T
+        want += (grid.r**k)[:, None] * (prof @ basis.Y[s])
+    assert np.abs(u.values() - want).max() < 1e-13 * np.abs(want).max()
+
+
+def test_poisson_solve_matches_per_mode_solves(grid):
+    """The per-degree batched solve against one LU solve per mode of its
+    system (the first M - 1 rows of the mode Laplacian, then the boundary
+    row), with and without boundary data."""
+    rng = np.random.default_rng(8)
+    basis, M = grid.basis, grid.n_radial
+    lus = [lu_factor(np.vstack([op[: M - 1], np.ones((1, M))]))
+           for op in grid.lap_op]
+    f = random_field(grid, rng)
+    h = SphereFunction(basis, rng.standard_normal(basis.n_modes))
+    for bc in (None, h):
+        want = np.empty_like(f.coeffs)
+        for m in range(basis.n_modes):
+            rhs = np.append(f.coeffs[m, : M - 1],
+                            0.0 if bc is None else bc.coeffs[m])
+            want[m] = lu_solve(lus[basis.degrees[m]], rhs)
+        got = poisson_solve(f, bc).coeffs
+        assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+
+def test_non_finite_source_rejected():
+    # a NaN source has a NaN tail fraction, which no tolerance comparison
+    # catches; it must still surface as a typed ResolutionError
+    grid = get_grid(2, 16)
+    vals = -np.ones((grid.n_r, grid.n_ang))
+    vals[3, 5] = np.nan
+    with pytest.raises(ResolutionError, match="not finite"):
+        poisson_solve(vals, None, grid=grid)
+    f = random_field(grid, np.random.default_rng(9))
+    f.coeffs[0, 0] = np.inf
+    with pytest.raises(ResolutionError, match="not finite"):
+        poisson_solve(f, None)
+    h = SphereFunction.constant(grid.basis, np.nan)
+    with pytest.raises(ValueError, match="boundary data is not finite"):
+        poisson_solve(None, h, grid=grid)
 
 
 def test_unresolved_source_rejected():
@@ -277,7 +370,7 @@ def test_source_variants_differ_by_gradient_term():
     prim = psi_source_values(packet, eps, grid, variant="primary")
     alt = psi_source_values(packet, eps, grid, variant="alternative")
     x = grid.points
-    D = np.einsum("klm,pk,pl,pm->p", packet.nabla_ricci(), x, x, x)
+    D = np.einsum("klm,pk,pl,pm->p", nabla_ricci(packet), x, x, x)
     want = (-(eps**3 / (6.0 * grid.dim)) * D).reshape(grid.n_r, grid.n_ang)
     assert np.abs((alt - prim) - want).max() < 1e-15
 
@@ -436,6 +529,79 @@ def test_folded_domain_map_rejected():
         LaplaceContext(jet, grid)
 
 
+def _band_limited(basis, seed, amplitude, low):
+    """Seeded SphereFunction with content on degrees low..6 only."""
+    rng = np.random.default_rng(seed)
+    band = (basis.degrees >= low) & (basis.degrees <= 6)
+    c = np.where(band, rng.standard_normal(basis.n_modes), 0.0)
+    return SphereFunction(basis, amplitude * c / (1.0 + basis.degrees))
+
+
+def _contraction_jets():
+    jets = {}
+    for N in (2, 3):
+        basis = get_grid(N).basis
+        state = PerturbationState(0.01, _band_limited(basis, 50 + N, 0.02, 2))
+        man = ConstantCurvature(N, 1.0)
+        for fid in ("truncated", "exact"):
+            jets["round%d-%s" % (N, fid)] = MetricJet(
+                man, man.origin(), 0.2, state, fidelity=fid
+            )
+    basis = get_grid(2).basis
+    state = PerturbationState(-0.01, _band_limited(basis, 54, 0.02, 2))
+    jets["conformal-off-max"] = MetricJet(
+        ConformalSphere2D(), np.array([0.3, -0.2]), 0.2, state
+    )
+    jets["star-map-degree1"] = _StarMapJet(1.0, _band_limited(basis, 55, 0.02, 1))
+    jets["rotation"] = _RotationJet(0.3)
+    return jets
+
+
+CONTRACTION_JETS = _contraction_jets()
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACTION_JETS))
+def test_contraction_matches_assembled_hessian(case):
+    """The Hessian-free correction against (g^-1 - I) : Hess u + b . grad u
+    with grad u and Hess u assembled pointwise, on seeded random fields;
+    the bound is relative to the size of the summed terms, since the
+    rotation's g^-1 - I is itself roundoff."""
+    jet = CONTRACTION_JETS[case]
+    grid = get_grid(jet.dim)
+    ctx = LaplaceContext(jet, grid)
+    ginv, drift, _ = jet.laplace_coefficients(grid.basis.nodes, grid.r)
+    A = ginv - np.eye(grid.dim)
+    rng = np.random.default_rng(41)
+    for _ in range(3):
+        u = random_field(grid, rng)
+        _, du, d2u = assemble_derivatives(u)
+        want = (np.einsum("pij,pij->p", A, d2u)
+                + np.einsum("pj,pj->p", drift, du))
+        _, du, d2u = assemble_derivatives(u, magnitude=True)
+        scale = (np.einsum("pij,pij->p", np.abs(A), d2u)
+                 + np.einsum("pj,pj->p", np.abs(drift), du))
+        got = ctx.correction_values(u)
+        assert got.shape == (grid.n_r, grid.n_ang)
+        assert np.abs(got.reshape(-1) - want).max() < 1e-13 * scale.max()
+
+
+def test_one_derivatives_call_per_contraction(monkeypatch):
+    """A solve takes one BallField.derivatives call per Picard step and
+    one for its final residual, so a count of those calls counts steps."""
+    calls = []
+    derivatives = BallField.derivatives
+
+    def counted(self):
+        calls.append(self)
+        return derivatives(self)
+
+    monkeypatch.setattr(BallField, "derivatives", counted)
+    jet = CONTRACTION_JETS["round3-truncated"]
+    _, info = dirichlet_solve_full(jet, get_grid(3))
+    assert info["iterations"] > 1
+    assert len(calls) == info["iterations"] + 1
+
+
 def test_divergence_form_consistency():
     """Integration by parts for the metric Laplacian, both fidelities."""
     grid = get_grid(2, 16)
@@ -444,15 +610,16 @@ def test_divergence_form_consistency():
     for fid in ("truncated", "exact"):
         jet = MetricJet(man, man.origin(), 0.15, fidelity=fid)
         ctx = LaplaceContext(jet, grid)
+        ginv, _, _ = jet.laplace_coefficients(grid.basis.nodes, grid.r)
         u = poisson_solve(random_field(grid, rng), None)
         w = poisson_solve(random_field(grid, rng), None)
-        _, du, _ = u.derivatives()
-        _, dw, _ = w.derivatives()
+        _, du, _ = assemble_derivatives(u)
+        _, dw, _ = assemble_derivatives(w)
         shape = (grid.n_r, grid.n_ang)
         lap_u = ctx.apply_values(u)
         dvol = ctx.sqrt_det
         lhs = grid.volume_integral(lap_u * w.values() * dvol)
-        energy = np.einsum("pij,pi,pj->p", ctx.ginv, du, dw).reshape(shape)
+        energy = np.einsum("pij,pi,pj->p", ginv, du, dw).reshape(shape)
         rhs = -grid.volume_integral(energy * dvol)
         assert abs(lhs - rhs) < 1e-9
 

@@ -139,6 +139,21 @@ def test_derivative_tables_match_differences(N):
 
 
 @pytest.mark.parametrize("N,max_degree", [(2, 16), (3, 10)])
+def test_node_tables_match_point_tables(N, max_degree):
+    # the cached node tables are the point tables at the nodes, bit for
+    # bit: the gradient components ahead of the nodes, and the Hessians'
+    # upper triangles only
+    basis = get_basis(N, max_degree)
+    i, j = np.triu_indices(N)
+    grads = basis.eval_grad_matrix(basis.nodes)
+    hess = basis.eval_hess_matrix(basis.nodes)
+    assert np.array_equal(basis.node_grads(), grads.transpose(0, 2, 1))
+    packed = basis.node_hessians()
+    assert packed.shape == (basis.n_modes, N * (N + 1) // 2, len(basis.nodes))
+    assert np.array_equal(packed, hess[:, :, i, j].transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("N,max_degree", [(2, 16), (3, 10)])
 def test_solid_jet_matches_tables(N, max_degree):
     # on the product set (dirs, radii), including the origin, against the
     # point tables; the coefficients carry degree-0 and degree-1 content
