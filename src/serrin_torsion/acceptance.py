@@ -356,7 +356,8 @@ class AcceptanceRun:
         return _rec(7, passed, details, t0)
 
     def check_shape_derivative(self):
-        """Hadamard boundary integral vs central finite differences."""
+        """Hadamard boundary integral vs central finite differences, and
+        the tangential twist against its closed-form energy."""
         t0 = time.time()
         rng = self._rng(8)
         rows = []
@@ -378,11 +379,13 @@ class AcceptanceRun:
         passed = all(r["rel_error"] < 1e-6 for r in rows) and (
             abs(tang["analytic"]) < 1e-10
             and abs(tang["finite_difference"]) < 1e-10
+            and tang["closed_form_gap"] < 1e-10
         )
         details = {
             "speeds": rows,
             "tangential_analytic": tang["analytic"],
             "tangential_finite_difference": tang["finite_difference"],
+            "tangential_closed_form_gap": tang["closed_form_gap"],
         }
         return _rec(8, passed, details, t0)
 

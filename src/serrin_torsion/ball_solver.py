@@ -288,13 +288,6 @@ class BallField:
 
     __rmul__ = __mul__
 
-    def integral(self, weight=None):
-        """Integral over the ball; optional pointwise weight (n_r, n_ang)."""
-        vals = self.values()
-        if weight is not None:
-            vals = vals * weight
-        return self.grid.volume_integral(vals)
-
     def tail_fraction(self):
         """Relative size of the last radial coefficient per mode (resolution)."""
         scale = np.abs(self.coeffs).max()

@@ -18,11 +18,11 @@ Geodesic normal coordinates y around a point then expand the metric as
 and rescaling y = eps * x puts factors eps^2/3 and eps^3/6 on the curvature
 terms over the unit ball.
 
-Model manifolds expose a small uniform surface: curvature packets, exp/log
-in a fixed orthonormal frame, and (where a closed form exists) the exact
-normal-coordinate metric. MetricJet combines a manifold, a center, a radius
-and a boundary perturbation into the pointwise metric callbacks the ball
-solver consumes.
+Model manifolds expose a small uniform surface: curvature packets, and
+exp, log and distance in a fixed orthonormal frame. MetricJet combines a
+manifold, a center, a radius and a boundary perturbation into the
+pointwise metric callbacks the ball solver consumes; its one chart is the
+cubic model above, built from the center's curvature packet.
 """
 
 import math
@@ -65,85 +65,16 @@ class CurvaturePacket:
     nabla_riemann: np.ndarray  # (N, N, N, N, N), derivative slot last
 
 
-# -- closed-form constant-curvature profile ----------------------------------
-
-
-def _radial_profile(w):
-    """G(w) with g_ab(y) = d_ab + k G(k|y|^2) (|y|^2 d_ab - y_a y_b) for the
-    space of constant sectional curvature k, where w = k |y|^2.
-
-    G(w) = (sin^2(sqrt w)/w - 1)/w for w > 0, the analytic continuation
-    (sinh for w < 0), with the Taylor series used near zero. Returns
-    (G, G') elementwise.
-    """
-    w = np.asarray(w, dtype=float)
-    G = np.empty_like(w)
-    Gp = np.empty_like(w)
-    # the closed form cancels catastrophically near w = 0; below the switch
-    # the tail of the series is under 1e-16 while the closed form is clean
-    # above it
-    small = np.abs(w) < 0.25
-    ws = w[small]
-    series = [
-        -1.0 / 3.0,
-        2.0 / 45.0,
-        -1.0 / 315.0,
-        2.0 / 14175.0,
-        -2.0 / 467775.0,
-        4.0 / 42567525.0,
-        -1.0 / 638512875.0,
-        2.0 / 97692469875.0,
-    ]
-    G[small] = sum(a * ws**j for j, a in enumerate(series))
-    Gp[small] = sum(j * a * ws ** (j - 1) for j, a in enumerate(series) if j > 0)
-    wl = w[~small]
-    s = np.sqrt(np.abs(wl))
-    ss = np.where(wl > 0, np.sin(s), np.sinh(s))
-    cc = np.where(wl > 0, np.cos(s), np.cosh(s))
-    # sin^2(sqrt w) with sign folded: sin^2 -> -sinh^2 for w < 0
-    sq = np.where(wl > 0, ss**2, -(ss**2))
-    F = sq / wl - 1.0
-    # F'(w) = (s * sin(2s)/2 - sin^2) / w^2, hyperbolic analogue for w < 0
-    num = np.where(wl > 0, s * ss * cc - ss**2, -(s * ss * cc) + ss**2)
-    Fp = num / wl**2
-    G[~small] = F / wl
-    Gp[~small] = (Fp * wl - F) / wl**2
-    return G, Gp
-
-
-def constant_curvature_chart(k, Y):
-    """Exact normal-coordinate metric and gradient for constant curvature k.
-
-    Y has shape (n, N) in true (unscaled) normal coordinates. Returns
-    (g (n,N,N), dg (n,N,N,N)) with dg[p,c,a,b] = d_c g_ab.
-    """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    n, N = Y.shape
-    u = np.einsum("pa,pa->p", Y, Y)
-    w = k * u
-    G, Gp = _radial_profile(w)
-    d = np.eye(N)
-    M = u[:, None, None] * d[None] - Y[:, :, None] * Y[:, None, :]
-    g = d[None] + k * G[:, None, None] * M
-    # dM[p,c,a,b] = 2 y_c d_ab - d_ca y_b - d_cb y_a
-    dM = (
-        2.0 * Y[:, :, None, None] * d[None, None]
-        - np.einsum("ca,pb->pcab", d, Y)
-        - np.einsum("cb,pa->pcab", d, Y)
-    )
-    dg = k * (
-        2.0 * k * Gp[:, None, None, None] * Y[:, :, None, None] * M[:, None]
-        + G[:, None, None, None] * dM
-    )
-    return g, dg
+# -- the cubic chart ----------------------------------------------------------
 
 
 def truncated_chart(packet, Y):
     """Cubic normal-coordinate metric model built from a curvature packet.
 
-    Same signature as constant_curvature_chart; Y in true normal coordinates.
-    Every term is a matrix product of the point tensors Y, Y(x)Y (P, N^2)
-    and Y(x)Y(x)Y (P, N^3) with the curvature tensors reshaped to match.
+    Y has shape (P, N) in true (unscaled) normal coordinates. Returns
+    (g (P,N,N), dg (P,N,N,N)) with dg[p,c,a,b] = d_c g_ab. Every term is a
+    matrix product of the point tensors Y, Y(x)Y (P, N^2) and Y(x)Y(x)Y
+    (P, N^3) with the curvature tensors reshaped to match.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     P, N = Y.shape
@@ -181,7 +112,6 @@ class ModelManifold:
     """
 
     dim = None
-    has_exact_chart = False
 
     def origin(self):
         raise NotImplementedError
@@ -205,10 +135,6 @@ class ModelManifold:
         v = self.log(p, np.atleast_2d(self._point_array(q)))
         return float(np.linalg.norm(v[0]))
 
-    def chart_metric(self, p, Y):
-        """Exact normal-coordinate metric at p; only with has_exact_chart."""
-        raise NotImplementedError("no closed-form chart for this geometry")
-
     @staticmethod
     def _point_array(p):
         return np.asarray(p, dtype=float)
@@ -216,8 +142,6 @@ class ModelManifold:
 
 class FlatSpace(ModelManifold):
     """Euclidean R^N; every curvature quantity vanishes."""
-
-    has_exact_chart = True
 
     def __init__(self, dim):
         self.dim = dim
@@ -242,11 +166,6 @@ class FlatSpace(ModelManifold):
     def log(self, p, Q):
         return np.atleast_2d(Q) - np.atleast_2d(p)
 
-    def chart_metric(self, p, Y):
-        Y = np.atleast_2d(Y)
-        n, N = Y.shape
-        return np.broadcast_to(np.eye(N), (n, N, N)).copy(), np.zeros((n, N, N, N))
-
 
 class ConstantCurvature(ModelManifold):
     """Round sphere of constant sectional curvature k > 0.
@@ -255,8 +174,6 @@ class ConstantCurvature(ModelManifold):
     frame at p comes from Gram-Schmidt of the ambient coordinate basis
     projected to the tangent space, taken in a deterministic order.
     """
-
-    has_exact_chart = True
 
     def __init__(self, dim, k=1.0):
         if k <= 0:
@@ -330,9 +247,6 @@ class ConstantCurvature(ModelManifold):
         E = self.frame(p)
         return amb @ E.T
 
-    def chart_metric(self, p, Y):
-        return constant_curvature_chart(self.k, Y)
-
 
 class ConformalSphere2D(ModelManifold):
     """Two-sphere with a conformally perturbed round metric.
@@ -347,7 +261,6 @@ class ConformalSphere2D(ModelManifold):
     """
 
     dim = 2
-    has_exact_chart = False
     # the Gaussian bumps (A, c, sigma)
     BUMPS = (
         (0.12, np.array([0.4, 0.0]), 0.7),
@@ -585,27 +498,17 @@ class MetricJet:
     directions of the product set {r theta}, flattened radius-major like
     BallGrid.points (see SphereBasis.solid_jet).
 
-    fidelity "truncated" uses the cubic curvature model of the metric (any
-    manifold); "exact" uses the closed-form normal-coordinate metric and is
-    available when the manifold has one.
+    The normal-coordinate metric is the cubic model of truncated_chart,
+    built from the curvature packet at p, on every manifold.
     """
 
-    def __init__(self, manifold, p, eps, state=None, fidelity="truncated"):
+    def __init__(self, manifold, p, eps, state=None):
         self.manifold = manifold
         self.p = p
         self.eps = float(eps)
         self.state = state
-        self.fidelity = fidelity
         self.packet = manifold.packet(p)
         self.dim = manifold.dim
-        if fidelity == "exact":
-            if not manifold.has_exact_chart:
-                raise ValueError("manifold has no exact chart")
-            self._chart = lambda Y: manifold.chart_metric(p, Y)
-        elif fidelity == "truncated":
-            self._chart = lambda Y: truncated_chart(self.packet, Y)
-        else:
-            raise ValueError("unknown fidelity %r" % fidelity)
         # the boundary displacement that rho extends: v0 + vbar, or zero
         if state is not None:
             self._profile = state.domain_profile()
@@ -620,6 +523,11 @@ class MetricJet:
         prof = self._profile
         w, dw, d2w = prof.basis.solid_jet(prof.coeffs, pts, radii)
         return 1.0 + w, dw, d2w
+
+    def _chart(self, Y):
+        """(gbar, dgbar) of the normal-coordinate metric at true normal
+        coordinates Y (P, N)."""
+        return truncated_chart(self.packet, Y)
 
     # -- metric callbacks ------------------------------------------------------
 

@@ -10,7 +10,7 @@ a punctured neighborhood.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "FoliationChart",
@@ -61,14 +61,14 @@ def recentering_solve(manifold, t, curve, profile, residual_tol=1e-12):
     return w
 
 
-def reparametrize(w, t, basis):
-    """Radial graph omega(t, y) of a leaf given by tangent vectors w.
+def reparametrize(w, basis):
+    """Radial graph omega(y) of a leaf given by tangent vectors w.
 
     Projects each component of w onto the sphere basis, forms the
     direction map alpha(x) = w(x)/|w(x)|, inverts it at every quadrature
     node by fixed-point iteration to INVERSE_TOL (alpha is a small
-    perturbation of the identity), and returns (omega values at the nodes,
-    alpha node values).
+    perturbation of the identity), and returns the omega values at the
+    nodes.
     """
     w = np.asarray(w, dtype=float)
     norms = np.linalg.norm(w, axis=1)
@@ -79,7 +79,6 @@ def reparametrize(w, t, basis):
     def w_at(x):
         return np.stack([c.evaluate(x) for c in comps], axis=1)
 
-    alpha_nodes = w / norms[:, None]
     y = basis.nodes
     x = np.array(y)
     for _ in range(INVERSE_MAX_ITER):
@@ -94,8 +93,7 @@ def reparametrize(w, t, basis):
         raise FoliationError(
             "direction map not invertible on the grid (last gap %.3g)" % gap
         )
-    omega = np.linalg.norm(w_at(x), axis=1)
-    return omega, alpha_nodes
+    return np.linalg.norm(w_at(x), axis=1)
 
 
 @dataclass
@@ -105,10 +103,6 @@ class FoliationChart:
     base: np.ndarray
     t_grid: np.ndarray
     omega: np.ndarray  # (n_t, n_nodes)
-    centers: np.ndarray  # (n_t, point_dim)
-    profiles: list
-    alpha: list = field(repr=False, default=None)
-    basis: object = field(repr=False, default=None)
 
     def leaf_table(self):
         """Rows (t, node index, omega) for export."""
@@ -126,25 +120,15 @@ def build_foliation_chart(manifold, t_grid, curve, profile, residual_tol=1e-12):
         raise ValueError("need a one-dimensional t-grid")
     if np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t-grid must be positive and strictly increasing")
-    omegas, alphas, centers, profiles = [], [], [], []
-    basis = None
+    omegas = []
     for t in t_grid:
-        v = profile(float(t))
-        basis = v.basis
+        basis = profile(float(t)).basis
         w = recentering_solve(manifold, float(t), curve, profile, residual_tol)
-        om, al = reparametrize(w, float(t), basis)
-        omegas.append(om)
-        alphas.append(al)
-        centers.append(np.asarray(curve(float(t)), dtype=float))
-        profiles.append(v)
+        omegas.append(reparametrize(w, basis))
     return FoliationChart(
         base=np.asarray(curve(0.0), dtype=float),
         t_grid=t_grid,
         omega=np.asarray(omegas),
-        centers=np.asarray(centers),
-        profiles=profiles,
-        alpha=alphas,
-        basis=basis,
     )
 
 

@@ -37,10 +37,12 @@ class SearchError(RuntimeError):
     """Critical-point search failed to converge inside the chart."""
 
 
-# find_critical: Newton steps on the kernel component, and the step of the
-# central differences of grad S that give the model Jacobian.
+# find_critical: Newton steps on the kernel component, the step of the
+# central differences of grad S that give the model Jacobian, and the
+# largest distance an iterate may move from the start point.
 MAX_POLISH = 12
 HESSIAN_STEP = 1e-4
+CHART_RADIUS = 1.5
 
 
 def constants(N):
@@ -154,7 +156,6 @@ def find_critical(
     seed=0,
     jitter=0.01,
     tol=1e-9,
-    chart_radius=1.5,
 ):
     """Locate a center whose solution has no translation-kernel component.
 
@@ -168,7 +169,7 @@ def find_critical(
     coefficients, so embedded and chart-based point representations are
     handled alike. There is no derivative-free re-seed: a singular model
     Jacobian (Hess S = 0, as on constant curvature), a step longer than
-    0.5, an iterate farther than chart_radius from p_init, or MAX_POLISH
+    0.5, an iterate farther than CHART_RADIUS from p_init, or MAX_POLISH
     steps without reaching tol raise SearchError, and an EnvelopeError of a
     solve propagates. Returns (point, solution, info).
     """
@@ -208,7 +209,7 @@ def find_critical(
         if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 0.5:
             raise SearchError("kernel-component Newton step diverged")
         p = move(p, -step)
-        if manifold.distance(p_init, p) > chart_radius:
+        if manifold.distance(p_init, p) > CHART_RADIUS:
             raise SearchError("search left the chart")
         # warm-started from the previous iterate's perturbation
         sol = problem.solve(p, eps, v_init=sol.v_function())
@@ -227,9 +228,9 @@ def find_critical(
 # -- shape-derivative checks --------------------------------------------------
 
 # Parameter step of the finite-difference side of both checks, and the
-# angular rate of the rigid rotation of the tangential check.
+# twist parameter at which the tangential check meets its closed form.
 SHAPE_STEP = 1e-4
-ROTATION_RATE = 0.7
+TWIST = 0.1
 
 
 class _StarMapJet(MetricJet):
@@ -242,7 +243,7 @@ class _StarMapJet(MetricJet):
     """
 
     def __init__(self, s, speed):
-        super().__init__(FlatSpace(2), np.zeros(2), 0.0, fidelity="exact")
+        super().__init__(FlatSpace(2), np.zeros(2), 0.0)
         # the displacement that rho extends, here with its degree-1 part
         self._profile = speed * s
 
@@ -291,43 +292,59 @@ def shape_derivative_check(speed):
     }
 
 
-class _RotationJet:
-    """Pullback through a rigid rotation: an exact isometry of the disk."""
+class _TwistJet:
+    """Pullback of the flat metric through the twist F_s(x) = x + s|x|^2 (-y, x).
 
-    def __init__(self, angle):
+    F_s maps the unit disk onto the disk of radius sqrt(1 + s^2), moving its
+    boundary with the rotation field (-y, x) per unit s, while the
+    pulled-back metric g = DF^T DF differs from the identity at O(s). The
+    Laplacian is the flat one carried through F_s:
+    g^-1 = DF^-1 DF^-T, b = -DF^-1 tr(g^-1 d2F) and sqrt det g = det DF.
+    """
+
+    def __init__(self, s):
         self.dim = 2
-        c, s = np.cos(angle), np.sin(angle)
-        R = np.array([[c, -s], [s, c]])
-        self._g = R.T @ R
-        self._ginv = np.linalg.inv(self._g)
-        self._sqrt_det = np.prod(np.diag(np.linalg.cholesky(self._g)))
-
-    def metric_and_grad(self, pts, radii=None):
-        n = len(product_points(pts, radii))
-        g = np.broadcast_to(self._g, (n, 2, 2)).copy()
-        return g, np.zeros((n, 2, 2, 2))
+        self.s = float(s)
 
     def laplace_coefficients(self, pts, radii=None):
-        n = len(product_points(pts, radii))
-        ginv = np.broadcast_to(self._ginv, (n, 2, 2)).copy()
-        return ginv, np.zeros((n, 2)), np.full(n, self._sqrt_det)
+        x = product_points(pts, radii)
+        R = np.array([[0.0, -1.0], [1.0, 0.0]])  # the quarter turn
+        q = np.einsum("pi,pi->p", x, x)
+        # DF = I + s (2 (R x) x^T + |x|^2 R)
+        DF = np.eye(2) + self.s * (
+            2.0 * (x @ R.T)[:, :, None] * x[:, None, :] + q[:, None, None] * R
+        )
+        inv = np.linalg.inv(DF)
+        ginv = np.einsum("pik,pjk->pij", inv, inv)
+        # d_j d_k F = 2 s (d_jk R x + x_j R e_k + x_k R e_j), so
+        # tr(g^-1 d2F) = 2 s R (tr(g^-1) x + 2 g^-1 x)
+        m = np.einsum("pii->p", ginv)[:, None] * x
+        m += 2.0 * np.einsum("pij,pj->pi", ginv, x)
+        drift = (-2.0 * self.s) * np.einsum("pij,pj->pi", inv, m @ R.T)
+        return ginv, drift, np.linalg.det(DF)
 
 
 def tangential_derivative_check():
-    """Purely tangential deformation: both sides of the check vanish.
+    """Purely tangential deformation: both sides of the check vanish, and
+    the energy meets its closed form.
 
-    The deformation field ROTATION_RATE * (-y, x) is tangent to every
-    circle, so its normal component is identically zero and the flow is a
-    rotation. The analytic boundary integral picks up exact zeros; the
-    finite-difference side differentiates a constant energy. Solves run on
-    get_grid(2, 16).
+    The twist F_s moves the boundary with the rotation field (-y, x), whose
+    normal component is identically zero, so the analytic boundary
+    integral picks up exact zeros; it takes the trace of the unit disk from
+    the flat MetricJet, since F_0 is the identity. The energy is even in s
+    (a reflection conjugates F_s to F_-s), so the finite-difference side
+    vanishes too. Since F_s maps onto the disk of radius sqrt(1 + s^2),
+    J(s) = J0 (1 + s^2)^-2 exactly; the record carries the relative gap
+    at s = TWIST, which a wrong drift or volume element opens. Solves run
+    on get_grid(2, 16).
     """
     grid = get_grid(2, 16)
     basis = grid.basis
     nodes = basis.nodes
-    xi = ROTATION_RATE * np.stack([-nodes[:, 1], nodes[:, 0]], axis=1)
-    normal_speed = np.einsum("pi,pi->p", xi, nodes)
-    base = _RotationJet(0.0)
+    normal_speed = np.einsum(
+        "pi,pi->p", np.stack([-nodes[:, 1], nodes[:, 0]], axis=1), nodes
+    )
+    base = MetricJet(FlatSpace(2), np.zeros(2), 0.0)
     phi0, info0 = dirichlet_solve_full(base, grid)
     J0 = 1.0 / info0["torsion"]
     trace, _ = neumann_trace(base, phi0)
@@ -336,8 +353,15 @@ def tangential_derivative_check():
     )
 
     def J_at(s):
-        _, info = dirichlet_solve_full(_RotationJet(s * ROTATION_RATE), grid)
+        _, info = dirichlet_solve_full(_TwistJet(s), grid)
         return 1.0 / info["torsion"]
 
     fd = (J_at(SHAPE_STEP) - J_at(-SHAPE_STEP)) / (2.0 * SHAPE_STEP)
-    return {"analytic": analytic, "finite_difference": fd, "J0": J0}
+    J_twist = J_at(TWIST)
+    gap = abs(J_twist - J0 / (1.0 + TWIST**2) ** 2) / J_twist
+    return {
+        "analytic": analytic,
+        "finite_difference": fd,
+        "closed_form_gap": gap,
+        "J0": J0,
+    }

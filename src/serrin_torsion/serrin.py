@@ -78,19 +78,6 @@ class SerrinSolution:
     def v_norm(self):
         return self.v_function().sobolev_norm()
 
-    def to_record(self):
-        """Flat summary dict for sweep tables and JSON output."""
-        a = self.state.a
-        return {
-            "eps": self.eps,
-            "v0": self.state.v0,
-            "v_sobolev": self.v_norm(),
-            "a": [float(x) for x in a],
-            "a_norm": float(np.linalg.norm(a)),
-            "residual_inf": self.residual_overdetermined.norm_inf(),
-            "steps": len(self.iterations),
-        }
-
 
 class SerrinProblem:
     """The solver context: a manifold and the resolution of the ball grid.

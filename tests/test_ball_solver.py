@@ -27,13 +27,21 @@ from serrin_torsion.curvature import (
     FlatSpace,
     MetricJet,
 )
-from serrin_torsion.reduced import _RotationJet, _StarMapJet
+from serrin_torsion.fitting import fit_even_series
+from serrin_torsion.reduced import _StarMapJet, _TwistJet
 from serrin_torsion.serrin import SerrinProblem
 from serrin_torsion.sphere_spectral import (
     PerturbationState,
     SphereFunction,
     ball_volume,
     product_points,
+)
+
+from exact_chart import (
+    ExactJet,
+    geodesic_ball_torsion,
+    geodesic_ball_volume,
+    geodesic_sphere_area,
 )
 
 
@@ -110,7 +118,7 @@ def test_torsion_function_of_the_ball(grid):
     exact = ((1.0 - grid.r**2) / (2.0 * N))[:, None] * np.ones(grid.n_ang)
     assert np.abs(phi.values() - exact).max() < 1e-13
     # the classical volume integral of the torsion function
-    total = phi.integral()
+    total = grid.volume_integral(phi.values())
     assert_allclose(total, ball_volume(N) / (N * (N + 2.0)), rtol=1e-12)
 
 
@@ -429,14 +437,83 @@ def test_cross_fidelity_trace_agreement():
     eps_list = (0.1, 0.15, 0.2)
     for eps in eps_list:
         traces = []
-        for fid in ("truncated", "exact"):
-            jet = MetricJet(man, man.origin(), eps, fidelity=fid)
+        for cls in (MetricJet, ExactJet):
+            jet = cls(man, man.origin(), eps)
             phi, _ = dirichlet_solve_full(jet, grid)
             traces.append(neumann_trace(jet, phi)[0])
         gaps.append((traces[0] - traces[1]).norm_inf())
     slope = np.polyfit(np.log(eps_list), np.log(gaps), 1)[0]
     assert gaps[-1] < 3e-5
     assert slope > 3.5
+
+
+# -- exact space-form oracle ----------------------------------------------------
+
+# On the unit round sphere the geodesic ball B_eps is radial: with A the area
+# of its boundary sphere and V its volume, the torsion function has
+# u' = -V / A, so T = int_0^eps V^2 / A and the Neumann trace is -V / A. The
+# solver works at unit-ball scale (lengths over eps), where these read
+# T / eps^(N+2), V / eps^N, -V / (eps A) and A / eps^(N-1).
+SPACE_FORM_EPS = (0.05, 0.1, 0.2, 0.3)
+
+
+def _space_form_gaps(jet_cls, N, eps):
+    """Relative gaps of one geodesic-ball solve on the unit round S^N against
+    the radial closed forms of torsion, volume, trace and area."""
+    man = ConstantCurvature(N, 1.0)
+    jet = jet_cls(man, man.origin(), eps)
+    phi, info = dirichlet_solve_full(jet, get_grid(N))
+    trace, area = neumann_trace(jet, phi)
+    A = geodesic_sphere_area(N, eps)
+    V = geodesic_ball_volume(N, eps)
+    T = geodesic_ball_torsion(N, eps)
+    return {
+        "torsion": abs(info["torsion"] * eps ** (N + 2) / T - 1.0),
+        "volume": abs(info["volume"] * eps**N / V - 1.0),
+        "trace": np.abs(trace.node_values() * (-eps * A / V) - 1.0).max(),
+        "area": abs(area * eps ** (N - 1) / A - 1.0),
+    }
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_exact_chart_reproduces_space_form_ball(N):
+    """On the exact chart the solve meets the closed forms at roundoff;
+    the worst gaps over eps 0.05-0.3 measured 2.3e-14 (torsion), 7.8e-16
+    (volume), 1.7e-13 (trace) and 4.4e-16 (area)."""
+    bounds = {"torsion": 1e-12, "volume": 1e-14, "trace": 2e-12, "area": 1e-14}
+    for eps in SPACE_FORM_EPS:
+        gaps = _space_form_gaps(ExactJet, N, eps)
+        for key, bound in bounds.items():
+            assert gaps[key] < bound, (eps, key, gaps[key])
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_cubic_chart_meets_space_form_ball_at_fourth_order(N):
+    """The cubic model drops the metric's eps^4 term, so its torsion misses
+    the closed form at O(eps^4): measured 3.7e-7 (N=2) and 3.6e-7 (N=3) at
+    eps 0.1, growing 16.2 and 16.1 times to eps 0.2."""
+    gaps = [
+        _space_form_gaps(MetricJet, N, eps)["torsion"] for eps in (0.1, 0.2)
+    ]
+    assert gaps[0] < 5e-7
+    assert 12.0 < gaps[1] / gaps[0] < 20.0
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_space_form_torsion_eps2_coefficient(N):
+    """T(B_eps) / T_flat = 1 - (N-2) S eps^2 / (6 N (N+4)) + O(eps^4) on the
+    unit round S^N, S = N (N-1), from the radial quadrature alone: the
+    coefficient belongs to the geometry, not to the cubic model. At N=2,
+    where it vanishes, the eps^4 term is 1/480. The fit over eps 0.05-0.3
+    measured within 9.5e-13 (eps^2) and 1.7e-11 (eps^4) of both."""
+    eps = np.linspace(0.05, 0.3, 11)
+    T_flat = ball_volume(N) * eps ** (N + 2) / (N * (N + 2.0))
+    ratio = geodesic_ball_torsion(N, eps) / T_flat
+    fit = fit_even_series(eps, ratio - 1.0, orders=(2, 4, 6, 8, 10))
+    S = N * (N - 1)
+    assert abs(fit[2] + (N - 2) * S / (6.0 * N * (N + 4))) < 1e-11
+    if N == 2:
+        assert abs(fit[4] - 1.0 / 480.0) < 1e-9
 
 
 class _RadialWeightJet(MetricJet):
@@ -543,17 +620,15 @@ def _contraction_jets():
         basis = get_grid(N).basis
         state = PerturbationState(0.01, _band_limited(basis, 50 + N, 0.02, 2))
         man = ConstantCurvature(N, 1.0)
-        for fid in ("truncated", "exact"):
-            jets["round%d-%s" % (N, fid)] = MetricJet(
-                man, man.origin(), 0.2, state, fidelity=fid
-            )
+        for fid, cls in (("truncated", MetricJet), ("exact", ExactJet)):
+            jets["round%d-%s" % (N, fid)] = cls(man, man.origin(), 0.2, state)
     basis = get_grid(2).basis
     state = PerturbationState(-0.01, _band_limited(basis, 54, 0.02, 2))
     jets["conformal-off-max"] = MetricJet(
         ConformalSphere2D(), np.array([0.3, -0.2]), 0.2, state
     )
     jets["star-map-degree1"] = _StarMapJet(1.0, _band_limited(basis, 55, 0.02, 1))
-    jets["rotation"] = _RotationJet(0.3)
+    jets["twist"] = _TwistJet(0.3)
     return jets
 
 
@@ -564,8 +639,8 @@ CONTRACTION_JETS = _contraction_jets()
 def test_contraction_matches_assembled_hessian(case):
     """The Hessian-free correction against (g^-1 - I) : Hess u + b . grad u
     with grad u and Hess u assembled pointwise, on seeded random fields;
-    the bound is relative to the size of the summed terms, since the
-    rotation's g^-1 - I is itself roundoff."""
+    the bound is relative to the size of the summed terms, which cancel
+    where g^-1 - I is small."""
     jet = CONTRACTION_JETS[case]
     grid = get_grid(jet.dim)
     ctx = LaplaceContext(jet, grid)
@@ -603,12 +678,13 @@ def test_one_derivatives_call_per_contraction(monkeypatch):
 
 
 def test_divergence_form_consistency():
-    """Integration by parts for the metric Laplacian, both fidelities."""
+    """Integration by parts for the metric Laplacian, on the cubic and the
+    exact chart."""
     grid = get_grid(2, 16)
     man = ConstantCurvature(2, 1.0)
     rng = np.random.default_rng(11)
-    for fid in ("truncated", "exact"):
-        jet = MetricJet(man, man.origin(), 0.15, fidelity=fid)
+    for cls in (MetricJet, ExactJet):
+        jet = cls(man, man.origin(), 0.15)
         ctx = LaplaceContext(jet, grid)
         ginv, _, _ = jet.laplace_coefficients(grid.basis.nodes, grid.r)
         u = poisson_solve(random_field(grid, rng), None)

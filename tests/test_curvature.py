@@ -3,7 +3,8 @@
 The chart measurement (packet_from_chart and its finite-difference and
 least-squares helpers) is a test-only oracle for the curvature sign
 conventions: it recovers a packet from a normal-coordinate metric callback
-independently of truncated_chart's expansion.
+independently of truncated_chart's expansion. The exact space-form charts
+it is measured against live in exact_chart, beside the jet that uses them.
 """
 
 import itertools
@@ -19,12 +20,12 @@ from serrin_torsion.curvature import (
     CurvaturePacket,
     FlatSpace,
     MetricJet,
-    _radial_profile,
-    constant_curvature_chart,
     truncated_chart,
 )
 from serrin_torsion.reduced import _StarMapJet
 from serrin_torsion.sphere_spectral import PerturbationState, SphereFunction, get_basis
+
+from exact_chart import ExactJet, _radial_profile, constant_curvature_chart
 
 
 # -- independent construction of valid random curvature tensors ---------------
@@ -353,8 +354,7 @@ def packet_from_chart(chart, N, h=0.04, exact=True):
 
 
 def test_flat_chart_measures_zero():
-    man = FlatSpace(3)
-    packet = packet_from_chart(lambda Y: man.chart_metric(None, Y)[0], 3)
+    packet = packet_from_chart(lambda Y: constant_curvature_chart(0.0, Y)[0], 3)
     assert np.abs(packet.riemann).max() < 1e-11
     assert np.abs(packet.nabla_riemann).max() < 1e-9
     assert abs(packet.scalar) < 1e-11
@@ -562,8 +562,8 @@ def test_pullback_cross_fidelity():
     gaps = []
     for eps in (0.1, 0.2):
         gt, ge = (
-            MetricJet(man, man.origin(), eps, fidelity=f).metric_and_grad(x)[0]
-            for f in ("truncated", "exact")
+            cls(man, man.origin(), eps).metric_and_grad(x)[0]
+            for cls in (MetricJet, ExactJet)
         )
         gaps.append(np.abs(gt - ge).max())
     assert gaps[0] < 5e-7
@@ -677,10 +677,8 @@ def _coefficient_jets():
         basis = get_grid(N).basis
         state = PerturbationState(0.01, _band_limited(basis, 20 + N, 0.02, 2))
         man = ConstantCurvature(N, 1.0)
-        for fid in ("truncated", "exact"):
-            jets["round%d-%s" % (N, fid)] = MetricJet(
-                man, man.origin(), 0.2, state, fidelity=fid
-            )
+        for fid, cls in (("truncated", MetricJet), ("exact", ExactJet)):
+            jets["round%d-%s" % (N, fid)] = cls(man, man.origin(), 0.2, state)
     basis = get_grid(2).basis
     state = PerturbationState(-0.01, _band_limited(basis, 24, 0.02, 2))
     jets["conformal-off-max"] = MetricJet(
@@ -732,8 +730,8 @@ def test_laplacian_harmonic_and_constant():
     const = poisson_solve(
         None, SphereFunction.constant(basis, 2.5), grid=grid
     )
-    for fid in ("truncated", "exact"):
-        jet = MetricJet(man, man.origin(), 0.15, fidelity=fid)
+    for cls in (MetricJet, ExactJet):
+        jet = cls(man, man.origin(), 0.15)
         vals = LaplaceContext(jet, grid).apply_values(const)
         assert np.abs(vals).max() < 1e-9
 
@@ -745,8 +743,8 @@ def test_laplacian_cross_fidelity():
     gaps = []
     for eps in (0.1, 0.2):
         out = []
-        for fid in ("truncated", "exact"):
-            jet = MetricJet(man, man.origin(), eps, fidelity=fid)
+        for cls in (MetricJet, ExactJet):
+            jet = cls(man, man.origin(), eps)
             out.append(LaplaceContext(jet, grid).apply_values(phi0))
         gaps.append(np.abs(out[0] - out[1]).max())
     assert gaps[0] < 5e-6

@@ -99,9 +99,8 @@ def test_conformal_recentering_residual_and_slope(conf_setup, basis):
 def test_reparametrize_identity_direction(basis):
     t = 0.07
     w = t * basis.nodes
-    omega, alpha = reparametrize(w, t, basis)
+    omega = reparametrize(w, basis)
     assert np.abs(omega - t).max() < 1e-12
-    assert np.abs(alpha - basis.nodes).max() < 1e-14
 
 
 def test_reparametrize_radial_perturbation(basis):
@@ -111,15 +110,14 @@ def test_reparametrize_radial_perturbation(basis):
     theta = np.arctan2(basis.nodes[:, 1], basis.nodes[:, 0])
     mags = t * (1.0 + delta * np.cos(theta))
     w = mags[:, None] * basis.nodes
-    omega, alpha = reparametrize(w, t, basis)
-    assert np.abs(alpha - basis.nodes).max() < 1e-14
+    omega = reparametrize(w, basis)
     assert np.abs(omega - mags).max() < 1e-10
 
 
 def test_reparametrize_rejects_vanishing_leaf(basis):
     w = np.zeros_like(basis.nodes)
     with pytest.raises(FoliationError):
-        reparametrize(w, 0.1, basis)
+        reparametrize(w, basis)
 
 
 def test_reparametrize_rejects_folded_direction_map(basis):
@@ -129,7 +127,7 @@ def test_reparametrize_rejects_folded_direction_map(basis):
     bent = theta + 2.0 * np.sin(theta)
     w = 0.1 * np.stack([np.cos(bent), np.sin(bent)], axis=1)
     with pytest.raises(FoliationError):
-        reparametrize(w, 0.1, basis)
+        reparametrize(w, basis)
 
 
 # -- certification ---------------------------------------------------------------
@@ -177,8 +175,6 @@ def test_certificate_needs_enough_leaves(flat_chart):
         base=flat_chart.base,
         t_grid=flat_chart.t_grid[:5],
         omega=flat_chart.omega[:5],
-        centers=flat_chart.centers[:5],
-        profiles=flat_chart.profiles[:5],
     )
     with pytest.raises(ValueError):
         certify_foliation(short)
@@ -194,8 +190,6 @@ def test_certificate_rejects_overlapping_leaves(flat_chart):
         base=flat_chart.base,
         t_grid=flat_chart.t_grid,
         omega=flat_chart.omega[::-1].copy(),
-        centers=flat_chart.centers,
-        profiles=flat_chart.profiles,
     )
     with pytest.raises(FoliationError):
         certify_foliation(broken)
@@ -208,8 +202,6 @@ def test_certificate_prefix_stops_at_first_failure(flat_chart):
         base=flat_chart.base,
         t_grid=flat_chart.t_grid,
         omega=omega,
-        centers=flat_chart.centers,
-        profiles=flat_chart.profiles,
     )
     cert = certify_foliation(chart)
     assert not cert["nested"]

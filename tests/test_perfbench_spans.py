@@ -4,13 +4,18 @@ perfbench/spans.py patches package methods and functions by name from
 outside the package. A renamed method target breaks `run.py --trace 1`
 (the tracer reads it from its owner's __dict__), and a renamed function
 target silently drops a layer from the trace. The tracer is loaded by path,
-so this only reads perfbench/.
+so this only reads perfbench/. One traced solve checks that the spans the
+benchmark reduces are still recorded.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from serrin_torsion.curvature import ConformalSphere2D
+from serrin_torsion.serrin import SerrinProblem
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -58,3 +63,18 @@ def test_class_target_in_owner_dict(owner, attr):
 )
 def test_function_target_in_a_traced_module(name):
     assert any(name in vars(module) for module in spans._MODULES)
+
+
+def test_tracer_records_one_solve():
+    """One traced conformal solve: the jet spans read the state positionally
+    (args[4]), and every outer step spans its metric, context and Neumann
+    layers once (a prototype recorded 3 of each)."""
+    problem = SerrinProblem(ConformalSphere2D())
+    with spans.Tracer().installed() as tracer:
+        problem.solve(np.array([0.3, -0.2]), 0.1)
+    names = [s.name for s in tracer.spans]
+    assert names.count("serrin.solve") == 1
+    jets = [s for s in tracer.spans if s.name == "curvature.jet_build"]
+    assert jets and all(s.attrs and "vbar_max" in s.attrs for s in jets)
+    for name in ("curvature.metric", "ball_solver.context", "ball_solver.neumann"):
+        assert names.count(name) == len(jets)

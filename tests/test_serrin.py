@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from serrin_torsion.ball_solver import EnvelopeError, poisson_solve
 from serrin_torsion.curvature import (
@@ -248,20 +247,10 @@ def test_diagnostic_difference_matches_hessian(conf, conf_problem, conf_sol):
     assert cosine(diff, hess @ (P0 - p1)) > 0.99
 
 
-# -- envelope and records -----------------------------------------------------
+# -- envelope -----------------------------------------------------------------
 
 
 def test_envelope_error_strong_curvature():
     prob = SerrinProblem(ConstantCurvature(2, 40.0))
     with pytest.raises(EnvelopeError):
         prob.solve(np.zeros(2), 0.3)
-
-
-def test_solution_record(conf_sol):
-    rec = conf_sol.to_record()
-    assert rec["eps"] == conf_sol.eps
-    assert rec["steps"] == len(conf_sol.iterations)
-    assert_allclose(rec["a_norm"], np.linalg.norm(conf_sol.state.a), rtol=1e-15)
-    assert rec["residual_inf"] < 2e-11
-    assert rec["v_sobolev"] == pytest.approx(conf_sol.v_norm())
-    assert isinstance(rec["a"], list) and len(rec["a"]) == 2
