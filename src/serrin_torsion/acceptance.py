@@ -15,7 +15,6 @@ N = 3 cross-check), so the record carries ``passed = False`` as stated
 together with a companion flag asserting the verified coefficient.
 """
 
-import time
 from functools import cached_property
 
 import numpy as np
@@ -65,12 +64,11 @@ CHECK_IDS = {
 }
 
 
-def _rec(check_id, passed, details, t0):
+def _rec(check_id, passed, details):
     return {
         "id": check_id,
         "name": CHECK_IDS[check_id][0],
         "passed": bool(passed),
-        "seconds": round(time.time() - t0, 3),
         "details": details,
     }
 
@@ -135,7 +133,6 @@ class AcceptanceRun:
 
     def check_steklov(self):
         """Harmonic extension then normal trace multiplies degree k by k."""
-        t0 = time.time()
         rng = self._rng(1)
         worst = {}
         for N, L in ((2, 16), (3, 10)):
@@ -159,11 +156,10 @@ class AcceptanceRun:
             "max_rel_error_3d": worst[3],
             "threshold": 1e-10,
         }
-        return _rec(1, passed, details, t0)
+        return _rec(1, passed, details)
 
     def check_flat_ground_truth(self):
         """Flat solves return the unperturbed ball and the flat energy."""
-        t0 = time.time()
         problem = self.flat_problem
         alpha = constants(2)[0]
         p0 = problem.manifold.origin()
@@ -183,11 +179,10 @@ class AcceptanceRun:
             r["v_norm"] < 1e-10 and r["a_norm"] < 1e-12 and r["phi_gap"] < 1e-9
             for r in rows
         )
-        return _rec(2, passed, {"rows": rows, "alpha": alpha}, t0)
+        return _rec(2, passed, {"rows": rows, "alpha": alpha})
 
     def check_mean_coefficient(self):
         """Fitted quadratic response of the solved mean perturbation."""
-        t0 = time.time()
         v0 = np.array([rep.solution.state.v0 for rep in self.round_reports])
         fit = fit_even_series(ROUND_EPS, v0, orders=(2, 4))
         target = -1.0 / 12.0  # -S / (3 N (N+2)) at N = 2, S = 2
@@ -200,11 +195,10 @@ class AcceptanceRun:
             "rel_error": rel,
             "residual_over_eps4_max": float(resid.max()),
         }
-        return _rec(3, passed, details, t0)
+        return _rec(3, passed, details)
 
     def check_reduced_energy_coefficients(self):
         """Constant and quadratic terms of the reduced energy expansion."""
-        t0 = time.time()
         alpha, beta, _, _ = constants(2)
         phi = np.array([rep.phi_eps for rep in self.round_reports])
         fit = fit_even_series(ROUND_EPS, phi, orders=(0, 2, 4))
@@ -244,7 +238,7 @@ class AcceptanceRun:
             "remainder_over_eps4_max": float(rem.max()),
             "conformal_samples": sample_rows,
         }
-        return _rec(4, passed, details, t0)
+        return _rec(4, passed, details)
 
     def check_ball_geometry_coefficients(self):
         """Quadratic response of perturbed-ball volume and boundary area.
@@ -253,7 +247,6 @@ class AcceptanceRun:
         differs from the volume share only at quartic order once the
         solved boundary perturbation is included.
         """
-        t0 = time.time()
         N, S = 2, 2.0
         b1 = ball_volume(N)
         target = -S / (2.0 * (N + 2.0))
@@ -282,7 +275,7 @@ class AcceptanceRun:
             # on record
             "area_variant_rejected": -(N + 4.0) * S / (6.0 * (N + 2.0)),
         }
-        return _rec(5, passed, details, t0)
+        return _rec(5, passed, details)
 
     def check_ball_energy_coefficient(self):
         """Quadratic response of the geodesic-ball energy, as stated.
@@ -293,7 +286,6 @@ class AcceptanceRun:
         comparison (which fails); ``companion_passed`` reports the verified
         coefficient at both dimensions.
         """
-        t0 = time.time()
         rows = {}
         for N, curv in ((2, 1.0), (3, 1.0)):
             manifold = ConstantCurvature(N, curv)
@@ -329,14 +321,13 @@ class AcceptanceRun:
             "dimension_3": r3,
             "stated_rel_error": stated,
         }
-        rec = _rec(6, passed, details, t0)
+        rec = _rec(6, passed, details)
         rec["documented_discrepancy"] = True
         rec["companion_passed"] = bool(companion)
         return rec
 
     def check_isochoric_profile(self):
         """Leading curvature correction of the candidate isochoric profile."""
-        t0 = time.time()
         N, S = 2, 2.0
         manifold = ConstantCurvature(N, 1.0)
         c = constants(N)[3]
@@ -353,12 +344,11 @@ class AcceptanceRun:
             "volume_range": [float(volume_grid[0]), float(volume_grid[-1])],
             "ratios": [pt.ratio for pt in points],
         }
-        return _rec(7, passed, details, t0)
+        return _rec(7, passed, details)
 
     def check_shape_derivative(self):
         """Hadamard boundary integral vs central finite differences, and
         the tangential twist against its closed-form energy."""
-        t0 = time.time()
         rng = self._rng(8)
         rows = []
         for _ in range(5):
@@ -387,13 +377,12 @@ class AcceptanceRun:
             "tangential_finite_difference": tang["finite_difference"],
             "tangential_closed_form_gap": tang["closed_form_gap"],
         }
-        return _rec(8, passed, details, t0)
+        return _rec(8, passed, details)
 
     def check_localization_and_foliation(self):
         """Critical centers stay eps^2-close to the curvature maximum and
         the recentered leaves form a strictly nested family with unit
         slope at t = 0."""
-        t0 = time.time()
         problem = self.conf_problem
         pmax = self.conf.scalar_max_point()
         rows = []
@@ -420,11 +409,10 @@ class AcceptanceRun:
             and cert["slope_zero_max"] <= 1.001
         )
         details = {"centers": rows, "certificate": cert}
-        return _rec(9, passed, details, t0)
+        return _rec(9, passed, details)
 
     def check_gradient_alignment(self):
         """Kernel diagnostic points along grad S and scales cubically."""
-        t0 = time.time()
         problem = self.conf_problem
         rows = []
         cached = {p: sols[3] for p, sols in self.conf_sweeps.items()}
@@ -446,7 +434,7 @@ class AcceptanceRun:
         slope = loglog_slope(CONF_EPS, mags)
         passed = all(r["cosine"] > 0.99 for r in rows) and abs(slope - 3.0) <= 0.2
         details = {"cosines": rows, "magnitude_slope": slope}
-        return _rec(10, passed, details, t0)
+        return _rec(10, passed, details)
 
     def check_kernel_scaling(self):
         """Solved perturbation norms decay at least quadratically in eps.
@@ -456,7 +444,6 @@ class AcceptanceRun:
         held above 1.9; the slope of the quotient ||v|| / eps^2 is recorded
         alongside (it sits near zero when the bound is sharp).
         """
-        t0 = time.time()
         round_norms = np.array(
             [rep.solution.v_norm() for rep in self.round_reports]
         )
@@ -472,11 +459,10 @@ class AcceptanceRun:
             "quotient_slope_round": slope_round - 2.0,
             "quotient_slope_conformal": slope_conf - 2.0,
         }
-        return _rec(11, passed, details, t0)
+        return _rec(11, passed, details)
 
     def check_solver_oracle(self):
         """Spectral Poisson solves against the closed-form radial monomials."""
-        t0 = time.time()
         rng = self._rng(12)
         worst = 0.0
         draws = []
@@ -499,7 +485,7 @@ class AcceptanceRun:
                 worst = max(worst, err)
                 draws.append({"N": N, "m": m, "k": k, "error": err})
         passed = worst < 1e-11
-        return _rec(12, passed, {"max_error": worst, "draws": draws}, t0)
+        return _rec(12, passed, {"max_error": worst, "draws": draws})
 
     # -- driver ------------------------------------------------------------
 
@@ -514,11 +500,10 @@ class AcceptanceRun:
         """
         records = []
         for check_id in sorted(ids or CHECK_IDS):
-            t0 = time.time()
             try:
                 records.append(self.run_check(check_id))
             except Exception as exc:  # noqa: BLE001 - reported, not hidden
-                rec = _rec(check_id, False, {"error": repr(exc)}, t0)
+                rec = _rec(check_id, False, {"error": repr(exc)})
                 rec["crashed"] = True
                 records.append(rec)
         return records

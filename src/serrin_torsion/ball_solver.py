@@ -20,15 +20,20 @@ not care where the metric comes from.
 The correction (lap_g - lap) u is applied Hessian-free, by sum
 factorization (Orszag, J. Comput. Phys. 37, 1980): with every mode written
 G(r^2) H(x), the metric is contracted into the chain-rule factors of
-grad u and Hess u once per metric (LaplaceContext), and each application
-meets them with the mode sums of G'H, G''H, G grad H, G' grad H and the
-packed G Hess H, three matrix products over the modes (BallField.derivatives).
-No pointwise gradient or Hessian is ever assembled. The flat Poisson solve
-treats all modes of a degree at once, one matrix product with the inverse of
-that degree's radial system.
+grad u and Hess u once per metric, when its LaplaceContext is built, and
+each application meets them with the mode sums of G'H, G''H, G grad H,
+G' grad H and the packed G Hess H, three matrix products over the modes
+(BallField.derivatives). No pointwise gradient or Hessian is ever
+assembled. The flat Poisson solve treats all modes of a degree at once,
+one matrix product with the inverse of that degree's radial system. A
+context serves solves only: the volume of an unperturbed ball needs none,
+and profile reads it off the chart.
+
+The curvature source problem has one assembly: psi_source_values gives the
+cubic-model source -lap(psi_eps), and solve_psi_eps its flat solve with
+zero boundary data.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,7 +42,6 @@ from scipy.special import eval_jacobi
 
 from .sphere_spectral import (
     SphereFunction,
-    ball_volume,
     get_basis,
     product_points,
 )
@@ -353,17 +357,13 @@ def harmonic_extension(grid, h):
 # -- curvature source problem ------------------------------------------------
 
 
-def psi_source_values(packet, eps, grid, variant="primary"):
+def psi_source_values(packet, eps, grid):
     """Pointwise values of -lap(psi_eps) on the product grid.
 
-    Both variants share the quadratic part (eps^2/3N) Ric(x,x) and the first
-    cubic contraction; they differ in whether the second cubic term
-    differentiates the curvature along the position vector (primary) or
-    along the contracted frame leg (alternative). Contracted against three
-    copies of x the primary reduces to (5 eps^3/12N) <grad Ric(x,x), x>
-    while the alternative's second term cancels by the differential Bianchi
-    identity, so the gap between them is a genuine O(eps^3) model ambiguity
-    that solve_psi_eps reports as a diagnostic.
+    The quadratic part is (eps^2/3N) Ric(x,x). The cubic part has two
+    traces of the curvature derivative, both differentiated along the
+    position vector; against three copies of x it reduces to
+    (5 eps^3/12N) <grad Ric(x,x), x>.
     """
     N = grid.dim
     x = grid.points
@@ -371,41 +371,16 @@ def psi_source_values(packet, eps, grid, variant="primary"):
     quad = (eps**2 / (3.0 * N)) * ric
     nr = packet.nabla_riemann
     term1 = np.einsum("ijilm,pj,pl,pm->p", nr, x, x, x, optimize=True)
-    if variant == "primary":
-        term2 = np.einsum("ijkim,pj,pk,pm->p", nr, x, x, x, optimize=True)
-    elif variant == "alternative":
-        term2 = np.einsum("ijkli,pj,pk,pl->p", nr, x, x, x, optimize=True)
-    else:
-        raise ValueError("unknown variant %r" % variant)
+    term2 = np.einsum("ijkim,pj,pk,pm->p", nr, x, x, x, optimize=True)
     cubic = -0.25 * term1 + (term2 / 6.0)
     vals = quad + (eps**3 / N) * cubic
     return vals.reshape(grid.n_r, grid.n_ang)
 
 
 def solve_psi_eps(packet, eps, grid):
-    """Solve the curvature source problem for psi_eps with zero boundary data.
-
-    Returns (field, diagnostics). Diagnostics include the mean Neumann flux
-    together with its closed-form target -eps^2 S |B_1| / (3N(N+2)), the
-    residual of the reconstructed right-hand side, and the max-norm difference
-    between the two candidate third-order source assemblies.
-    """
-    N = grid.dim
-    rhs_vals = psi_source_values(packet, eps, grid, "primary")
-    field = poisson_solve(-rhs_vals, None, grid=grid)
-    nd = field.normal_derivative()
-    flux = float(nd.coeffs[0]) * math.sqrt(grid.basis.area)
-    target = -(eps**2) * packet.scalar * ball_volume(N) / (3.0 * N * (N + 2.0))
-    # residual: lap(field) + rhs should vanish
-    resid = flat_laplacian(field).values() + rhs_vals
-    alt = psi_source_values(packet, eps, grid, "alternative")
-    diag = {
-        "mean_flux": flux,
-        "mean_flux_target": target,
-        "rhs_residual": float(np.abs(resid).max()),
-        "source_variant_gap": float(np.abs(alt - rhs_vals).max()),
-    }
-    return field, diag
+    """Solve the curvature source problem -lap(psi_eps) = psi_source_values
+    with zero boundary data; returns the field."""
+    return poisson_solve(-psi_source_values(packet, eps, grid), None, grid=grid)
 
 
 def flat_laplacian(field):
@@ -435,9 +410,8 @@ class LaplaceContext:
         (lap_g - lap) u = 2 (tr A + b.x) G'H + 4 x.A.x G''H + b.G grad H
                           + 4 A x.G' grad H + A : G Hess H,
     summed over the modes. The weights of those five products replace g^-1
-    and b on the first contraction, so a context built for its volume
-    element alone never pays for them; each contraction then meets them
-    with the products of BallField.derivatives, without a pointwise Hessian.
+    and b when the context is built; each contraction meets them with the
+    products of BallField.derivatives, without a pointwise Hessian.
     """
 
     def __init__(self, jet, grid):
@@ -448,8 +422,7 @@ class LaplaceContext:
         if not np.all(sqrt_det > 0.0):
             raise EnvelopeError("pulled-back metric lost positivity")
         self.sqrt_det = sqrt_det.reshape(grid.n_r, grid.n_ang)
-        self._coefficients = (ginv, drift)
-        self._weights = None
+        self._weights = self._contraction_weights(ginv, drift)
 
     def _contraction_weights(self, ginv, b):
         """Pointwise weights of the products of BallField.derivatives, in
@@ -482,9 +455,6 @@ class LaplaceContext:
 
     def correction_values(self, field):
         """(lap_g - lap) field, pointwise (n_r, n_ang)."""
-        if self._weights is None:
-            self._weights = self._contraction_weights(*self._coefficients)
-            self._coefficients = None
         w_radial, w_grad, w_hess = self._weights
         radial, grad, hess = field.derivatives()
         radial *= w_radial

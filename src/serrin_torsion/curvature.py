@@ -335,10 +335,6 @@ class ConformalSphere2D(ModelManifold):
             result.append(out3)
         return tuple(result)
 
-    def gauss_curvature(self, Z):
-        f, _, d2f = self._f_jet(Z, order=2)
-        return -np.exp(-2.0 * f) * np.einsum("pii->p", d2f)
-
     def _curvature_jet(self, Z):
         """(K, dK chart-gradient) at points Z."""
         f, df, d2f, d3f = self._f_jet(Z, order=3)
@@ -348,10 +344,8 @@ class ConformalSphere2D(ModelManifold):
         dK = -np.exp(-2.0 * f)[:, None] * dlap - 2.0 * df * K[:, None]
         return K, dK
 
-    def scalar_curvature(self, p):
-        return 2.0 * float(self.gauss_curvature(np.atleast_2d(p))[0])
-
     def scalar_gradient(self, p):
+        # packet(p) rounds 2 (e^-f dK), a bit off from (2 e^-f) dK here
         Z = np.atleast_2d(p)
         f = self._f_jet(Z, order=1)[0]
         _, dK = self._curvature_jet(Z)
@@ -421,26 +415,7 @@ class ConformalSphere2D(ModelManifold):
                 return U
             step = 1.0 if err < 0.05 else 0.6
             U = U + step * scale * gap
-        # Newton fallback for any stubborn points, one at a time
-        for i in range(Q.shape[0]):
-            gap = Q[i] - self.exp(p, U[i : i + 1])[0]
-            if np.abs(gap).max() < self.LOG_TOL:
-                continue
-            for it in range(40):
-                h = 1e-7
-                J = np.empty((2, 2))
-                base = self.exp(p, U[i : i + 1])[0]
-                for d in range(2):
-                    e = np.zeros(2)
-                    e[d] = h
-                    J[:, d] = (self.exp(p, (U[i] + e)[None, :])[0] - base) / h
-                gap = Q[i] - base
-                if np.abs(gap).max() < self.LOG_TOL:
-                    break
-                U[i] = U[i] + np.linalg.solve(J, gap)
-            else:
-                raise RuntimeError("log map did not converge")
-        return U
+        raise RuntimeError("log map did not converge")
 
     def scalar_max_point(self):
         """Chart location of the (local) maximum of the scalar curvature."""

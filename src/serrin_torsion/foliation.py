@@ -100,7 +100,6 @@ def reparametrize(w, basis):
 class FoliationChart:
     """Sampled radial graphs of the leaf family around a base point."""
 
-    base: np.ndarray
     t_grid: np.ndarray
     omega: np.ndarray  # (n_t, n_nodes)
 
@@ -125,11 +124,7 @@ def build_foliation_chart(manifold, t_grid, curve, profile, residual_tol=1e-12):
         basis = profile(float(t)).basis
         w = recentering_solve(manifold, float(t), curve, profile, residual_tol)
         omegas.append(reparametrize(w, basis))
-    return FoliationChart(
-        base=np.asarray(curve(0.0), dtype=float),
-        t_grid=t_grid,
-        omega=np.asarray(omegas),
-    )
+    return FoliationChart(t_grid=t_grid, omega=np.asarray(omegas))
 
 
 def certify_foliation(chart, t_grid=None):

@@ -11,8 +11,8 @@ import numpy as np
 from dataclasses import dataclass
 from scipy.optimize import brentq
 
-from .ball_solver import LaplaceContext, dirichlet_solve_full, get_grid
-from .curvature import MetricJet
+from .ball_solver import EnvelopeError, dirichlet_solve_full, get_grid
+from .curvature import MetricJet, _sym_cofactors, truncated_chart
 from .sphere_spectral import ball_volume
 
 __all__ = [
@@ -54,12 +54,22 @@ def J_geodesic_ball(manifold, p, eps):
 
 
 def ball_volume_at(manifold, p, eps):
-    """Riemannian volume of the geodesic ball of radius eps around p."""
+    """Riemannian volume of the geodesic ball of radius eps around p.
+
+    The unperturbed ball's domain map is the identity, so its volume
+    element on B_1 is sqrt det gbar(eps x) of the cubic chart alone, bit
+    for bit the one a solve's context reads off the plain MetricJet.
+    Raises EnvelopeError where the chart is not positive definite.
+    """
     N = manifold.dim
     grid = get_grid(N)
-    jet = MetricJet(manifold, np.asarray(p, dtype=float), eps)
-    vol = grid.volume_integral(LaplaceContext(jet, grid).sqrt_det)
-    return vol * eps**N
+    packet = manifold.packet(np.asarray(p, dtype=float))
+    gbar, _ = truncated_chart(packet, eps * grid.points)
+    _, det, minor = _sym_cofactors(gbar)
+    if not np.all((minor > 0) & (det > 0)):
+        raise EnvelopeError("pulled-back metric lost positivity")
+    sqrt_det = np.sqrt(det).reshape(grid.n_r, grid.n_ang)
+    return grid.volume_integral(sqrt_det) * eps**N
 
 
 # matched_radius: relative tolerance of the root solve in eps.

@@ -177,11 +177,6 @@ class SerrinProblem:
 
     # -- curvature-gradient diagnostic --------------------------------------
 
-    def psi_eps(self, p, eps):
-        """Model curvature source solve at (p, eps); (field, diagnostics)."""
-        packet = self.manifold.packet(p)
-        return solve_psi_eps(packet, eps, self.grid)
-
     def gradient_diagnostic(self, sol):
         """Degree-1 moment of the curvature source solve, sign-fixed so the
         result is positively aligned with grad S_g(p).
@@ -191,7 +186,8 @@ class SerrinProblem:
         5 |B_1| / (6 (N+2)(N+4)); the returned vector is its negative.
         """
         N = self.manifold.dim
-        field, _ = self.psi_eps(sol.point, sol.eps)
+        packet = self.manifold.packet(sol.point)
+        field = solve_psi_eps(packet, sol.eps, self.grid)
         nd = field.normal_derivative()
         # integral of x^i times the trace: |B_1| times the degree-1 vector
         moment = N * ball_volume(N) * nd.degree1_vector()

@@ -93,6 +93,21 @@ def test_conformal_recentering_residual_and_slope(conf_setup, basis):
         assert np.abs(mags - t).max() / t**2 < 2.0
 
 
+def test_unconverged_log_map_fails_the_leaf(basis, monkeypatch):
+    """The log map's fixed point is its one iteration: capped below the
+    steps it needs, log raises, and recentering_solve reports the leaf."""
+    manifold = ConformalSphere2D()
+    p = np.array([0.3, -0.2])
+    targets = manifold.exp(p, 0.1 * basis.nodes)
+    monkeypatch.setattr(ConformalSphere2D, "LOG_MAX_ITER", 2)
+    with pytest.raises(RuntimeError, match="log map did not converge"):
+        manifold.log(p, targets)
+    curve = lambda t: p
+    profile = lambda t: SphereFunction.constant(basis, 0.0)
+    with pytest.raises(FoliationError, match="left the chart"):
+        recentering_solve(manifold, 0.1, curve, profile)
+
+
 # -- reparametrization -----------------------------------------------------------
 
 
@@ -172,7 +187,6 @@ def test_conformal_limit_slope_invariant(conf_chart):
 
 def test_certificate_needs_enough_leaves(flat_chart):
     short = FoliationChart(
-        base=flat_chart.base,
         t_grid=flat_chart.t_grid[:5],
         omega=flat_chart.omega[:5],
     )
@@ -187,7 +201,6 @@ def test_certificate_grid_mismatch(flat_chart):
 
 def test_certificate_rejects_overlapping_leaves(flat_chart):
     broken = FoliationChart(
-        base=flat_chart.base,
         t_grid=flat_chart.t_grid,
         omega=flat_chart.omega[::-1].copy(),
     )
@@ -199,7 +212,6 @@ def test_certificate_prefix_stops_at_first_failure(flat_chart):
     omega = flat_chart.omega.copy()
     omega[-1] = omega[-3]  # last leaf collapses below its predecessor
     chart = FoliationChart(
-        base=flat_chart.base,
         t_grid=flat_chart.t_grid,
         omega=omega,
     )

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from serrin_torsion.curvature import ConformalSphere2D
+from serrin_torsion import profile
+from serrin_torsion.curvature import ConformalSphere2D, ConstantCurvature
 from serrin_torsion.serrin import SerrinProblem
+from serrin_torsion.sphere_spectral import ball_volume
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -78,3 +80,18 @@ def test_tracer_records_one_solve():
     assert jets and all(s.attrs and "vbar_max" in s.attrs for s in jets)
     for name in ("curvature.metric", "ball_solver.context", "ball_solver.neumann"):
         assert names.count(name) == len(jets)
+
+
+def test_tracer_volume_spans_build_no_jet():
+    """A traced volume match spans each ball volume, and the unperturbed
+    ball's volume comes from the chart: no jet, rho or context span."""
+    manifold = ConstantCurvature(2, 1.0)
+    with spans.Tracer().installed() as tracer:
+        profile.matched_radius(
+            manifold, manifold.origin(), ball_volume(2) * 0.01
+        )
+    names = [s.name for s in tracer.spans]
+    assert names.count("profile.volume") >= 3
+    for name in ("ball_solver.context", "curvature.jet_build",
+                 "curvature.rho_jet"):
+        assert name not in names

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from serrin_torsion.ball_solver import EnvelopeError, LaplaceContext, get_grid
 from serrin_torsion.curvature import (
     ConformalSphere2D,
     ConstantCurvature,
     FlatSpace,
+    MetricJet,
 )
 from serrin_torsion.fitting import fit_even_series
 from serrin_torsion.profile import (
@@ -76,6 +78,41 @@ def test_round_volume_against_closed_form(round2):
         gaps.append(got - 2 * np.pi * (1 - np.cos(eps)))
     assert abs(gaps[0]) < 1e-7
     assert 40 < gaps[1] / gaps[0] < 90
+
+
+def _context_volume(manifold, p, eps):
+    """Oracle: the ball volume read off the solver's LaplaceContext of the
+    unperturbed jet."""
+    grid = get_grid(manifold.dim)
+    ctx = LaplaceContext(MetricJet(manifold, p, eps), grid)
+    return grid.volume_integral(ctx.sqrt_det) * eps**manifold.dim
+
+
+@pytest.mark.parametrize("case", ["round2", "round3", "conf_max", "conf_off"])
+def test_ball_volume_is_the_context_volume(case):
+    # the unperturbed ball's domain map is the identity, so the chart's
+    # determinant alone gives the context's volume element bit for bit
+    conf = ConformalSphere2D()
+    manifold, p = {
+        "round2": (ConstantCurvature(2, 1.0), ConstantCurvature(2).origin()),
+        "round3": (ConstantCurvature(3, 1.0), ConstantCurvature(3).origin()),
+        "conf_max": (conf, conf.scalar_max_point()),
+        "conf_off": (conf, np.array([0.3, -0.2])),
+    }[case]
+    for eps in (0.02, 0.1, 0.3):
+        assert ball_volume_at(manifold, p, eps) == _context_volume(
+            manifold, p, eps
+        )
+
+
+def test_ball_volume_envelope_matches_context(round2):
+    # the cubic chart's tangential eigenvalue 1 - |y|^2 / 3 turns negative
+    # past |y| = sqrt(3): both paths reject eps 2.0 and accept eps 1.7
+    p0 = round2.origin()
+    for volume in (ball_volume_at, _context_volume):
+        with pytest.raises(EnvelopeError):
+            volume(round2, p0, 2.0)
+    assert ball_volume_at(round2, p0, 1.7) == _context_volume(round2, p0, 1.7)
 
 
 def test_matched_radius_round(round2):
