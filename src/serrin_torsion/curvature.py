@@ -255,9 +255,10 @@ class ConformalSphere2D(ModelManifold):
     Euclidean one, where f is the round factor log(2 / (1 + |z|^2)) plus a
     sum of Gaussian bumps A exp(-|z - c|^2 / (2 sigma^2)). Bumps break the
     symmetry, so the scalar curvature has genuine critical points. The frame
-    is E_i = exp(-f) d_i, smooth across the whole chart. Geodesics and
-    exp/log integrate the conformal geodesic equations with a high-order
-    adaptive scheme; batches share one ODE solve.
+    is E_i = exp(-f) d_i, smooth across the whole chart. exp integrates the
+    conformal geodesic equations with a high-order adaptive scheme; a batch
+    shares one ODE solve. log inverts it by a per-point good Broyden
+    iteration (Broyden 1965) in inverse form, one batched exp per step.
     """
 
     dim = 2
@@ -269,7 +270,8 @@ class ConformalSphere2D(ModelManifold):
     # relative and absolute tolerances of the geodesic integration
     RTOL = 1e-12
     ATOL = 1e-13
-    # the log map's fixed-point tolerance on the chart gap, and its step cap
+    # the log map's tolerance on the chart gap, and its cap on secant steps
+    # (one exp integration each)
     LOG_TOL = 1e-12
     LOG_MAX_ITER = 80
 
@@ -408,13 +410,26 @@ class ConformalSphere2D(ModelManifold):
         f0 = float(self._f_jet(p[None, :], order=1)[0][0])
         scale = math.exp(f0)
         U = scale * (Q - p[None, :])  # first-order seed in frame coefficients
+        # per-point inverse Jacobian of U -> exp(p, U), first guess e^f0 I
+        H = np.tile(scale * np.eye(2), (Q.shape[0], 1, 1))
         for it in range(self.LOG_MAX_ITER):
             gap = Q - self.exp(p, U)
-            err = np.abs(gap).max()
-            if err < self.LOG_TOL:
+            if np.abs(gap).max() < self.LOG_TOL:
                 return U
-            step = 1.0 if err < 0.05 else 0.6
-            U = U + step * scale * gap
+            if it > 0:
+                # good Broyden update in inverse form, skipped where dU'H delta
+                # is exactly 0 (an already-converged point)
+                delta = gap_old - gap
+                Hd = np.einsum("pij,pj->pi", H, delta)
+                uH = np.einsum("pi,pij->pj", dU, H)
+                den = np.einsum("pi,pi->p", uH, delta)
+                live = den != 0.0
+                H[live] += (dU - Hd)[live, :, None] * (
+                    uH[live] / den[live, None]
+                )[:, None, :]
+            dU = np.einsum("pij,pj->pi", H, gap)
+            U = U + dU
+            gap_old = gap
         raise RuntimeError("log map did not converge")
 
     def scalar_max_point(self):

@@ -464,7 +464,39 @@ def test_conformal_exp_log_round_trip():
     V *= (rng.uniform(0.05, 0.8, 6) / np.linalg.norm(V, axis=1))[:, None]
     Q = cs.exp(p, V)
     back = cs.log(p, Q)
-    assert np.abs(back - V).max() < 1e-8
+    assert np.abs(cs.exp(p, back) - Q).max() < cs.LOG_TOL
+    assert np.abs(back - V).max() < 1e-11
+
+
+def test_conformal_log_short_geodesic_where_fixed_point_stalls():
+    """A geodesic of length 0.285 on which the plain fixed point
+    U += e^f0 (Q - exp(p, U)) stalls at a chart gap near 2e-3 and exhausts
+    LOG_MAX_ITER; the secant iteration recovers V."""
+    cs = ConformalSphere2D()
+    p = np.array([-0.79, 1.62])
+    V = np.array([[-0.167, 0.231]])
+    back = cs.log(p, cs.exp(p, V))
+    assert np.abs(back - V).max() < 1e-12
+
+
+def test_conformal_log_leaf_integration_count(monkeypatch):
+    """A 96-node leaf of radius 0.12 near the scalar-curvature maximum:
+    the log map converges in at most 12 exp integrations."""
+    cs = ConformalSphere2D()
+    nodes = get_basis(2, 16).nodes
+    base = cs.scalar_max_point()
+    targets = cs.exp(np.array([-1.49, 2.32]), 0.12 * nodes)
+    calls = []
+    exp = ConformalSphere2D.exp
+
+    def counted(self, p, V):
+        calls.append(1)
+        return exp(self, p, V)
+
+    monkeypatch.setattr(ConformalSphere2D, "exp", counted)
+    w = cs.log(base, targets)
+    assert len(calls) <= 12
+    assert np.abs(exp(cs, base, w) - targets).max() < cs.LOG_TOL
 
 
 def test_conformal_distance_symmetry():

@@ -94,8 +94,9 @@ def test_conformal_recentering_residual_and_slope(conf_setup, basis):
 
 
 def test_unconverged_log_map_fails_the_leaf(basis, monkeypatch):
-    """The log map's fixed point is its one iteration: capped below the
-    steps it needs, log raises, and recentering_solve reports the leaf."""
+    """The log map's secant iteration has no fallback: capped below the
+    steps it needs (one exp integration each), log raises, and
+    recentering_solve reports the leaf."""
     manifold = ConformalSphere2D()
     p = np.array([0.3, -0.2])
     targets = manifold.exp(p, 0.1 * basis.nodes)
