@@ -13,7 +13,9 @@ The variable-coefficient solve (metric Laplacians of pulled-back geodesic-ball
 metrics) runs a frozen-Laplacian Picard iteration: each step solves the flat
 Poisson problem with the metric correction moved to the right-hand side. The
 metric enters only through the jet's laplace_coefficients on the quadrature
-grid (inverse metric, drift and volume element of lap_g), and the boundary
+grid (inverse metric, drift and volume element of lap_g, component-major:
+one (n_r, n_ang) block per component, the symmetric g^-1 packed to its upper
+triangle in the order of SphereBasis.node_hessians()), and the boundary
 metric of neumann_trace through its metric_and_grad, so this module does
 not care where the metric comes from.
 
@@ -24,10 +26,11 @@ grad u and Hess u once per metric, when its LaplaceContext is built, and
 each application meets them with the mode sums of G'H, G''H, G grad H,
 G' grad H and the packed G Hess H, three matrix products over the modes
 (BallField.derivatives). No pointwise gradient or Hessian is ever
-assembled. The flat Poisson solve treats all modes of a degree at once,
-one matrix product with the inverse of that degree's radial system. A
-context serves solves only: the volume of an unperturbed ball needs none,
-and profile reads it off the chart.
+assembled, and no (P, N, N) array: the weights are formed from the packed
+component blocks of the jet. The flat Poisson solve treats all modes of a
+degree at once, one matrix product with the inverse of that degree's radial
+system. A context serves solves only: the volume of an unperturbed ball
+needs none, and profile reads it off the chart.
 
 The curvature source problem has one assembly: psi_source_values gives the
 cubic-model source -lap(psi_eps), and solve_psi_eps its flat solve with
@@ -43,6 +46,8 @@ from scipy.special import eval_jacobi
 from .sphere_spectral import (
     SphereFunction,
     get_basis,
+    packed_index,
+    packed_pairs,
     product_points,
 )
 
@@ -402,16 +407,18 @@ class LaplaceContext:
     Takes, once per metric, the inverse metric g^{ij}, the first-order drift
     b^j = d_i g^{ij} + (1/2) g^{ij} d_i log det g of
     lap_g u = g^{ij} u_ij + b^j u_j, and the volume element sqrt det g,
-    kept as (n_r, n_ang), all from jet.laplace_coefficients on the product
-    grid. A volume element that is not positive (NaN where the metric is
-    not positive definite) is an EnvelopeError.
+    kept as (n_r, n_ang). All three come from jet.laplace_coefficients on
+    the product grid as component-major (n_r, n_ang) blocks, g^-1 packed to
+    its upper triangle. A volume element that is not positive (NaN where
+    the metric is not positive definite) is an EnvelopeError.
 
     With A = g^-1 - I and every mode written G(r^2) H(x), the correction is
         (lap_g - lap) u = 2 (tr A + b.x) G'H + 4 x.A.x G''H + b.G grad H
                           + 4 A x.G' grad H + A : G Hess H,
-    summed over the modes. The weights of those five products replace g^-1
-    and b when the context is built; each contraction meets them with the
-    products of BallField.derivatives, without a pointwise Hessian.
+    summed over the modes. The weights of those five products are formed
+    from the component blocks straight away, with no (P, N, N) array, and
+    replace g^-1 and b; each contraction meets them with the products of
+    BallField.derivatives, without a pointwise Hessian.
     """
 
     def __init__(self, jet, grid):
@@ -427,30 +434,32 @@ class LaplaceContext:
     def _contraction_weights(self, ginv, b):
         """Pointwise weights of the products of BallField.derivatives, in
         their layouts: (2, n_r, n_ang), (2, n_r, N, n_ang) and
-        (n_r, N(N+1)/2, n_ang)."""
+        (n_r, N(N+1)/2, n_ang), from the packed g^-1 and the drift."""
         grid = self.grid
         N, n_r, n_ang = grid.dim, grid.n_r, grid.n_ang
-        ginv = ginv.reshape(n_r, n_ang, N, N)
-        b = b.reshape(n_r, n_ang, N)
-        x = grid.points.reshape(n_r, n_ang, N)
+        ginv = ginv.reshape(-1, n_r, n_ang)
+        b = b.reshape(N, n_r, n_ang)
+        x = grid.r[:, None] * grid.basis.nodes.T[:, None, :]
+        packed = packed_index(N)
         radial = np.zeros((2, n_r, n_ang))
         grad = np.empty((2, n_r, N, n_ang))
-        hess = np.empty((n_r, N * (N + 1) // 2, n_ang))
+        hess = np.empty((n_r, len(ginv), n_ang))
 
         def A(i, j):
             # g^-1 - I entrywise, the identity taken off before any product
             # so that a metric near the identity keeps its relative accuracy
-            return ginv[..., i, j] - 1.0 if i == j else ginv[..., i, j]
+            g = ginv[packed[i, j]]
+            return g - 1.0 if i == j else g
 
         # A : Hess counts each off-diagonal entry of the packed triangle twice
-        for q, (i, j) in enumerate(zip(*np.triu_indices(N))):
+        for q, (i, j) in enumerate(zip(*packed_pairs(N))):
             hess[:, q] = A(i, j) if i == j else 2.0 * A(i, j)
         for i in range(N):
-            Ax = sum(A(i, j) * x[..., j] for j in range(N))
-            grad[0, :, i] = b[..., i]
+            Ax = sum(A(i, j) * x[j] for j in range(N))
+            grad[0, :, i] = b[i]
             grad[1, :, i] = 4.0 * Ax
-            radial[0] += 2.0 * (A(i, i) + b[..., i] * x[..., i])
-            radial[1] += 4.0 * x[..., i] * Ax
+            radial[0] += 2.0 * (A(i, i) + b[i] * x[i])
+            radial[1] += 4.0 * x[i] * Ax
         return radial, grad, hess
 
     def correction_values(self, field):

@@ -32,7 +32,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import minimize
 
-from .sphere_spectral import SphereFunction, get_basis, product_points
+from .sphere_spectral import (
+    SphereFunction,
+    get_basis,
+    packed_index,
+    packed_pairs,
+    product_points,
+)
 
 __all__ = [
     "CurvaturePacket",
@@ -41,6 +47,7 @@ __all__ = [
     "ConstantCurvature",
     "ConformalSphere2D",
     "MetricJet",
+    "cubic_chart",
 ]
 
 
@@ -68,35 +75,77 @@ class CurvaturePacket:
 # -- the cubic chart ----------------------------------------------------------
 
 
-def truncated_chart(packet, Y):
-    """Cubic normal-coordinate metric model built from a curvature packet.
+def cubic_chart(packet, dirs, s):
+    """Cubic normal-coordinate metric model at Y = s theta, packed.
 
-    Y has shape (P, N) in true (unscaled) normal coordinates. Returns
-    (g (P,N,N), dg (P,N,N,N)) with dg[p,c,a,b] = d_c g_ab. Every term is a
-    matrix product of the point tensors Y, Y(x)Y (P, N^2) and Y(x)Y(x)Y
-    (P, N^3) with the curvature tensors reshaped to match.
+    The model is homogeneous along each direction theta: with Y = s theta,
+
+        gbar = I + s^2 A2(theta) + s^3 A3(theta),
+        d gbar = s D1(theta) + s^2 D2(theta),
+
+    so its four tables are products of the curvature tensors with the
+    directions dirs (n, N), of any length, and meet the scales s, which
+    broadcast against (n_r, n), only elementwise. Returns gbar
+    (N(N+1)/2, n_r, n), the upper triangle packed in np.triu_indices(N)
+    order like SphereBasis.node_hessians(), and dgbar (N, N(N+1)/2, n_r, n)
+    with dgbar[c] = d_c gbar in true normal coordinates.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    P, N = Y.shape
-    R = packet.riemann
-    nR = packet.nabla_riemann
-    YY = (Y[:, :, None] * Y[:, None, :]).reshape(P, N**2)
-    YYY = (YY[:, :, None] * Y[:, None, :]).reshape(P, N**3)
-    # g_ab = d_ab + R[a,k,b,l] y^k y^l / 3 + nR[a,k,b,l,m] y^k y^l y^m / 6
-    g = YYY @ (nR.transpose(1, 3, 4, 0, 2).reshape(N**3, N**2) / 6.0)
-    del YYY  # freed before the (P, N^3) derivative product: peak memory
-    g += YY @ (R.transpose(1, 3, 0, 2).reshape(N**2, N**2) / 3.0)
-    g = np.eye(N) + g.reshape(P, N, N)
-    # d_c g_ab: R[a,c,b,l] y^l + R[a,k,b,c] y^k, and nR with c in each of
-    # its three y slots; one product of [y, y(x)y] with both tensors
-    dR = R.transpose(3, 1, 0, 2) + R.transpose(1, 3, 0, 2)
-    dnR = (nR.transpose(3, 4, 1, 0, 2) + nR.transpose(1, 4, 3, 0, 2)
-           + nR.transpose(1, 3, 4, 0, 2))
-    dg = np.hstack([Y, YY]) @ np.vstack(
-        [dR.reshape(N, N**3) / 3.0, dnR.reshape(N**2, N**3) / 6.0]
-    )
-    dg = dg.reshape(P, N, N, N)
-    return g, dg
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    n, N = dirs.shape
+    a, b = packed_pairs(N)
+    theta = np.ascontiguousarray(dirs.T)
+    T2 = (theta[:, None] * theta[None]).reshape(N**2, n)
+    T3 = (T2[:, None] * theta[None]).reshape(N**3, n)
+    # gbar_ab = d_ab + R[a,k,b,l] y^k y^l / 3 + nR[a,k,b,l,m] y^k y^l y^m / 6,
+    # one row [k, l(, m)] per packed pair (a, b)
+    R = packet.riemann.transpose(0, 2, 1, 3)[a, b]
+    nR = packet.nabla_riemann.transpose(0, 2, 1, 3, 4)[a, b]
+    A2 = R.reshape(-1, N**2) @ T2 / 3.0
+    A3 = nR.reshape(-1, N**3) @ T3 / 6.0
+    # d_c gbar_ab: c in each y slot, rows [c, (a, b)]
+    dR = (R + R.transpose(0, 2, 1)).transpose(1, 0, 2)
+    dnR = (nR + nR.transpose(0, 2, 1, 3) + nR.transpose(0, 3, 1, 2))
+    D1 = dR.reshape(-1, N) @ theta / 3.0
+    D2 = dnR.transpose(1, 0, 2, 3).reshape(-1, N**2) @ T2 / 6.0
+    # Horner in s, in place: every fresh (.., n_r, n) array costs page
+    # faults on top of its arithmetic
+    s = np.asarray(s, dtype=float)
+    gbar = A3[:, None] * s
+    gbar += A2[:, None]
+    gbar *= s * s
+    for k in np.flatnonzero(a == b):
+        gbar[k] += 1.0
+    dgbar = D2[:, None] * s
+    dgbar += D1[:, None]
+    dgbar *= s
+    return gbar, dgbar.reshape((N, len(a)) + dgbar.shape[1:])
+
+
+def _packed_cofactors(g):
+    """Cofactors, determinant and leading 1x1 / 2x2 minor of symmetric
+    matrices, N = 2 or 3, packed like cubic_chart along the first axis, in
+    closed form; g is positive definite where the minor and the determinant
+    are positive (Sylvester)."""
+    cof = np.empty_like(g)
+    if len(g) == 3:
+        g00, g01, g11 = g
+        cof[0] = g11
+        cof[1] = -g01
+        cof[2] = g00
+        minor = g00
+    else:
+        g00, g01, g02, g11, g12, g22 = g
+        cof[0] = g11 * g22 - g12 * g12
+        cof[1] = g02 * g12 - g01 * g22
+        cof[2] = g01 * g12 - g02 * g11
+        cof[3] = g00 * g22 - g02 * g02
+        cof[4] = g01 * g02 - g00 * g12
+        cof[5] = g00 * g11 - g01 * g01
+        minor = np.minimum(g00, cof[5])
+    det = g00 * cof[0] + g01 * cof[1]
+    if len(g) == 6:
+        det += g02 * cof[2]
+    return cof, det, minor
 
 
 # -- model manifolds -----------------------------------------------------------
@@ -445,28 +494,13 @@ class ConformalSphere2D(ModelManifold):
 
 # -- metric jet ----------------------------------------------------------------
 
-
-def _sym_cofactors(g):
-    """Cofactor matrix, determinant and leading 1x1 / 2x2 minor of symmetric
-    (P, N, N) matrices, N = 2 or 3, in closed form; g is positive definite
-    where the minor and the determinant are positive (Sylvester)."""
-    cof = np.empty_like(g)
-    if g.shape[1] == 2:
-        cof[:, 0, 0] = g[:, 1, 1]
-        cof[:, 1, 1] = g[:, 0, 0]
-        cof[:, 0, 1] = cof[:, 1, 0] = -g[:, 0, 1]
-        minor = g[:, 0, 0]
-    else:
-        (g00, g01, g02), (_, g11, g12), (_, _, g22) = g.transpose(1, 2, 0)
-        cof[:, 0, 0] = g11 * g22 - g12 * g12
-        cof[:, 1, 1] = g00 * g22 - g02 * g02
-        cof[:, 2, 2] = g00 * g11 - g01 * g01
-        cof[:, 0, 1] = cof[:, 1, 0] = g02 * g12 - g01 * g22
-        cof[:, 0, 2] = cof[:, 2, 0] = g01 * g12 - g02 * g11
-        cof[:, 1, 2] = cof[:, 2, 1] = g01 * g02 - g00 * g12
-        minor = np.minimum(g00, cof[:, 2, 2])
-    det = np.einsum("pa,pa->p", g[:, 0], cof[:, 0])
-    return cof, det, minor
+# Points per elementwise pass of MetricJet.laplace_coefficients (whole radii
+# of the product set): a block's few dozen component arrays stay in cache,
+# and the allocator reuses its temporaries instead of faulting in fresh
+# pages for each of them. An N=3 context (P = 37584, 5 blocks, 1 BLAS
+# thread) took 21-28 ms against 32-42 ms in one pass, alternating in one
+# process; 4096 and 16384 points were slower than 8192.
+BLOCK_POINTS = 8192
 
 
 class MetricJet:
@@ -488,8 +522,11 @@ class MetricJet:
     directions of the product set {r theta}, flattened radius-major like
     BallGrid.points (see SphereBasis.solid_jet).
 
-    The normal-coordinate metric is the cubic model of truncated_chart,
-    built from the curvature packet at p, on every manifold.
+    The normal-coordinate metric is the cubic model built from the
+    curvature packet at p, on every manifold. The chart point of x is
+    Y = eps rho(x) x, so on the product set it is s theta with
+    s = eps rho r, and _chart evaluates the model from the four direction
+    tables of cubic_chart, n_ang-sized, rebuilt on every call.
     """
 
     def __init__(self, manifold, p, eps, state=None):
@@ -514,10 +551,10 @@ class MetricJet:
         w, dw, d2w = prof.basis.solid_jet(prof.coeffs, pts, radii)
         return 1.0 + w, dw, d2w
 
-    def _chart(self, Y):
-        """(gbar, dgbar) of the normal-coordinate metric at true normal
-        coordinates Y (P, N)."""
-        return truncated_chart(self.packet, Y)
+    def _chart(self, dirs, s):
+        """Packed (gbar, dgbar) of the normal-coordinate metric at the true
+        normal coordinates s theta, theta in dirs (see cubic_chart)."""
+        return cubic_chart(self.packet, dirs, s)
 
     # -- metric callbacks ------------------------------------------------------
 
@@ -526,9 +563,17 @@ class MetricJet:
         points; dg[p,c,i,j] = d_c g_ij. Includes the eps^2 scaling of the
         ball, i.e. the flat case returns the identity."""
         rho, drho, d2rho = self.rho_jet(pts, radii)
+        dirs = np.atleast_2d(np.asarray(pts, dtype=float))
+        r = np.ones(1) if radii is None else np.asarray(radii, dtype=float)
+        s = self.eps * rho.reshape(len(r), -1) * r[:, None]
+        gbar, dgbar = self._chart(dirs, s)
         pts = product_points(pts, radii)
-        N = pts.shape[1]
-        Y = rho[:, None] * pts
+        P, N = pts.shape
+        # unpacked point-major, (P, N, N) and (P, N, N, N)
+        ix = packed_index(N)
+        gbar = gbar.reshape(-1, P)[ix].transpose(2, 0, 1).copy()
+        dgbar = dgbar.reshape(N, -1, P)[:, ix].transpose(3, 0, 1, 2).copy()
+        dgbar *= self.eps  # chain rule from true to scaled coordinates
         # J[p,a,i] = d_i Y^a; K[p,a,i,c] = d_c d_i Y^a
         eye = np.eye(N)
         J = np.einsum("pi,pa->pai", drho, pts) + rho[:, None, None] * eye[None]
@@ -537,18 +582,23 @@ class MetricJet:
             + np.einsum("pi,ac->paic", drho, eye)
             + np.einsum("pc,ai->paic", drho, eye)
         )
-        gbar, dgbar = self._chart(self.eps * Y)
-        dgbar = dgbar * self.eps  # chain rule from true to scaled coordinates
-        g = np.einsum("pab,pai,pbj->pij", gbar, J, J, optimize=True)
-        dg = np.einsum("peab,pec,pai,pbj->pcij", dgbar, J, J, J, optimize=True)
-        dg += np.einsum("pab,paic,pbj->pcij", gbar, K, J, optimize=True)
-        dg += np.einsum("pab,pai,pbjc->pcij", gbar, J, K, optimize=True)
+        # g = J^T gbar J and d_c g = J^T (d_e gbar J^e_c) J + K_c^T gbar J
+        # + its transpose (gbar is symmetric), as batched matrix products
+        Jt = J.transpose(0, 2, 1)
+        GJ = gbar @ J
+        g = Jt @ GJ
+        dg = np.einsum("pec,peij->pcij", J, Jt[:, None] @ dgbar @ J[:, None])
+        KGJ = np.einsum("paic,paj->pcij", K, GJ)
+        dg += KGJ
+        dg += KGJ.transpose(0, 1, 3, 2)
         return g, dg
 
     def laplace_coefficients(self, pts, radii=None):
-        """(g^-1 (P,N,N), b (P,N), sqrt det g (P,)) of the pulled-back metric
-        Laplacian lap_g u = g^ij u_ij + b^j u_j at unit-ball points, with
-        b = g^-1 ((1/2) d log det g - w), w_l = g^ik d_i g_kl.
+        """(g^-1 (N(N+1)/2, P), b (N, P), sqrt det g (P,)) of the pulled-back
+        metric Laplacian lap_g u = g^ij u_ij + b^j u_j at unit-ball points,
+        with b = g^-1 ((1/2) d log det g - w), w_l = g^ik d_i g_kl.
+        Component-major: g^-1 is packed to its upper triangle in
+        np.triu_indices(N) order, each component a block of P points.
 
         The chart is evaluated once at Y = rho x, and its own operator
         (gbar^-1 by cofactors, bbar = gbar^-1 ((1/2) d log det gbar - wbar))
@@ -562,35 +612,84 @@ class MetricJet:
         sqrt det g is NaN wherever gbar is not positive definite (leading
         minors) or det J is not positive (a folded domain map); on an
         unfolded map that is exactly where g is not positive definite.
+
+        One elementwise pass per block of about BLOCK_POINTS points (whole
+        radii of the product set), each writing its slice of one output.
         """
         rho, drho, d2rho = self.rho_jet(pts, radii)
-        x = product_points(pts, radii)
-        N = x.shape[1]
-        gbar, dgbar = self._chart(self.eps * (rho[:, None] * x))
-        cof, det, minor = _sym_cofactors(gbar)
-        q = rho + np.einsum("pi,pi->p", x, drho)
+        dirs = np.atleast_2d(np.asarray(pts, dtype=float))
+        r = np.ones(1) if radii is None else np.asarray(radii, dtype=float)
+        (n, N), n_r = dirs.shape, len(r)
+        n_sym = N * (N + 1) // 2
+        # component-major (.., n_r, n) views, strided over rho_jet's arrays
+        rho = rho.reshape(n_r, n)
+        drho = drho.T.reshape(N, n_r, n)
+        d2rho = d2rho.transpose(1, 2, 0).reshape(N, N, n_r, n)
+        out = np.empty((n_sym + N + 1, n_r, n))
+        step = max(1, BLOCK_POINTS // n)
+        for i in range(0, n_r, step):
+            rows = slice(i, i + step)
+            self._laplace_block(dirs, r[rows], rho[rows], drho[:, rows],
+                                d2rho[:, :, rows], out[:, rows])
+        out = out.reshape(len(out), n_r * n)
+        return out[:n_sym], out[n_sym:-1], out[-1]
+
+    def _laplace_block(self, dirs, r, rho, drho, d2rho, out):
+        """laplace_coefficients on the product set of dirs with r, from the
+        component-major jet of rho; writes g^-1, b and sqrt det g into the
+        rows of out."""
+        N = dirs.shape[1]
+        ia, ib = packed_pairs(N)
+        ix = packed_index(N)
+        n_sym = len(ia)
+        gbar, dgbar = self._chart(dirs, self.eps * rho * r[:, None])
+        x = r[:, None] * dirs.T[:, None, :]
+        cof, det, minor = _packed_cofactors(gbar)
+        q = rho + sum(x[i] * drho[i] for i in range(N))
         det_J = rho ** (N - 1) * q
         # NaN marks a point off the envelope; it propagates to every output
         det[~((minor > 0) & (det > 0) & (det_J > 0))] = np.nan
-        M = cof / det[:, None, None]
-        dlog = np.einsum("pab,pcab->pc", M, dgbar)
-        w = np.einsum("pik,pikl->pl", M, dgbar)
-        # eps: chain rule from true to scaled coordinates
-        bbar = np.einsum("pij,pj->pi", M, self.eps * (0.5 * dlog - w))
+        np.multiply(det_J, np.sqrt(det), out=out[-1])
+        M = cof
+        M /= det
+        # (1/2) d_l log det gbar - wbar_l = -gbar^ab Gamma_lab, with the
+        # Christoffel symbols Gamma_lab = (d_a g_bl + d_b g_al - d_l g_ab) / 2
+        # over the packed pairs a <= b; eps: chain rule from true to scaled
+        # coordinates
+        e = []
+        for l in range(N):
+            acc = 0.0
+            for k, (a, b) in enumerate(zip(ia, ib)):
+                if a == b:
+                    term = 0.5 * dgbar[l, k] - dgbar[a, ix[a, l]]
+                else:
+                    term = dgbar[l, k] - dgbar[a, ix[b, l]]
+                    term -= dgbar[b, ix[a, l]]
+                term *= M[k]
+                acc = acc + term
+            e.append(self.eps * acc)
         # pull-back: with m = gbar^-1 d rho and s = m . d rho, g^-1 is
         # (M - x u^T - u x^T) / rho^2 for u = m / q - s x / (2 q^2);
         # J^-1 x = x / q and g^-1 d rho = J^-1 m / q = (m - s x / q) / (rho q)
-        m = np.einsum("pij,pj->pi", M, drho)
-        s = np.einsum("pi,pi->p", m, drho)
-        u = (m - (0.5 * s / q)[:, None] * x) / q[:, None]
-        xu = x[:, :, None] * u[:, None, :]
-        ginv = M - xu
-        ginv -= xu.transpose(0, 2, 1)
-        ginv /= (rho**2)[:, None, None]
-        t = np.einsum("pij,pij->p", ginv, d2rho)
-        # b = J^-1 v - t x / q with v = bbar - 2 g^-1 d rho, and
-        # J^-1 v = (v - x (d rho . v) / q) / rho
-        v = bbar - (2.0 / (rho * q))[:, None] * (m - (s / q)[:, None] * x)
-        dv = np.einsum("pi,pi->p", drho, v)
-        drift = v / rho[:, None] - ((dv / rho + t) / q)[:, None] * x
-        return ginv, drift, det_J * np.sqrt(det)
+        m = [sum(M[ix[i, j]] * drho[j] for j in range(N)) for i in range(N)]
+        s = sum(m[i] * drho[i] for i in range(N))
+        inv_q = 1.0 / q
+        inv_rho = 1.0 / rho
+        hs = 0.5 * s * inv_q
+        u = [(m[i] - hs * x[i]) * inv_q for i in range(N)]
+        ginv = out[:n_sym]
+        for k, (i, j) in enumerate(zip(ia, ib)):
+            np.subtract(M[k], x[i] * u[j], out=ginv[k])
+            ginv[k] -= u[i] * x[j]
+        ginv *= inv_rho * inv_rho
+        t = sum(ginv[ix[i, j]] * d2rho[i, j] for i in range(N) for j in range(N))
+        # b = J^-1 v - t x / q with v = bbar - 2 g^-1 d rho, bbar = M e,
+        # and J^-1 v = (v - x (d rho . v) / q) / rho
+        sq = s * inv_q
+        c2 = 2.0 * inv_rho * inv_q
+        v = [sum(M[ix[i, j]] * e[j] for j in range(N))
+             - c2 * (m[i] - sq * x[i]) for i in range(N)]
+        c = (sum(drho[i] * v[i] for i in range(N)) * inv_rho + t) * inv_q
+        for i in range(N):
+            np.multiply(v[i], inv_rho, out=out[n_sym + i])
+            out[n_sym + i] -= c * x[i]

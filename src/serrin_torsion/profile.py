@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .ball_solver import EnvelopeError, dirichlet_solve_full, get_grid
-from .curvature import MetricJet, _sym_cofactors, truncated_chart
+from .curvature import MetricJet, _packed_cofactors, cubic_chart
 from .sphere_spectral import ball_volume
 
 __all__ = [
@@ -56,20 +56,20 @@ def J_geodesic_ball(manifold, p, eps):
 def ball_volume_at(manifold, p, eps):
     """Riemannian volume of the geodesic ball of radius eps around p.
 
-    The unperturbed ball's domain map is the identity, so its volume
-    element on B_1 is sqrt det gbar(eps x) of the cubic chart alone, bit
-    for bit the one a solve's context reads off the plain MetricJet.
-    Raises EnvelopeError where the chart is not positive definite.
+    The unperturbed ball's domain map is the identity (rho = 1), so its
+    volume element on B_1 is sqrt det gbar of the cubic chart alone at
+    s = eps r along the grid directions, bit for bit the one a solve's
+    context reads off the plain MetricJet. Raises EnvelopeError where the
+    chart is not positive definite.
     """
     N = manifold.dim
     grid = get_grid(N)
     packet = manifold.packet(np.asarray(p, dtype=float))
-    gbar, _ = truncated_chart(packet, eps * grid.points)
-    _, det, minor = _sym_cofactors(gbar)
+    gbar, _ = cubic_chart(packet, grid.basis.nodes, eps * grid.r[:, None])
+    _, det, minor = _packed_cofactors(gbar)
     if not np.all((minor > 0) & (det > 0)):
         raise EnvelopeError("pulled-back metric lost positivity")
-    sqrt_det = np.sqrt(det).reshape(grid.n_r, grid.n_ang)
-    return grid.volume_integral(sqrt_det) * eps**N
+    return grid.volume_integral(np.sqrt(det)) * eps**N
 
 
 # matched_radius: relative tolerance of the root solve in eps.

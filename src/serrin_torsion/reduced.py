@@ -321,7 +321,9 @@ class _TwistJet:
         m = np.einsum("pii->p", ginv)[:, None] * x
         m += 2.0 * np.einsum("pij,pj->pi", ginv, x)
         drift = (-2.0 * self.s) * np.einsum("pij,pj->pi", inv, m @ R.T)
-        return ginv, drift, np.linalg.det(DF)
+        # the jet layout: component-major, g^-1 packed to its upper triangle
+        i, j = np.triu_indices(2)
+        return ginv[:, i, j].T, drift.T, np.linalg.det(DF)
 
 
 def tangential_derivative_check():

@@ -28,6 +28,8 @@ __all__ = [
     "PerturbationState",
     "get_basis",
     "product_points",
+    "packed_pairs",
+    "packed_index",
     "ball_volume",
     "sphere_area",
     "calL_solve",
@@ -290,6 +292,23 @@ def product_points(dirs, radii=None):
         return dirs
     radii = np.asarray(radii, dtype=float)
     return (radii[:, None, None] * dirs[None]).reshape(-1, dirs.shape[1])
+
+
+def packed_pairs(N):
+    """Row and column indices (a, b), a <= b, of the upper triangle of an
+    N x N symmetric matrix in np.triu_indices(N) order, the packed order of
+    SphereBasis.node_hessians()."""
+    pairs = [(i, j) for i in range(N) for j in range(i, N)]
+    return tuple(np.array(pairs).T)
+
+
+def packed_index(N):
+    """(N, N) position of entry (i, j) of a symmetric matrix packed in the
+    order of packed_pairs(N)."""
+    ix = np.empty((N, N), dtype=int)
+    a, b = packed_pairs(N)
+    ix[a, b] = ix[b, a] = np.arange(len(a))
+    return ix
 
 
 @lru_cache(maxsize=8)

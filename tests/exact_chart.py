@@ -1,8 +1,10 @@
-"""Exact normal-coordinate charts of the space forms, the tests' oracle.
+"""Reference normal-coordinate charts, the tests' oracles.
 
-The solver's one chart is the cubic model truncated_chart. On a space of
-constant sectional curvature k the normal-coordinate metric also has a
-closed form,
+The solver's one chart is the cubic model of curvature.cubic_chart, built
+from direction tables. truncated_chart evaluates the same model pointwise,
+by products with the point tensors, as the oracle of those tables. On a
+space of constant sectional curvature k the normal-coordinate metric also
+has a closed form,
 
     g_ab(y) = d_ab + k G(k|y|^2) (|y|^2 d_ab - y_a y_b),
 
@@ -16,6 +18,37 @@ import numpy as np
 
 from serrin_torsion.curvature import MetricJet
 from serrin_torsion.sphere_spectral import ball_volume
+
+
+def truncated_chart(packet, Y):
+    """Cubic normal-coordinate metric model built from a curvature packet.
+
+    Y has shape (P, N) in true (unscaled) normal coordinates. Returns
+    (g (P,N,N), dg (P,N,N,N)) with dg[p,c,a,b] = d_c g_ab. Every term is a
+    matrix product of the point tensors Y, Y(x)Y (P, N^2) and Y(x)Y(x)Y
+    (P, N^3) with the curvature tensors reshaped to match.
+    """
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    P, N = Y.shape
+    R = packet.riemann
+    nR = packet.nabla_riemann
+    YY = (Y[:, :, None] * Y[:, None, :]).reshape(P, N**2)
+    YYY = (YY[:, :, None] * Y[:, None, :]).reshape(P, N**3)
+    # g_ab = d_ab + R[a,k,b,l] y^k y^l / 3 + nR[a,k,b,l,m] y^k y^l y^m / 6
+    g = YYY @ (nR.transpose(1, 3, 4, 0, 2).reshape(N**3, N**2) / 6.0)
+    del YYY  # freed before the (P, N^3) derivative product: peak memory
+    g += YY @ (R.transpose(1, 3, 0, 2).reshape(N**2, N**2) / 3.0)
+    g = np.eye(N) + g.reshape(P, N, N)
+    # d_c g_ab: R[a,c,b,l] y^l + R[a,k,b,c] y^k, and nR with c in each of
+    # its three y slots; one product of [y, y(x)y] with both tensors
+    dR = R.transpose(3, 1, 0, 2) + R.transpose(1, 3, 0, 2)
+    dnR = (nR.transpose(3, 4, 1, 0, 2) + nR.transpose(1, 4, 3, 0, 2)
+           + nR.transpose(1, 3, 4, 0, 2))
+    dg = np.hstack([Y, YY]) @ np.vstack(
+        [dR.reshape(N, N**3) / 3.0, dnR.reshape(N**2, N**3) / 6.0]
+    )
+    dg = dg.reshape(P, N, N, N)
+    return g, dg
 
 
 def _radial_profile(w):
@@ -92,12 +125,18 @@ class ExactJet(MetricJet):
     """MetricJet on the closed-form chart of a space form.
 
     The sectional curvature is read off the packet, S = k N (N - 1), so
-    the same class serves ConstantCurvature and FlatSpace.
+    the same class serves ConstantCurvature and FlatSpace. The chart is
+    evaluated at the points s theta and packed like cubic_chart.
     """
 
-    def _chart(self, Y):
-        N = self.dim
-        return constant_curvature_chart(self.packet.scalar / (N * (N - 1)), Y)
+    def _chart(self, dirs, s):
+        n, N = dirs.shape
+        s = np.broadcast_to(s, np.broadcast_shapes(np.shape(s), (1, n)))
+        Y = (s[:, :, None] * dirs[None]).reshape(-1, N)
+        g, dg = constant_curvature_chart(self.packet.scalar / (N * (N - 1)), Y)
+        a, b = np.triu_indices(N)
+        return (g[:, a, b].T.reshape((len(a),) + s.shape),
+                dg[:, :, a, b].transpose(1, 2, 0).reshape((N, len(a)) + s.shape))
 
 
 # -- geodesic balls of the unit round sphere, by radial quadrature -------------

@@ -91,6 +91,19 @@ def assemble_derivatives(field, magnitude=False):
     return (np.abs(u) if magnitude else u), du, d2u
 
 
+def unpack_sym(packed):
+    """(P, N, N) symmetric matrices from their upper triangles packed
+    component-major, (N(N+1)/2, P) in np.triu_indices(N) order, the layout
+    of a jet's g^-1."""
+    n_sym, P = packed.shape
+    N = int(round((np.sqrt(8 * n_sym + 1) - 1) / 2))
+    i, j = np.triu_indices(N)
+    out = np.empty((P, N, N))
+    out[:, i, j] = packed.T
+    out[:, j, i] = packed.T
+    return out
+
+
 def boundary_trace(field):
     """Oracle: the boundary values of a field, whose Jacobi profiles all
     equal 1 at r = 1."""
@@ -688,7 +701,8 @@ def test_contraction_matches_assembled_hessian(case):
     grid = get_grid(jet.dim)
     ctx = LaplaceContext(jet, grid)
     ginv, drift, _ = jet.laplace_coefficients(grid.basis.nodes, grid.r)
-    A = ginv - np.eye(grid.dim)
+    A = unpack_sym(ginv) - np.eye(grid.dim)
+    drift = drift.T
     rng = np.random.default_rng(41)
     for _ in range(3):
         u = random_field(grid, rng)
@@ -729,7 +743,7 @@ def test_divergence_form_consistency():
     for cls in (MetricJet, ExactJet):
         jet = cls(man, man.origin(), 0.15)
         ctx = LaplaceContext(jet, grid)
-        ginv, _, _ = jet.laplace_coefficients(grid.basis.nodes, grid.r)
+        ginv = unpack_sym(jet.laplace_coefficients(grid.basis.nodes, grid.r)[0])
         u = poisson_solve(random_field(grid, rng), None)
         w = poisson_solve(random_field(grid, rng), None)
         _, du, _ = assemble_derivatives(u)

@@ -3,8 +3,9 @@
 The chart measurement (packet_from_chart and its finite-difference and
 least-squares helpers) is a test-only oracle for the curvature sign
 conventions: it recovers a packet from a normal-coordinate metric callback
-independently of truncated_chart's expansion. The exact space-form charts
-it is measured against live in exact_chart, beside the jet that uses them.
+independently of truncated_chart's expansion. truncated_chart and the
+exact space-form charts it is measured against live in exact_chart, beside
+the jet that uses them.
 """
 
 import itertools
@@ -20,12 +21,18 @@ from serrin_torsion.curvature import (
     CurvaturePacket,
     FlatSpace,
     MetricJet,
-    truncated_chart,
+    ModelManifold,
+    cubic_chart,
 )
 from serrin_torsion.reduced import _StarMapJet
 from serrin_torsion.sphere_spectral import PerturbationState, SphereFunction, get_basis
 
-from exact_chart import ExactJet, _radial_profile, constant_curvature_chart
+from exact_chart import (
+    ExactJet,
+    _radial_profile,
+    constant_curvature_chart,
+    truncated_chart,
+)
 
 
 # -- independent construction of valid random curvature tensors ---------------
@@ -127,6 +134,21 @@ def synthetic_packet(N, seed=0, r_scale=0.6, dr_scale=0.4):
         riemann=R,
         nabla_riemann=nR,
     )
+
+
+class PacketManifold(ModelManifold):
+    """A manifold whose normal-coordinate metric at the origin is exactly the
+    cubic model of one packet: a solve needs nothing else of it."""
+
+    def __init__(self, packet):
+        self.dim = packet.dim
+        self._packet = packet
+
+    def origin(self):
+        return np.zeros(self.dim)
+
+    def packet(self, p=None):
+        return self._packet
 
 
 def test_identity_space_dimensions():
@@ -410,6 +432,28 @@ def test_truncated_chart_gradient_consistency():
         assert np.abs(fd - dg[:, c]) .max() < 1e-9
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_cubic_chart_tables_match_truncated_chart(N):
+    """The direction tables of cubic_chart reproduce the pointwise model at
+    Y = s theta, s = 0 included, on directions of any length."""
+    packet = synthetic_packet(N, seed=N)
+    rng = np.random.default_rng(30 + N)
+    dirs = rng.standard_normal((7, N))
+    dirs[:4] /= np.linalg.norm(dirs[:4], axis=1)[:, None]
+    s = np.array([0.0, 0.05, 0.2, 0.4])[:, None] * rng.uniform(0.5, 1.0, 7)
+    g, dg = cubic_chart(packet, dirs, s)
+    assert g.shape == (N * (N + 1) // 2, 4, 7)
+    assert dg.shape == (N,) + g.shape
+    a, b = np.triu_indices(N)
+    want_g, want_dg = truncated_chart(packet, (s[:, :, None] * dirs).reshape(-1, N))
+    assert np.abs(g.reshape(len(a), -1).T - want_g[:, a, b]).max() < 1e-15
+    got_dg = dg.reshape(N, len(a), -1).transpose(2, 0, 1)
+    assert np.abs(got_dg - want_dg[:, :, a, b]).max() < 1e-15
+    # s = 0 is the center of the chart: exactly the identity, no gradient
+    assert np.array_equal(g[:, 0], np.eye(N)[a, b][:, None] * np.ones(7))
+    assert not dg[:, :, 0].any()
+
+
 def test_radial_profile_against_mpmath():
     from mpmath import mp, mpf, sin, sinh, sqrt, diff
 
@@ -686,13 +730,16 @@ def test_metric_gradient_consistency():
 def generic_laplace_coefficients(jet, pts, radii=None):
     """Oracle for MetricJet.laplace_coefficients: the generic assembly from
     the pulled-back metric and its gradient, g^-1 by a dense inverse and
-    the drift g^-1 ((1/2) d log det g - w), w_l = g^ik d_i g_kl."""
+    the drift g^-1 ((1/2) d log det g - w), w_l = g^ik d_i g_kl; the chart
+    enters through metric_and_grad, whose tables truncated_chart checks."""
     g, dg = jet.metric_and_grad(pts, radii)
     ginv = np.linalg.inv(g)
     w = np.einsum("pik,pikl->pl", ginv, dg)
     dlog = np.einsum("pab,pcab->pc", ginv, dg)
     drift = np.einsum("pij,pj->pi", ginv, 0.5 * dlog - w)
-    return ginv, drift, np.sqrt(np.linalg.det(g))
+    # the jet's component-major layout, g^-1 packed to its upper triangle
+    a, b = np.triu_indices(jet.dim)
+    return ginv[:, a, b].T, drift.T, np.sqrt(np.linalg.det(g))
 
 
 def _band_limited(basis, seed, amplitude, low):
@@ -717,6 +764,12 @@ def _coefficient_jets():
         ConformalSphere2D(), np.array([0.3, -0.2]), 0.2, state
     )
     jets["star-map-degree1"] = _StarMapJet(1.0, _band_limited(basis, 25, 0.02, 1))
+    # a generic N=3 packet: nabla R != 0, so the cubic terms A3 and D2 of
+    # the chart are live, which they are not on any round sphere
+    basis = get_grid(3).basis
+    state = PerturbationState(0.01, _band_limited(basis, 26, 0.02, 2))
+    man = PacketManifold(synthetic_packet(3, seed=3, r_scale=0.3, dr_scale=0.3))
+    jets["packet3-perturbed"] = MetricJet(man, man.origin(), 0.2, state)
     return jets
 
 
