@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ball_solver import get_grid, harmonic_extension, poisson_solve
+from .ball_solver import BallField, get_grid, harmonic_extension, poisson_solve
 from .curvature import ConformalSphere2D, ConstantCurvature, FlatSpace
 from .fitting import fit_even_series, loglog_slope
 from .foliation import (
@@ -476,7 +476,7 @@ class AcceptanceRun:
                 order = int(rng.integers(0, mult.stop - mult.start))
                 Y = SphereFunction.from_mode(basis, k, order, 1.0)
                 vals = (grid.r**m)[:, None] * Y.node_values()[None, :]
-                u = poisson_solve(vals, None, grid=grid)
+                u = poisson_solve(BallField.from_values(grid, vals))
                 den = (m + 2) * (m + N) - k * (k + N - 2)
                 want = ((grid.r ** (m + 2) - grid.r**k) / den)[
                     :, None

@@ -210,10 +210,6 @@ class BallField:
                              % (self.coeffs.shape, expected))
 
     @classmethod
-    def zero(cls, grid):
-        return cls(grid, np.zeros((grid.basis.n_modes, grid.n_radial)))
-
-    @classmethod
     def from_values(cls, grid, values):
         """Project pointwise values (n_r, n_ang) into the spectral basis."""
         basis = grid.basis
@@ -284,18 +280,7 @@ class BallField:
             out[s] = self.coeffs[s] @ grid.bc_deriv[k]
         return SphereFunction(basis, out)
 
-    # -- algebra and norms ---------------------------------------------------
-
-    def __add__(self, other):
-        return BallField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return BallField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return BallField(self.grid, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
+    # -- norms ---------------------------------------------------------------
 
     def tail_fraction(self):
         """Relative size of the last radial coefficient per mode (resolution)."""
@@ -308,43 +293,27 @@ class BallField:
 # -- flat solves -------------------------------------------------------------
 
 
-def poisson_solve(f, h=None, grid=None):
-    """Solve lap(psi) = f in B_1 with psi = h on the boundary.
+def poisson_solve(src):
+    """Solve lap(psi) = src in B_1 with psi = 0 on the boundary.
 
-    f may be a BallField, pointwise values (n_r, n_ang), or None (Laplace).
-    h is a SphereFunction or None. One radial solve per degree, all modes of
-    the degree at once; raises ResolutionError when the source is not finite
-    or its last radial coefficient exceeds SOURCE_TAIL_TOL times its largest
-    one, and ValueError on non-finite boundary data.
+    src is a BallField. Boundary data h enters by superposition: psi +
+    harmonic_extension(grid, h) has the same Laplacian and boundary values h.
+    One radial solve per degree, all modes of the degree at once; raises
+    ResolutionError when the source is not finite or its last radial
+    coefficient exceeds SOURCE_TAIL_TOL times its largest one.
     """
-    if isinstance(f, BallField):
-        src = f
-        grid = f.grid
-    elif f is None:
-        if grid is None:
-            raise ValueError("grid required when f is None")
-        src = None
-    else:
-        if grid is None:
-            raise ValueError("grid required for pointwise sources")
-        src = BallField.from_values(grid, np.asarray(f, dtype=float))
+    grid = src.grid
     basis = grid.basis
-    M = grid.n_radial
+    if not np.isfinite(src.coeffs).all():
+        raise ResolutionError("source is not finite")
+    if src.tail_fraction() > SOURCE_TAIL_TOL:
+        raise ResolutionError(
+            "source has unresolved radial tail; raise n_radial"
+        )
     # each mode's system: its first M - 1 source coefficients, then its
-    # boundary value
-    rhs = np.zeros((basis.n_modes, M))
-    if src is not None:
-        if not np.isfinite(src.coeffs).all():
-            raise ResolutionError("source is not finite")
-        if src.tail_fraction() > SOURCE_TAIL_TOL:
-            raise ResolutionError(
-                "source has unresolved radial tail; raise n_radial"
-            )
-        rhs[:, : M - 1] = src.coeffs[:, : M - 1]
-    if h is not None:
-        if not np.isfinite(h.coeffs).all():
-            raise ValueError("boundary data is not finite")
-        rhs[:, M - 1] = h.coeffs
+    # zero boundary value
+    rhs = src.coeffs.copy()
+    rhs[:, -1] = 0.0
     out = np.empty_like(rhs)
     for k in range(basis.max_degree + 1):
         s = basis.degree_slice(k)
@@ -353,7 +322,10 @@ def poisson_solve(f, h=None, grid=None):
 
 
 def harmonic_extension(grid, h):
-    """Harmonic extension of boundary data: degree-k mode extends as r^k."""
+    """Harmonic extension of boundary data h, a SphereFunction: its degree-k
+    mode extends as r^k. Raises ValueError on non-finite boundary data."""
+    if not np.isfinite(h.coeffs).all():
+        raise ValueError("boundary data is not finite")
     coeffs = np.zeros((grid.basis.n_modes, grid.n_radial))
     coeffs[:, 0] = h.coeffs
     return BallField(grid, coeffs)
@@ -385,7 +357,9 @@ def psi_source_values(packet, eps, grid):
 def solve_psi_eps(packet, eps, grid):
     """Solve the curvature source problem -lap(psi_eps) = psi_source_values
     with zero boundary data; returns the field."""
-    return poisson_solve(-psi_source_values(packet, eps, grid), None, grid=grid)
+    return poisson_solve(
+        BallField.from_values(grid, -psi_source_values(packet, eps, grid))
+    )
 
 
 def flat_laplacian(field):
@@ -497,14 +471,14 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
     ctx = LaplaceContext(jet, grid)
     ones = np.ones((grid.n_r, grid.n_ang))
     phi = warm_start if warm_start is not None else poisson_solve(
-        -ones, None, grid=grid
+        BallField.from_values(grid, -ones)
     )
     vals = phi.values()
     history = []
     for it in range(PICARD_MAX_ITER):
         corr = ctx.correction_values(phi)
         src = BallField.from_values(grid, -ones - corr)
-        phi = poisson_solve(src, None)
+        phi = poisson_solve(src)
         prev, vals = vals, phi.values()
         step = float(np.abs(vals - prev).max())
         history.append(step)

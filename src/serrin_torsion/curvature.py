@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import minimize
+from scipy.optimize import minimize, root
 
 from .sphere_spectral import (
     SphereFunction,
@@ -181,12 +181,8 @@ class ModelManifold:
         raise NotImplementedError
 
     def distance(self, p, q):
-        v = self.log(p, np.atleast_2d(self._point_array(q)))
+        v = self.log(p, np.atleast_2d(np.asarray(q, dtype=float)))
         return float(np.linalg.norm(v[0]))
-
-    @staticmethod
-    def _point_array(p):
-        return np.asarray(p, dtype=float)
 
 
 class FlatSpace(ModelManifold):
@@ -302,12 +298,20 @@ class ConformalSphere2D(ModelManifold):
 
     The chart is the stereographic plane; the metric is exp(2 f(z)) times the
     Euclidean one, where f is the round factor log(2 / (1 + |z|^2)) plus a
-    sum of Gaussian bumps A exp(-|z - c|^2 / (2 sigma^2)). Bumps break the
-    symmetry, so the scalar curvature has genuine critical points. The frame
-    is E_i = exp(-f) d_i, smooth across the whole chart. exp integrates the
-    conformal geodesic equations with a high-order adaptive scheme; a batch
-    shares one ODE solve. log inverts it by a per-point good Broyden
-    iteration (Broyden 1965) in inverse form, one batched exp per step.
+    sum of Gaussian bumps b = A exp(-|D|^2 / (2 sigma^2)), D = z - c. Bumps
+    break the symmetry, so the scalar curvature has genuine critical points.
+    The Gauss curvature K = -exp(-2f) lap f and its gradient need only the
+    traces lap f and grad lap f, in closed form from the planar identities
+
+        lap log(1 + |z|^2) = 4 / (1 + |z|^2)^2,
+        lap b = b (|D|^2 / sigma^4 - 2 / sigma^2),
+        grad lap b = b D (4 / sigma^4 - |D|^2 / sigma^6).
+
+    The frame is E_i = exp(-f) d_i, smooth across the whole chart. exp
+    integrates the conformal geodesic equations with a high-order adaptive
+    scheme; a batch shares one ODE solve. log inverts it by a per-point good
+    Broyden iteration (Broyden 1965) in inverse form, one batched exp per
+    step.
     """
 
     dim = 2
@@ -327,37 +331,16 @@ class ConformalSphere2D(ModelManifold):
     def origin(self):
         return np.zeros(2)
 
-    # -- conformal factor and derivatives, all orders through third --------
+    # -- conformal factor and curvature -------------------------------------
 
-    def _f_jet(self, Z, order=1):
-        """f and derivatives at points Z (n, 2).
-
-        Returns a tuple of arrays (f, df, [d2f, [d3f]]) up to the requested
-        order, with the derivative index axes appended.
-        """
+    def _f_jet(self, Z):
+        """f and its chart gradient at points Z (n, 2), shapes (n,), (n, 2)."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        n = Z.shape[0]
         u = np.einsum("pi,pi->p", Z, Z)
-        d = np.eye(2)
         # round part through h(u) = log 2 - log(1 + u)
         c1 = -1.0 / (1.0 + u)
-        c2 = 1.0 / (1.0 + u) ** 2
-        c3 = -2.0 / (1.0 + u) ** 3
         f = math.log(2.0) - np.log1p(u)
         df = c1[:, None] * 2.0 * Z
-        out2 = None
-        out3 = None
-        if order >= 2:
-            out2 = 4.0 * c2[:, None, None] * Z[:, :, None] * Z[:, None, :]
-            out2 += 2.0 * c1[:, None, None] * d[None]
-        if order >= 3:
-            zz = Z[:, :, None, None] * Z[:, None, :, None] * Z[:, None, None, :]
-            sym = (
-                np.einsum("ij,pk->pijk", d, Z)
-                + np.einsum("ik,pj->pijk", d, Z)
-                + np.einsum("jk,pi->pijk", d, Z)
-            )
-            out3 = 8.0 * c3[:, None, None, None] * zz + 4.0 * c2[:, None, None, None] * sym
         for A, c, sg in self.BUMPS:
             D = Z - c[None, :]
             q = np.einsum("pi,pi->p", D, D)
@@ -365,50 +348,32 @@ class ConformalSphere2D(ModelManifold):
             f = f + b
             db = -b[:, None] * D / sg**2
             df = df + db
-            if order >= 2:
-                out2 = out2 + b[:, None, None] * (
-                    D[:, :, None] * D[:, None, :] / sg**4 - d[None] / sg**2
-                )
-            if order >= 3:
-                dd = D[:, :, None, None] * D[:, None, :, None] * D[:, None, None, :]
-                symb = (
-                    np.einsum("ij,pk->pijk", d, D)
-                    + np.einsum("ik,pj->pijk", d, D)
-                    + np.einsum("jk,pi->pijk", d, D)
-                )
-                out3 = out3 + b[:, None, None, None] * (
-                    -dd / sg**6 + symb / sg**4
-                )
-        result = [f, df]
-        if order >= 2:
-            result.append(out2)
-        if order >= 3:
-            result.append(out3)
-        return tuple(result)
+        return f, df
 
     def _curvature_jet(self, Z):
-        """(K, dK chart-gradient) at points Z."""
-        f, df, d2f, d3f = self._f_jet(Z, order=3)
-        lap = np.einsum("pii->p", d2f)
-        K = -np.exp(-2.0 * f) * lap
-        dlap = np.einsum("piim->pm", d3f)
-        dK = -np.exp(-2.0 * f)[:, None] * dlap - 2.0 * df * K[:, None]
-        return K, dK
-
-    def scalar_gradient(self, p):
-        # packet(p) rounds 2 (e^-f dK), a bit off from (2 e^-f) dK here
-        Z = np.atleast_2d(p)
-        f = self._f_jet(Z, order=1)[0]
-        _, dK = self._curvature_jet(Z)
-        return 2.0 * np.exp(-f[0]) * dK[0]
+        """(f, K, dK chart-gradient) at points Z, with K = -e^(-2f) lap f
+        from the closed-form traces lap f and grad lap f."""
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        f, df = self._f_jet(Z)
+        w = 1.0 / (1.0 + np.einsum("pi,pi->p", Z, Z))
+        lap = -4.0 * w**2
+        dlap = (16.0 * w**3)[:, None] * Z
+        for A, c, sg in self.BUMPS:
+            D = Z - c[None, :]
+            q = np.einsum("pi,pi->p", D, D)
+            b = A * np.exp(-q / (2.0 * sg**2))
+            lap = lap + b * (q / sg**4 - 2.0 / sg**2)
+            dlap = dlap + (b * (4.0 / sg**4 - q / sg**6))[:, None] * D
+        e2f = np.exp(-2.0 * f)
+        K = -e2f * lap
+        dK = -e2f[:, None] * dlap - 2.0 * df * K[:, None]
+        return f, K, dK
 
     def packet(self, p):
-        Z = np.atleast_2d(p)
-        f = self._f_jet(Z, order=1)[0][0]
-        K, dK = self._curvature_jet(Z)
+        f, K, dK = self._curvature_jet(p)
         K = float(K[0])
         T = _model_tensor(2)
-        frame_dK = math.exp(-f) * dK[0]
+        frame_dK = math.exp(-f[0]) * dK[0]
         return CurvaturePacket(
             dim=2,
             scalar=2.0 * K,
@@ -424,7 +389,7 @@ class ConformalSphere2D(ModelManifold):
         n = state.shape[0] // 4
         Z = state[: 2 * n].reshape(n, 2)
         V = state[2 * n :].reshape(n, 2)
-        _, df = self._f_jet(Z, order=1)
+        _, df = self._f_jet(Z)
         fv = np.einsum("pi,pi->p", df, V)
         vv = np.einsum("pi,pi->p", V, V)
         acc = -2.0 * fv[:, None] * V + vv[:, None] * df
@@ -436,7 +401,7 @@ class ConformalSphere2D(ModelManifold):
         n = V.shape[0]
         if np.abs(V).max(initial=0.0) == 0.0:
             return np.tile(p, (n, 1))
-        f0 = float(self._f_jet(p[None, :], order=1)[0][0])
+        f0 = float(self._f_jet(p[None, :])[0][0])
         Vc = V * math.exp(-f0)  # chart components of the initial velocity
         Z0 = np.tile(p, (n, 1))
         state0 = np.concatenate([Z0.ravel(), Vc.ravel()])
@@ -456,7 +421,7 @@ class ConformalSphere2D(ModelManifold):
     def log(self, p, Q):
         p = np.asarray(p, dtype=float)
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        f0 = float(self._f_jet(p[None, :], order=1)[0][0])
+        f0 = float(self._f_jet(p[None, :])[0][0])
         scale = math.exp(f0)
         U = scale * (Q - p[None, :])  # first-order seed in frame coefficients
         # per-point inverse Jacobian of U -> exp(p, U), first guess e^f0 I
@@ -485,11 +450,17 @@ class ConformalSphere2D(ModelManifold):
         """Chart location of the (local) maximum of the scalar curvature."""
 
         def neg(z):
-            K, dK = self._curvature_jet(z[None, :])
+            _, K, dK = self._curvature_jet(z)
             return -2.0 * K[0], -2.0 * dK[0]
 
         res = minimize(neg, np.zeros(2), jac=True, method="BFGS", tol=1e-14)
-        return res.x
+        # BFGS stops on roundoff ("precision loss") about 1e-8 short of the
+        # critical point; a root solve on the exact gradient finishes it
+        crit = root(lambda z: neg(z)[1], res.x)
+        if not crit.success:
+            raise RuntimeError("scalar curvature maximum not found: %s"
+                               % crit.message)
+        return crit.x
 
 
 # -- metric jet ----------------------------------------------------------------

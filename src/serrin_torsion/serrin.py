@@ -113,12 +113,6 @@ class SerrinProblem:
         G = trace + SphereFunction.constant(self.basis, 1.0 / N)
         return G, phi, info
 
-    def g_residual(self, p, eps, v, warm_phi=None):
-        """script_G(v) = G(domain part of v) + Pi_1 v, plus the solve outputs."""
-        state = PerturbationState.from_sphere_function(v)
-        G, phi, info = self.G_map(p, eps, state, warm_phi=warm_phi)
-        return G + v.pi1(), G, phi, info
-
     # -- the solve ----------------------------------------------------------
 
     def seed(self, p, eps):
@@ -141,7 +135,9 @@ class SerrinProblem:
         history = []
         phi = None
         for step in range(MAX_STEPS):
-            resid, G, phi, info = self.g_residual(p, eps, v, warm_phi=phi)
+            state = PerturbationState.from_sphere_function(v)
+            G, phi, info = self.G_map(p, eps, state, warm_phi=phi)
+            resid = G + v.pi1()
             rnorm = resid.norm_inf()
             history.append(rnorm)
             if rnorm < SOLVE_TOL:

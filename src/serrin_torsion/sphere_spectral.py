@@ -408,8 +408,6 @@ class SphereFunction:
     def __mul__(self, scalar):
         return SphereFunction(self.basis, self.coeffs * float(scalar))
 
-    __rmul__ = __mul__
-
     def __neg__(self):
         return SphereFunction(self.basis, -self.coeffs)
 

@@ -129,7 +129,9 @@ def test_one_grid_per_resolution():
 
 def test_torsion_function_of_the_ball(grid):
     N = grid.dim
-    phi = poisson_solve(-np.ones((grid.n_r, grid.n_ang)), None, grid=grid)
+    phi = poisson_solve(
+        BallField.from_values(grid, -np.ones((grid.n_r, grid.n_ang)))
+    )
     exact = ((1.0 - grid.r**2) / (2.0 * N))[:, None] * np.ones(grid.n_ang)
     assert np.abs(phi.values() - exact).max() < 1e-13
     # the classical volume integral of the torsion function
@@ -141,7 +143,7 @@ def test_harmonic_extension_modes(grid):
     basis = grid.basis
     for k in (0, 1, 3):
         h = SphereFunction.from_mode(basis, k, 0, 1.0)
-        u = poisson_solve(None, h, grid=grid)
+        u = harmonic_extension(grid, h)
         want = (grid.r**k)[:, None] * h.node_values()[None, :]
         assert np.abs(u.values() - want).max() < 1e-11
 
@@ -205,7 +207,7 @@ def test_polynomial_source_oracle(grid):
         order = int(rng.integers(0, mult.stop - mult.start))
         Y = SphereFunction.from_mode(basis, k, order, 1.0)
         vals = (grid.r**m)[:, None] * Y.node_values()[None, :]
-        u = poisson_solve(vals, None, grid=grid)
+        u = poisson_solve(BallField.from_values(grid, vals))
         den = (m + 2) * (m + N) - k * (k + N - 2)
         want = ((grid.r ** (m + 2) - grid.r**k) / den)[:, None] * Y.node_values()
         assert np.abs(u.values() - want).max() < 1e-11
@@ -240,12 +242,10 @@ def test_poisson_linearity(seed):
     grid = get_grid(2, 16)
     rng = np.random.default_rng(seed)
     f1, f2 = random_field(grid, rng), random_field(grid, rng)
-    h1 = SphereFunction(grid.basis, rng.standard_normal(grid.basis.n_modes))
-    h2 = SphereFunction(grid.basis, rng.standard_normal(grid.basis.n_modes))
     al, be = float(rng.normal()), float(rng.normal())
-    lhs = poisson_solve(f1 * al + f2 * be, h1 * al + h2 * be)
-    rhs = poisson_solve(f1, h1) * al + poisson_solve(f2, h2) * be
-    assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-12
+    lhs = poisson_solve(BallField(grid, f1.coeffs * al + f2.coeffs * be))
+    rhs = poisson_solve(f1).coeffs * al + poisson_solve(f2).coeffs * be
+    assert np.abs(lhs.coeffs - rhs).max() < 1e-12
 
 
 def test_maximum_principle(grid):
@@ -255,13 +255,13 @@ def test_maximum_principle(grid):
     low = grid.basis.degrees <= 4
     c[low, :6] = rng.standard_normal((int(low.sum()), 6))
     q = BallField(grid, c)
-    u = poisson_solve(-(q.values() ** 2), None, grid=grid)
+    u = poisson_solve(BallField.from_values(grid, -(q.values() ** 2)))
     assert u.values().min() >= -1e-13
 
 
 def test_dirichlet_zero_boundary_trace(grid):
     rng = np.random.default_rng(6)
-    u = poisson_solve(random_field(grid, rng), None)
+    u = poisson_solve(random_field(grid, rng))
     assert boundary_trace(u).norm_inf() < 1e-12
 
 
@@ -281,7 +281,8 @@ def test_values_match_per_degree_sums(grid):
 def test_poisson_solve_matches_per_mode_solves(grid):
     """The per-degree batched solve against one LU solve per mode of its
     system (the first M - 1 rows of the mode Laplacian, then the boundary
-    row), with and without boundary data."""
+    row), with and without boundary data; boundary data enters as the
+    harmonic extension added to the zero-boundary solve."""
     rng = np.random.default_rng(8)
     basis, M = grid.basis, grid.n_radial
     lus = [lu_factor(np.vstack([op[: M - 1], np.ones((1, M))]))
@@ -294,7 +295,9 @@ def test_poisson_solve_matches_per_mode_solves(grid):
             rhs = np.append(f.coeffs[m, : M - 1],
                             0.0 if bc is None else bc.coeffs[m])
             want[m] = lu_solve(lus[basis.degrees[m]], rhs)
-        got = poisson_solve(f, bc).coeffs
+        got = poisson_solve(f).coeffs
+        if bc is not None:
+            got = got + harmonic_extension(grid, bc).coeffs
         assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
 
 
@@ -305,21 +308,21 @@ def test_non_finite_source_rejected():
     vals = -np.ones((grid.n_r, grid.n_ang))
     vals[3, 5] = np.nan
     with pytest.raises(ResolutionError, match="not finite"):
-        poisson_solve(vals, None, grid=grid)
+        poisson_solve(BallField.from_values(grid, vals))
     f = random_field(grid, np.random.default_rng(9))
     f.coeffs[0, 0] = np.inf
     with pytest.raises(ResolutionError, match="not finite"):
-        poisson_solve(f, None)
+        poisson_solve(f)
     h = SphereFunction.constant(grid.basis, np.nan)
     with pytest.raises(ValueError, match="boundary data is not finite"):
-        poisson_solve(None, h, grid=grid)
+        harmonic_extension(grid, h)
 
 
 def test_unresolved_source_rejected():
     grid = get_grid(2, 16)
     vals = np.abs(grid.r - 0.6)[:, None] * np.ones(grid.n_ang)
     with pytest.raises(ResolutionError):
-        poisson_solve(vals, None, grid=grid)
+        poisson_solve(BallField.from_values(grid, vals))
 
 
 @pytest.mark.parametrize("max_degree", [28, 32])
@@ -329,7 +332,7 @@ def test_constant_source_resolved_at_max_degree(max_degree):
     grid = get_grid(2, max_degree)
     source = -np.ones((grid.n_r, grid.n_ang))
     assert BallField.from_values(grid, source).tail_fraction() < 1e-12
-    phi = poisson_solve(source, None, grid=grid)
+    phi = poisson_solve(BallField.from_values(grid, source))
     exact = ((1.0 - grid.r**2) / 4.0)[:, None] * np.ones(grid.n_ang)
     assert np.abs(phi.values() - exact).max() < 1e-13
 
@@ -345,7 +348,7 @@ def test_dtn_through_ball_solve(grid):
 def test_flat_laplacian_consistency(grid):
     rng = np.random.default_rng(7)
     f = random_field(grid, rng)
-    u = poisson_solve(f, None)
+    u = poisson_solve(f)
     back = flat_laplacian(u)
     assert np.abs(back.coeffs - f.coeffs).max() < 1e-10
 
@@ -744,8 +747,8 @@ def test_divergence_form_consistency():
         jet = cls(man, man.origin(), 0.15)
         ctx = LaplaceContext(jet, grid)
         ginv = unpack_sym(jet.laplace_coefficients(grid.basis.nodes, grid.r)[0])
-        u = poisson_solve(random_field(grid, rng), None)
-        w = poisson_solve(random_field(grid, rng), None)
+        u = poisson_solve(random_field(grid, rng))
+        w = poisson_solve(random_field(grid, rng))
         _, du, _ = assemble_derivatives(u)
         _, dw, _ = assemble_derivatives(w)
         shape = (grid.n_r, grid.n_ang)
@@ -771,14 +774,15 @@ def decompose_solution(jet, phi, psi_eps_field, grid):
     phi0_rho = BallField.from_values(grid, (1.0 - rr) / (2.0 * N))
     v = jet.state.compose() if jet.state is not None else None
     psi_v = (
-        harmonic_extension(grid, v)
+        harmonic_extension(grid, v).coeffs
         if v is not None
-        else BallField.zero(grid)
+        else np.zeros_like(phi.coeffs)
     )
-    gamma = phi - phi0_rho - (1.0 / N) * psi_v - psi_eps_field
+    gamma = BallField(grid, phi.coeffs - phi0_rho.coeffs
+                      - (1.0 / N) * psi_v - psi_eps_field.coeffs)
     return {
         "phi0_rho": phi0_rho,
-        "psi_v_over_N": (1.0 / N) * psi_v,
+        "psi_v_over_N": BallField(grid, (1.0 / N) * psi_v),
         "psi_eps": psi_eps_field,
         "gamma": gamma,
         "gamma_max": float(np.abs(gamma.values()).max()),

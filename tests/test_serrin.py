@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from serrin_torsion.ball_solver import EnvelopeError, poisson_solve, solve_psi_eps
+from serrin_torsion.ball_solver import (
+    BallField,
+    EnvelopeError,
+    poisson_solve,
+    solve_psi_eps,
+)
 from serrin_torsion.curvature import (
     ConformalSphere2D,
     ConstantCurvature,
@@ -73,7 +78,9 @@ def test_flat_solve_is_euclidean(flat_problem):
     assert np.linalg.norm(sol.state.a) < 1e-13
     assert sol.residual_overdetermined.norm_inf() < 5e-12
     grid = flat_problem.grid
-    phi0 = poisson_solve(-np.ones((grid.n_r, grid.n_ang)), None, grid=grid)
+    phi0 = poisson_solve(
+        BallField.from_values(grid, -np.ones((grid.n_r, grid.n_ang)))
+    )
     assert np.abs(sol.potential.values() - phi0.values()).max() < 1e-12
 
 
