@@ -32,11 +32,13 @@ from .foliation import (
     build_foliation_chart,
     center_curve_through,
     certify_foliation,
+    check_certificate_grid,
     solved_profile_curve,
 )
 from .profile import profile_coefficient, profile_expansion
 from .reduced import constants, find_critical, reduced_functional
 from .serrin import SerrinProblem
+from .sphere_spectral import check_dimension
 
 __all__ = ["main"]
 
@@ -46,9 +48,13 @@ EPS_MAX = 0.5
 class ConfigError(ValueError):
     """Bad or missing configuration; maps to exit code 2."""
 
+    kind = "config_error"
+
 
 class DependencyError(RuntimeError):
     """A subcommand needs the output of another run; exit code 2."""
+
+    kind = "dependency_error"
 
 
 # -- config parsing -----------------------------------------------------------
@@ -68,32 +74,34 @@ def load_config(path):
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
-def _get(cfg, section, key, default=None):
-    return cfg.get(section, {}).get(key, default)
+def _boolean(raw):
+    """configparser's boolean words, case and surrounding spaces ignored."""
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
-def _get_float(cfg, section, key, default=None):
-    raw = _get(cfg, section, key)
+_KIND_NAMES = {float: "a number", int: "an integer", _boolean: "a boolean"}
+
+
+def _get(cfg, section, key, default=None, kind=None):
+    """The value of [section] key, or default when the key is absent.
+
+    Without a kind the raw string is returned. With a kind (float, int,
+    str or _boolean) the value is read as that kind, and a key that is
+    absent with no default is a ConfigError.
+    """
+    raw = cfg.get(section, {}).get(key)
     if raw is None:
-        if default is None:
+        if kind is not None and default is None:
             raise ConfigError("missing [%s] %s" % (section, key))
-        return float(default)
+        return default
+    if kind is None:
+        return raw
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError("[%s] %s is not a number: %r" % (section, key, raw)) from exc
-
-
-def _get_int(cfg, section, key, default=None):
-    raw = _get(cfg, section, key)
-    if raw is None:
-        if default is None:
-            raise ConfigError("missing [%s] %s" % (section, key))
-        return int(default)
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError("[%s] %s is not an integer: %r" % (section, key, raw)) from exc
+        return kind(raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(
+            "[%s] %s is not %s: %r" % (section, key, _KIND_NAMES[kind], raw)
+        ) from exc
 
 
 def parse_grid(text, name):
@@ -140,65 +148,67 @@ def validate_positive(value, name):
     return value
 
 
-def parse_point(text, dim, name="point"):
-    try:
-        coords = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError("bad %s %r" % (name, text)) from exc
-    if len(coords) != dim:
-        raise ConfigError(
-            "%s %r has %d coordinates, manifold needs %d"
-            % (name, text, len(coords), dim)
-        )
-    return coords
-
-
-def parse_points(text, dim):
-    pts = [parse_point(tok, dim) for tok in text.split(";") if tok.strip()]
-    if not pts:
+def parse_points(text, dim, one=False):
+    """Points of dim comma-separated coordinates: a ";" list, or with one
+    the whole text as a single point."""
+    tokens = [text] if one else [t for t in text.split(";") if t.strip()]
+    if not tokens:
         raise ConfigError("empty point list")
-    return pts
+    points = []
+    for tok in tokens:
+        try:
+            coords = [float(c) for c in tok.split(",") if c.strip()]
+        except ValueError as exc:
+            raise ConfigError("bad point %r" % tok) from exc
+        if len(coords) != dim:
+            raise ConfigError(
+                "point %r has %d coordinates, manifold needs %d"
+                % (tok, len(coords), dim)
+            )
+        points.append(coords)
+    return points
 
 
-def point_length(spec):
-    """Coordinates per point: ambient vectors on the embedded round model."""
-    if spec["manifold"] == "round":
-        return spec["dimension"] + 1
-    return spec["dimension"]
+def config_points(text, spec, one=False):
+    """The points of a config value on the manifold of spec, in the grammar
+    of parse_points; the point itself when one is set.
 
-
-def check_on_sphere(point, spec, name="point"):
-    if spec["manifold"] != "round":
-        return point
-    radius = 1.0 / np.sqrt(spec["curvature"])
-    gap = abs(float(np.linalg.norm(point)) - radius)
-    if gap > 1e-8 * max(radius, 1.0):
-        raise ConfigError(
-            "%s %r is not on the sphere of radius %r" % (name, point, radius)
-        )
-    return point
-
-
-def config_points(text, spec):
-    pts = parse_points(text, point_length(spec))
-    for p in pts:
-        check_on_sphere(p, spec)
-    return pts
+    On the embedded round model a point is an ambient vector in R^(N+1)
+    and must lie on the sphere of radius 1/sqrt(k).
+    """
+    round_model = spec["manifold"] == "round"
+    points = parse_points(text, spec["dimension"] + round_model, one)
+    if round_model:
+        radius = 1.0 / np.sqrt(spec["curvature"])
+        for p in points:
+            if abs(float(np.linalg.norm(p)) - radius) > 1e-8 * max(radius, 1.0):
+                raise ConfigError(
+                    "point %r is not on the sphere of radius %r" % (p, radius)
+                )
+    return points[0] if one else points
 
 
 def manifold_spec(cfg):
+    """The [run] manifold as a plain dict, checked before any solve: the
+    models' own ValueErrors (k > 0 on the round model, a ball dimension
+    with a sphere basis) become config errors."""
     kind = _get(cfg, "run", "manifold", "flat").strip().lower()
-    dim = _get_int(cfg, "run", "dimension", 2)
+    dim = _get(cfg, "run", "dimension", 2, kind=int)
     if dim < 2:
         raise ConfigError("dimension must be at least 2, got %d" % dim)
     spec = {"manifold": kind, "dimension": dim}
     if kind == "round":
-        spec["curvature"] = _get_float(cfg, "run", "curvature", 1.0)
+        spec["curvature"] = _get(cfg, "run", "curvature", 1.0, kind=float)
     elif kind == "conformal":
         if dim != 2:
             raise ConfigError("the conformal model is two-dimensional")
     elif kind != "flat":
         raise ConfigError("unknown manifold %r (flat, round, conformal)" % kind)
+    try:
+        check_dimension(dim)
+        make_manifold(spec)
+    except ValueError as exc:
+        raise ConfigError("[run] %s" % exc) from exc
     return spec
 
 
@@ -212,33 +222,24 @@ def make_manifold(spec):
 
 
 def make_problem(cfg, spec):
-    kwargs = {}
-    raw_degree = _get(cfg, "run", "max_degree")
-    if raw_degree is not None:
-        kwargs["max_degree"] = _get_int(cfg, "run", "max_degree")
-    raw_radial = _get(cfg, "run", "n_radial")
-    if raw_radial is not None:
-        kwargs["n_radial"] = _get_int(cfg, "run", "n_radial")
-    return SerrinProblem(make_manifold(spec), **kwargs)
+    """The solver context; an absent [run] max_degree or n_radial takes the
+    grid's default."""
+    run = cfg.get("run", {})
+    return SerrinProblem(
+        make_manifold(spec),
+        _get(cfg, "run", "max_degree", kind=int) if "max_degree" in run else None,
+        _get(cfg, "run", "n_radial", kind=int) if "n_radial" in run else None,
+    )
 
 
 # -- deterministic serialization ----------------------------------------------
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _json_default(obj):
+    """numpy arrays and scalars as their Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def _fmt_cell(x):
@@ -267,35 +268,36 @@ class Reporter:
 
 def write_json(out_dir, name, payload):
     if out_dir is None:
-        return None
+        return
     path = os.path.join(out_dir, name + ".json")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
-    return path
+        fh.write(text + "\n")
 
 
 def write_csv(out_dir, name, fieldnames, rows):
     if out_dir is None:
-        return None
+        return
     path = os.path.join(out_dir, name + ".csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_fmt_cell(row[k]) for k in fieldnames])
-    return path
 
 
-def _point_columns(dim):
-    return ["p%d" % i for i in range(dim)]
+def _point_columns(row):
+    """row with its point's coordinates added as the columns p0, p1, ..."""
+    row.update(("p%d" % i, x) for i, x in enumerate(row["point"]))
+    return row
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_verify_constants(cfg, out, seed, workers, args, report):
-    n_min = _get_int(cfg, "constants", "n_min", 2)
-    n_max = _get_int(cfg, "constants", "n_max", 6)
+    n_min = _get(cfg, "constants", "n_min", 2, kind=int)
+    n_max = _get(cfg, "constants", "n_max", 6, kind=int)
     if n_min < 2:
         raise ConfigError("constants need dimension at least 2, got %d" % n_min)
     if n_max < n_min:
@@ -320,30 +322,21 @@ def cmd_solve(cfg, out, seed, workers, args, report):
     if point_raw is None:
         point = [float(x) for x in problem.manifold.origin()]
     else:
-        point = check_on_sphere(
-            parse_point(point_raw, point_length(spec)), spec
-        )
-    eps = validate_radii([_get_float(cfg, "solve", "eps")], "eps")[0]
+        point = config_points(point_raw, spec, one=True)
+    eps = validate_radii([_get(cfg, "solve", "eps", kind=float)], "eps")[0]
     rep = reduced_functional(problem, np.array(point), eps)
     sol = rep.solution
     record = rep.to_record()
     record.update(
-        {
-            "manifold": spec,
-            "seed": seed,
-            "steps": len(sol.iterations),
-            "residual_inf": float(sol.residual_overdetermined.norm_inf()),
-        }
+        manifold=spec,
+        seed=seed,
+        steps=len(sol.iterations),
+        residual_inf=float(sol.residual_overdetermined.norm_inf()),
     )
     report.say("solved %s at eps=%s in %d steps" % (point, repr(eps), record["steps"]))
     report.say(
         "phi_eps=%s J=%s volume=%s a_norm=%s"
-        % (
-            repr(record["phi_eps"]),
-            repr(record["J"]),
-            repr(record["volume"]),
-            repr(record["a_norm"]),
-        )
+        % tuple(repr(record[k]) for k in ("phi_eps", "J", "volume", "a_norm"))
     )
     write_json(out, "solve", record)
     return 0
@@ -352,36 +345,19 @@ def cmd_solve(cfg, out, seed, workers, args, report):
 def _sweep_task(payload):
     """One cold solve; runs in a worker process, so it rebuilds the problem."""
     cfg = {"run": payload["run"]}
-    spec = manifold_spec(cfg)
-    problem = make_problem(cfg, spec)
+    problem = make_problem(cfg, manifold_spec(cfg))
     rep = reduced_functional(problem, np.array(payload["point"]), payload["eps"])
-    row = {
-        "eps": payload["eps"],
-        "v0": rep.solution.state.v0,
-        "v_norm": rep.solution.v_norm(),
-        "a_norm": float(np.linalg.norm(rep.solution.state.a)),
-        "J": rep.J_value,
-        "volume": rep.volume,
-        "area": rep.boundary_area,
-        "phi_eps": rep.phi_eps,
-        "F": rep.F_value,
-        "steps": len(rep.solution.iterations),
-    }
-    for i, x in enumerate(payload["point"]):
-        row["p%d" % i] = x
-    return row
+    row = rep.to_record()
+    row["v_norm"] = row.pop("v_sobolev")
+    row["v0"] = rep.solution.state.v0
+    row["steps"] = len(rep.solution.iterations)
+    return _point_columns(row)
 
 
 def cmd_sweep(cfg, out, seed, workers, args, report):
     spec = manifold_spec(cfg)
-    dim = point_length(spec)
-    points_raw = _get(cfg, "sweep", "points")
-    if points_raw is None:
-        raise ConfigError("missing [sweep] points")
-    points = config_points(points_raw, spec)
-    eps_raw = _get(cfg, "sweep", "eps")
-    if eps_raw is None:
-        raise ConfigError("missing [sweep] eps")
+    points = config_points(_get(cfg, "sweep", "points", kind=str), spec)
+    eps_raw = _get(cfg, "sweep", "eps", kind=str)
     eps_list = validate_radii(parse_grid(eps_raw, "eps"), "eps")
     run_section = dict(cfg.get("run", {}))
     tasks = [
@@ -394,9 +370,8 @@ def cmd_sweep(cfg, out, seed, workers, args, report):
             rows = list(pool.map(_sweep_task, tasks))
     else:
         rows = [_sweep_task(t) for t in tasks]
-    pcols = _point_columns(dim)
-    rows.sort(key=lambda r: tuple(r[c] for c in pcols) + (r["eps"],))
-    fields = pcols + [
+    rows.sort(key=lambda r: (r["point"], r["eps"]))
+    fields = ["p%d" % i for i in range(len(points[0]))] + [
         "eps", "v0", "v_norm", "a_norm", "J", "volume", "area",
         "phi_eps", "F", "steps",
     ]
@@ -405,11 +380,11 @@ def cmd_sweep(cfg, out, seed, workers, args, report):
     flat = spec["manifold"] == "flat"
     summaries = []
     invariants_ok = True
-    for p in sorted(map(tuple, points)):
-        sub = [r for r in rows if tuple(r[c] for c in pcols) == p]
+    for p in sorted(points):
+        sub = [r for r in rows if r["point"] == p]
         eps_arr = np.array([r["eps"] for r in sub])
         norms = np.array([r["v_norm"] for r in sub])
-        entry = {"point": list(p), "n_eps": len(sub)}
+        entry = {"point": p, "n_eps": len(sub)}
         if flat:
             entry["max_v_norm"] = float(norms.max())
             if norms.max() >= 1e-10:
@@ -421,11 +396,9 @@ def cmd_sweep(cfg, out, seed, workers, args, report):
             entry["phi_fit"] = {str(k): v for k, v in fit.items()}
         summaries.append(entry)
         if flat:
-            report.say("point %s: max v_norm %s" % (list(p), repr(entry["max_v_norm"])))
+            report.say("point %s: max v_norm %s" % (p, repr(entry["max_v_norm"])))
         elif "v_norm_slope" in entry:
-            report.say(
-                "point %s: v_norm slope %s" % (list(p), repr(entry["v_norm_slope"]))
-            )
+            report.say("point %s: v_norm slope %s" % (p, repr(entry["v_norm_slope"])))
     payload = {
         "manifold": spec,
         "seed": seed,
@@ -445,12 +418,14 @@ def cmd_find_critical(cfg, out, seed, workers, args, report):
     problem = make_problem(cfg, spec)
     eps_raw = _get(cfg, "find-critical", "eps", "0.1")
     eps_list = validate_radii(parse_grid(eps_raw, "eps"), "eps")
+    section = cfg.get("find-critical", {})
     options = {}
-    for key in ("tol", "jitter"):
-        if _get(cfg, "find-critical", key) is not None:
-            options[key] = validate_positive(
-                _get_float(cfg, "find-critical", key), key
-            )
+    if "tol" in section:
+        tol = _get(cfg, "find-critical", "tol", kind=float)
+        options["tol"] = validate_positive(tol, "tol")
+    if "jitter" in section:
+        jitter = _get(cfg, "find-critical", "jitter", kind=float)
+        options["jitter"] = validate_positive(jitter, "jitter")
     manifold = problem.manifold
     limit = (
         np.asarray(manifold.scalar_max_point(), dtype=float)
@@ -483,19 +458,13 @@ def cmd_find_critical(cfg, out, seed, workers, args, report):
     if limit is not None:
         payload["limit_point"] = [float(x) for x in limit]
     write_json(out, "find_critical", payload)
-    flat_rows = []
-    for row in rows:
-        fr = {"eps": row["eps"], "a_norm": row["a_norm"], "solves": row["solves"]}
-        for i, x in enumerate(row["point"]):
-            fr["p%d" % i] = x
-        if "dist_over_eps2" in row:
-            fr["dist_over_eps2"] = row["dist_over_eps2"]
-        flat_rows.append(fr)
-    fields = ["eps"] + ["p%d" % i for i in range(len(rows[0]["point"]))]
+    fields = ["eps"] + ["p%d" % i for i in range(len(reference["point"]))]
     fields += ["a_norm", "solves"]
     if limit is not None:
         fields.append("dist_over_eps2")
-    write_csv(out, "find_critical", fields, flat_rows)
+    write_csv(
+        out, "find_critical", fields, [_point_columns(dict(r)) for r in rows]
+    )
     return 0
 
 
@@ -519,18 +488,17 @@ def cmd_foliate(cfg, out, seed, workers, args, report):
         )
     problem = make_problem(cfg, spec)
     t_raw = _get(cfg, "foliate", "t_grid", "0.02:0.12:8")
-    t_grid = np.array(validate_radii(parse_grid(t_raw, "t_grid"), "t_grid"))
-    residual_tol = validate_positive(
-        _get_float(cfg, "foliate", "residual_tol", 1e-12), "residual_tol"
-    )
+    t_grid = validate_radii(parse_grid(t_raw, "t_grid"), "t_grid")
+    try:
+        t_grid = check_certificate_grid(t_grid)
+    except ValueError as exc:
+        raise ConfigError("[foliate] t_grid: %s" % exc) from exc
     ref = critical["reference"]
     base, curve = center_curve_through(
         problem.manifold, np.array(ref["point"]), ref["eps"]
     )
     profile = solved_profile_curve(problem, curve)
-    chart = build_foliation_chart(
-        problem.manifold, t_grid, curve, profile, residual_tol=residual_tol
-    )
+    chart = build_foliation_chart(problem.manifold, t_grid, curve, profile)
     cert = certify_foliation(chart, t_grid)
     for key in sorted(cert):
         report.say("%s = %s" % (key, _fmt_cell(cert[key])))
@@ -538,7 +506,7 @@ def cmd_foliate(cfg, out, seed, workers, args, report):
         "manifold": spec,
         "seed": seed,
         "base": [float(x) for x in np.atleast_1d(base)],
-        "t_grid": [float(t) for t in t_grid],
+        "t_grid": t_grid,
         "certificate": cert,
         "critical_run": critical_path,
     }
@@ -554,29 +522,23 @@ def cmd_foliate(cfg, out, seed, workers, args, report):
 def cmd_profile(cfg, out, seed, workers, args, report):
     spec = manifold_spec(cfg)
     manifold = make_manifold(spec)
-    vol_raw = _get(cfg, "profile", "volumes")
-    if vol_raw is None:
-        raise ConfigError("missing [profile] volumes")
-    volumes = parse_grid(vol_raw, "volumes")
+    volumes = parse_grid(_get(cfg, "profile", "volumes", kind=str), "volumes")
     for v in volumes:
         validate_positive(v, "volume")
     point_raw = _get(cfg, "profile", "point")
     if point_raw is not None:
-        p = np.array(
-            check_on_sphere(parse_point(point_raw, point_length(spec)), spec)
-        )
+        p = np.array(config_points(point_raw, spec, one=True))
     elif hasattr(manifold, "scalar_max_point"):
         p = np.asarray(manifold.scalar_max_point(), dtype=float)
     else:
         p = np.asarray(manifold.origin(), dtype=float)
     points = profile_expansion(manifold, volumes, p=p)
     coef = profile_coefficient(points, spec["dimension"])
-    rows = [pt.to_record() for pt in points]
     write_csv(
         out,
         "profile",
         ["volume", "eps_used", "J_ball", "T_euclidean", "ratio"],
-        rows,
+        [pt.to_record() for pt in points],
     )
     S = manifold.scalar_curvature(p)
     c = constants(spec["dimension"])[3]
@@ -623,17 +585,8 @@ def _parse_checks(text):
 
 
 def cmd_run_acceptance(cfg, out, seed, workers, args, report):
-    strict = False
-    raw_strict = _get(cfg, "acceptance", "strict")
-    if raw_strict is not None:
-        word = raw_strict.strip().lower()
-        if word not in configparser.ConfigParser.BOOLEAN_STATES:
-            raise ConfigError(
-                "[acceptance] strict is not a boolean: %r" % raw_strict
-            )
-        strict = configparser.ConfigParser.BOOLEAN_STATES[word]
     # the command-line flag wins over the config key
-    strict = strict or bool(getattr(args, "strict", False))
+    strict = _get(cfg, "acceptance", "strict", False, kind=_boolean) or args.strict
     ids = _parse_checks(_get(cfg, "acceptance", "checks"))
     engine = AcceptanceRun(seed=seed)
     records = engine.run_all(ids)
@@ -708,7 +661,7 @@ def _error_record(kind, command, message, out):
     record = {
         "error": {"kind": kind, "subcommand": command, "message": message}
     }
-    line = json.dumps(_jsonify(record), sort_keys=True)
+    line = json.dumps(record, sort_keys=True)
     print(line, file=sys.stderr)
     if out is not None and os.path.isdir(out):
         with open(
@@ -728,12 +681,12 @@ def main(argv=None):
         if needs_config and args.config is None:
             raise ConfigError("%s requires --config" % command)
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else _get_int(cfg, "run", "seed", 0)
-        workers = (
-            args.workers
-            if args.workers is not None
-            else _get_int(cfg, "run", "workers", 1)
-        )
+        seed = args.seed
+        if seed is None:
+            seed = _get(cfg, "run", "seed", 0, kind=int)
+        workers = args.workers
+        if workers is None:
+            workers = _get(cfg, "run", "workers", 1, kind=int)
         if workers < 1:
             raise ConfigError("workers must be at least 1")
         report = Reporter()
@@ -741,12 +694,7 @@ def main(argv=None):
         report.write_log(out, command.replace("-", "_"))
         return code
     except (ConfigError, DependencyError) as exc:
-        kind = (
-            "dependency_error"
-            if isinstance(exc, DependencyError)
-            else "config_error"
-        )
-        _error_record(kind, command, str(exc), out)
+        _error_record(exc.kind, command, str(exc), out)
         return 2
     except Exception as exc:  # noqa: BLE001 - reported as a record
         _error_record("runtime_error", command, repr(exc), out)

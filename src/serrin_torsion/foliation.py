@@ -18,6 +18,7 @@ __all__ = [
     "build_foliation_chart",
     "center_curve_through",
     "certify_foliation",
+    "check_certificate_grid",
     "recentering_solve",
     "reparametrize",
     "solved_profile_curve",
@@ -32,16 +33,20 @@ class FoliationError(RuntimeError):
 # iteration cap.
 INVERSE_TOL = 1e-12
 INVERSE_MAX_ITER = 50
+# recentering_solve: largest round-trip gap exp_base(log_base(q)) - q of a
+# leaf point, in point coordinates.
+LEAF_RESIDUAL_TOL = 1e-12
 
 
-def recentering_solve(manifold, t, curve, profile, residual_tol=1e-12):
+def recentering_solve(manifold, t, curve, profile):
     """Leaf positions as tangent vectors at the base point.
 
     The leaf of parameter t is the image of the perturbed sphere of radius
     t(1 + v) around curve(t); each quadrature direction x is pushed to the
     manifold and pulled back through the base-point chart, returning the
     (n, N) array w with exp_base(w(x)) on the leaf. The round trip through
-    the chart map must close to residual_tol in point coordinates.
+    the chart map must close to LEAF_RESIDUAL_TOL in point coordinates, or
+    the leaf fails with FoliationError; there is no looser setting.
     """
     base = np.asarray(curve(0.0), dtype=float)
     p_t = np.asarray(curve(t), dtype=float)
@@ -54,9 +59,9 @@ def recentering_solve(manifold, t, curve, profile, residual_tol=1e-12):
         gap = np.abs(manifold.exp(base, w) - targets).max()
     except RuntimeError as exc:
         raise FoliationError("leaf left the chart of the base point") from exc
-    if gap > residual_tol:
+    if gap > LEAF_RESIDUAL_TOL:
         raise FoliationError(
-            "chart-map residual %.3g exceeds %.3g" % (gap, residual_tol)
+            "chart-map residual %.3g exceeds %.3g" % (gap, LEAF_RESIDUAL_TOL)
         )
     return w
 
@@ -112,17 +117,40 @@ class FoliationChart:
         return rows
 
 
-def build_foliation_chart(manifold, t_grid, curve, profile, residual_tol=1e-12):
-    """Assemble the sampled chart by recentering each leaf in turn."""
+def _leaf_grid(t_grid):
+    """t_grid as a float array; ValueError unless it has at least two
+    values, all positive and strictly increasing."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("need a one-dimensional t-grid")
     if np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t-grid must be positive and strictly increasing")
+    return t_grid
+
+
+def check_certificate_grid(t_grid):
+    """t_grid as a float array; ValueError unless a certificate can be read
+    on it: a leaf grid of at least 8 values. Checked before any leaf is
+    solved, it fails a grid that certify_foliation would reject only after
+    the whole chart is built."""
+    t_grid = _leaf_grid(t_grid)
+    if len(t_grid) < 8:
+        raise ValueError("certification needs at least 8 t-values")
+    return t_grid
+
+
+def build_foliation_chart(manifold, t_grid, curve, profile):
+    """Assemble the sampled chart by recentering each leaf in turn.
+
+    Every leaf must pass recentering_solve's LEAF_RESIDUAL_TOL round trip
+    and reparametrize's INVERSE_TOL inversion; the first leaf that does not
+    raises FoliationError.
+    """
+    t_grid = _leaf_grid(t_grid)
     omegas = []
     for t in t_grid:
         basis = profile(float(t)).basis
-        w = recentering_solve(manifold, float(t), curve, profile, residual_tol)
+        w = recentering_solve(manifold, float(t), curve, profile)
         omegas.append(reparametrize(w, basis))
     return FoliationChart(t_grid=t_grid, omega=np.asarray(omegas))
 
@@ -141,8 +169,7 @@ def certify_foliation(chart, t_grid=None):
     if t_grid is not None:
         if not np.allclose(t, np.asarray(t_grid, dtype=float)):
             raise ValueError("chart was not sampled on the requested t-grid")
-    if len(t) < 8:
-        raise ValueError("certification needs at least 8 t-values")
+    check_certificate_grid(t)
     om = chart.omega
     if not np.all(om[0] > 0):
         raise FoliationError("smallest leaf is not a positive graph")

@@ -33,7 +33,15 @@ __all__ = [
     "ball_volume",
     "sphere_area",
     "calL_solve",
+    "check_dimension",
 ]
+
+
+def check_dimension(N):
+    """ValueError unless N is a ball dimension this module has a sphere
+    basis for: the boundary S^(N-1) is S^1 or S^2."""
+    if N not in (2, 3):
+        raise ValueError("only S^1 and S^2 are supported, got N=%d" % N)
 
 
 def ball_volume(N):
@@ -75,8 +83,7 @@ class SphereBasis:
     """
 
     def __init__(self, N, max_degree):
-        if N not in (2, 3):
-            raise ValueError("only S^1 and S^2 are supported, got N=%d" % N)
+        check_dimension(N)
         self.dim = N
         self.max_degree = max_degree
         self.area = sphere_area(N)

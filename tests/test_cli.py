@@ -5,21 +5,28 @@ exit codes, machine-readable error records, and the determinism contract
 (same config + seed => byte-identical files, worker count included).
 """
 
+import ast
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from serrin_torsion import cli
 from serrin_torsion.cli import (
     ConfigError,
     main,
     manifold_spec,
     parse_grid,
-    parse_point,
     parse_points,
+    parse_points as parse_point,
     validate_radii,
 )
 from serrin_torsion.reduced import constants
+from serrin_torsion.serrin import SerrinProblem
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 # -- config parsing units ----------------------------------------------------
@@ -384,6 +391,80 @@ def test_run_acceptance_rejects_unknown_check(tmp_path, capsys):
     assert main(["run-acceptance", "--config", str(cfg)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["kind"] == "config_error"
+
+
+# -- config errors found before any solve ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "solve",
+            "[run]\nmanifold = round\ncurvature = -1\n\n[solve]\neps = 0.1\n",
+            "requires k > 0",
+        ),
+        (
+            "solve",
+            "[run]\nmanifold = flat\ndimension = 4\n\n[solve]\neps = 0.1\n",
+            "only S^1 and S^2 are supported",
+        ),
+        (
+            "foliate",
+            CONF_RUN + "\n[foliate]\ncritical = {critical}\nt_grid = 0.02:0.12:4\n",
+            "at least 8 t-values",
+        ),
+        (
+            "foliate",
+            CONF_RUN + "\n[foliate]\ncritical = {critical}\nt_grid = 0.12:0.02:8\n",
+            "positive and strictly increasing",
+        ),
+    ],
+    ids=["negative-curvature", "dimension-4", "short-t-grid", "decreasing-t-grid"],
+)
+def test_config_error_before_any_solve(
+    tmp_path, capsys, monkeypatch, critical_run, command, text, message
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the config was checked")
+
+    monkeypatch.setattr(SerrinProblem, "solve", no_solve)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text.format(critical=critical_run))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "config_error"
+    assert message in err["error"]["message"]
+
+
+# -- docs ------------------------------------------------------------------------
+
+
+def _keys_cli_reads():
+    """Every (section, key) that cli.py reads: the arguments of its _get
+    calls, which must be literal so that none escapes this list."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_get":
+            section, key = node.args[1:3]
+            assert isinstance(section, ast.Constant), ast.unparse(node)
+            assert isinstance(key, ast.Constant), ast.unparse(node)
+            keys.add((section.value, key.value))
+    return keys
+
+
+def _keys_readme_documents():
+    """The (section, key) rows of the README's config reference table."""
+    text = README.read_text()
+    reference = text.split("### Config reference", 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"^\| `\[([\w-]+)\] (\w+)`", reference, re.M))
+
+
+def test_readme_config_reference_lists_every_key():
+    read = _keys_cli_reads()
+    assert ("run", "manifold") in read
+    assert read == _keys_readme_documents()
 
 
 def test_error_record_written_to_out_dir(tmp_path, capsys):

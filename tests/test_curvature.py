@@ -8,8 +8,6 @@ exact space-form charts it is measured against live in exact_chart, beside
 the jet that uses them.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,7 +25,6 @@ from serrin_torsion.curvature import (
     CurvaturePacket,
     FlatSpace,
     MetricJet,
-    ModelManifold,
     cubic_chart,
 )
 from serrin_torsion.reduced import _StarMapJet
@@ -39,57 +36,15 @@ from exact_chart import (
     constant_curvature_chart,
     truncated_chart,
 )
+from packet_manifold import (
+    PacketManifold,
+    nabla_riemann_space,
+    riemann_space,
+    synthetic_packet,
+)
 
 
-# -- independent construction of valid random curvature tensors ---------------
-
-
-def riemann_space(N):
-    """Nullspace basis of the algebraic curvature-tensor identities."""
-    idx = list(itertools.product(range(N), repeat=4))
-    pos = {t: n for n, t in enumerate(idx)}
-    rows = []
-
-    def row(terms):
-        r = np.zeros(len(idx))
-        for t, c in terms:
-            r[pos[t]] += c
-        rows.append(r)
-
-    for i, j, k, l in idx:
-        row([((i, j, k, l), 1.0), ((j, i, k, l), 1.0)])
-        row([((i, j, k, l), 1.0), ((i, j, l, k), 1.0)])
-        row([((i, j, k, l), 1.0), ((k, l, i, j), -1.0)])
-        row([((i, j, k, l), 1.0), ((j, k, i, l), 1.0), ((k, i, j, l), 1.0)])
-    A = np.array(rows)
-    _, s, Vt = np.linalg.svd(A)
-    null = Vt[np.sum(s > 1e-10):]
-    return null.reshape(-1, N, N, N, N)
-
-
-def nabla_riemann_space(N):
-    """Nullspace basis for the derivative tensor's identities."""
-    idx = list(itertools.product(range(N), repeat=5))
-    pos = {t: n for n, t in enumerate(idx)}
-    rows = []
-
-    def row(terms):
-        r = np.zeros(len(idx))
-        for t, c in terms:
-            r[pos[t]] += c
-        rows.append(r)
-
-    for i, j, k, l, m in idx:
-        row([((i, j, k, l, m), 1.0), ((j, i, k, l, m), 1.0)])
-        row([((i, j, k, l, m), 1.0), ((i, j, l, k, m), 1.0)])
-        row([((i, j, k, l, m), 1.0), ((k, l, i, j, m), -1.0)])
-        row([((i, j, k, l, m), 1.0), ((j, k, i, l, m), 1.0), ((k, i, j, l, m), 1.0)])
-        # differential identity: cyclic over the last pair and the derivative
-        row([((i, j, k, l, m), 1.0), ((i, j, l, m, k), 1.0), ((i, j, m, k, l), 1.0)])
-    A = np.array(rows)
-    _, s, Vt = np.linalg.svd(A)
-    null = Vt[np.sum(s > 1e-10):]
-    return null.reshape(-1, N, N, N, N, N)
+# -- the identities of a curvature packet ---------------------------------------
 
 
 def validate_packet(packet, tol=1e-10):
@@ -123,38 +78,6 @@ def validate_packet(packet, tol=1e-10):
     if bad:
         raise ValueError("curvature packet fails identities: %s" % bad)
     return checks
-
-
-def synthetic_packet(N, seed=0, r_scale=0.6, dr_scale=0.4):
-    rng = np.random.default_rng(seed)
-    RB = riemann_space(N)
-    DB = nabla_riemann_space(N)
-    R = np.tensordot(rng.standard_normal(len(RB)), RB, axes=1) * r_scale
-    nR = np.tensordot(rng.standard_normal(len(DB)), DB, axes=1) * dr_scale
-    ricci = -np.einsum("ikil->kl", R)
-    return CurvaturePacket(
-        dim=N,
-        scalar=float(np.trace(ricci)),
-        scalar_gradient=-np.einsum("ikikm->m", nR),
-        ricci=ricci,
-        riemann=R,
-        nabla_riemann=nR,
-    )
-
-
-class PacketManifold(ModelManifold):
-    """A manifold whose normal-coordinate metric at the origin is exactly the
-    cubic model of one packet: a solve needs nothing else of it."""
-
-    def __init__(self, packet):
-        self.dim = packet.dim
-        self._packet = packet
-
-    def origin(self):
-        return np.zeros(self.dim)
-
-    def packet(self, p=None):
-        return self._packet
 
 
 def test_identity_space_dimensions():

@@ -85,7 +85,8 @@ def test_round_common_center_magnitudes(round_setup):
 
 def test_conformal_recentering_residual_and_slope(conf_setup, basis):
     manifold, _, base, curve, profile = conf_setup
-    # residual_tol is enforced inside; a successful return certifies 1e-12
+    # LEAF_RESIDUAL_TOL (1e-12) is enforced inside; a successful return
+    # certifies it
     for t in (0.04, 0.12):
         w = recentering_solve(manifold, t, curve, profile)
         mags = np.linalg.norm(w, axis=1)
