@@ -7,7 +7,10 @@ r^k origin regularity into the representation, makes the mode-wise Laplacian
 a lower-triangular-plus-boundary-row matrix in coefficient space, and is
 exact on polynomials, so the closed-form polynomial oracle
     lap(r^a Y_k) = (a(a+N-2) - k(k+N-2)) r^{a-2} Y_k
-is reproduced at machine precision.
+is reproduced at machine precision. Every radial operator is block-diagonal
+by degree (Vasil et al., J. Comput. Phys. X 3, 2019), and BallGrid.by_degree
+is the one per-degree product: projection, the stacked radial profiles,
+the flat Laplacian and Poisson solve and the boundary derivative use it.
 
 The variable-coefficient solve (metric Laplacians of pulled-back geodesic-ball
 metrics) runs a frozen-Laplacian Picard iteration: each step solves the flat
@@ -27,10 +30,8 @@ each application meets them with the mode sums of G'H, G''H, G grad H,
 G' grad H and the packed G Hess H, three matrix products over the modes
 (BallField.derivatives). No pointwise gradient or Hessian is ever
 assembled, and no (P, N, N) array: the weights are formed from the packed
-component blocks of the jet. The flat Poisson solve treats all modes of a
-degree at once, one matrix product with the inverse of that degree's radial
-system. A context serves solves only: the volume of an unperturbed ball
-needs none, and profile reads it off the chart.
+component blocks of the jet. A context serves solves only: the volume of
+an unperturbed ball needs none, and profile reads it off the chart.
 
 The curvature source problem has one assembly: psi_source_values gives the
 cubic-model source -lap(psi_eps), and solve_psi_eps its flat solve with
@@ -47,7 +48,6 @@ from .sphere_spectral import (
     SphereFunction,
     get_basis,
     packed_index,
-    packed_pairs,
     product_points,
 )
 
@@ -105,18 +105,16 @@ class BallGrid:
         n_r = 2 * n_radial + L + 8
         x, w = np.polynomial.legendre.leggauss(n_r)
         self.r = 0.5 * (x + 1.0)
-        self.wr = 0.5 * w
+        wr = 0.5 * w
         self.n_r = n_r
-        self.s = self.r**2
+        s = self.r**2
 
         N = self.dim
         M = n_radial
         js = np.arange(M)
-        self.beta = np.array([k + N / 2.0 - 1.0 for k in range(L + 1)])
-        # radial basis values and s-derivatives at the radial nodes
-        self.Q = []
-        self.Qs = []
-        self.Qss = []
+        # per degree, the radial basis and its first two s-derivatives at
+        # the radial nodes, stacked as (3 n_r, M)
+        self.radial_basis = []
         # projection weights: coefficients of a sampled radial profile
         self.proj = []
         # mode-wise Laplacian operators, and the inverses of the mode-wise
@@ -127,9 +125,9 @@ class BallGrid:
         self.lap_op = []
         self.solve_op = []
         self.bc_deriv = []
-        t = 2.0 * self.s - 1.0
+        t = 2.0 * s - 1.0
         for k in range(L + 1):
-            b = self.beta[k]
+            b = k + N / 2.0 - 1.0
             Q = np.stack([eval_jacobi(j, 0.0, b, t) for j in js], axis=1)
             # dq/ds = 2 * d/dt P_j = (j + b + 1) * P_{j-1}^{(1, b+1)}
             Qs = np.zeros_like(Q)
@@ -142,18 +140,16 @@ class BallGrid:
                     * (j + b + 2.0)
                     * eval_jacobi(j - 2, 2.0, b + 2.0, t)
                 )
-            self.Q.append(Q)
-            self.Qs.append(Qs)
-            self.Qss.append(Qss)
+            self.radial_basis.append(np.vstack([Q, Qs, Qss]))
             # int_0^1 q_i q_j s^b ds = delta_ij / (2j + b + 1); in r-form the
             # weight is 2 r^{2k+N-1}. Sampled profiles come as u(r) = r^k F(s),
             # so fold one r^k into the projection weight.
             norm = 2.0 * js + b + 1.0
-            base = 2.0 * self.wr * self.r ** (k + N - 1)
+            base = 2.0 * wr * self.r ** (k + N - 1)
             self.proj.append(norm[:, None] * (Q.T * base[None, :]))
             # mode Laplacian in coefficient space: 4 s q'' + (4k + 2N) q'
-            A = 4.0 * self.s[:, None] * Qss + (4.0 * k + 2.0 * N) * Qs
-            wk = (2.0 * self.wr * self.r ** (2 * k + N - 1))[None, :]
+            A = 4.0 * s[:, None] * Qss + (4.0 * k + 2.0 * N) * Qs
+            wk = (2.0 * wr * self.r ** (2 * k + N - 1))[None, :]
             op = norm[:, None] * ((Q.T * wk) @ A)
             self.lap_op.append(op)
             sysmat = np.vstack([op[: M - 1, :], np.ones((1, M))])
@@ -168,9 +164,18 @@ class BallGrid:
         ) for j in range(3)])
 
         # product-grid caches
-        self.w_vol = self.wr * self.r ** (N - 1)
+        self.w_vol = wr * self.r ** (N - 1)
         self.points = product_points(basis.nodes, self.r)
         self.n_ang = basis.nodes.shape[0]
+
+    def by_degree(self, rows, ops):
+        """rows with the block s of the modes of degree k replaced by
+        rows[s] @ ops[k].T: every mode of a degree shares its operator."""
+        out = np.empty((len(rows),) + ops[0].shape[:-1])
+        for k in range(self.basis.max_degree + 1):
+            s = self.basis.degree_slice(k)
+            out[s] = rows[s] @ ops[k].T
+        return out
 
     def volume_integral(self, values):
         """Integral over B_1 of pointwise values (n_r, n_ang) dx."""
@@ -213,27 +218,18 @@ class BallField:
     def from_values(cls, grid, values):
         """Project pointwise values (n_r, n_ang) into the spectral basis."""
         basis = grid.basis
-        coeffs = np.empty((basis.n_modes, grid.n_radial))
         ang = basis.Y @ (basis.weights[None, :] * values).T  # (n_modes, n_r)
-        for k in range(basis.max_degree + 1):
-            s = basis.degree_slice(k)
-            coeffs[s] = ang[s] @ grid.proj[k].T
-        return cls(grid, coeffs)
+        return cls(grid, grid.by_degree(ang, grid.proj))
 
     # -- pointwise evaluation ---------------------------------------------
 
     def _profiles(self, order):
         """G, G', ... through the order-th s-derivative of every mode's
         radial profile at the radial nodes, (order + 1, n_r, n_modes)."""
-        grid, basis = self.grid, self.grid.basis
-        tables = (grid.Q, grid.Qs, grid.Qss)[: order + 1]
-        G = np.empty((order + 1, grid.n_r, basis.n_modes))
-        for k in range(basis.max_degree + 1):
-            s = basis.degree_slice(k)
-            c = self.coeffs[s].T
-            for Gj, T in zip(G, tables):
-                Gj[:, s] = T[k] @ c
-        return G
+        grid = self.grid
+        n = (order + 1) * grid.n_r
+        G = grid.by_degree(self.coeffs, [T[:n] for T in grid.radial_basis])
+        return G.T.reshape(order + 1, grid.n_r, -1)
 
     def values(self):
         """Values on the product grid, (n_r, n_ang)."""
@@ -273,12 +269,10 @@ class BallField:
 
     def normal_derivative(self):
         """Euclidean radial derivative on the boundary as a SphereFunction."""
-        grid, basis = self.grid, self.grid.basis
-        out = np.empty(basis.n_modes)
-        for k in range(basis.max_degree + 1):
-            s = basis.degree_slice(k)
-            out[s] = self.coeffs[s] @ grid.bc_deriv[k]
-        return SphereFunction(basis, out)
+        grid = self.grid
+        return SphereFunction(
+            grid.basis, grid.by_degree(self.coeffs, grid.bc_deriv)
+        )
 
     # -- norms ---------------------------------------------------------------
 
@@ -303,7 +297,6 @@ def poisson_solve(src):
     coefficient exceeds SOURCE_TAIL_TOL times its largest one.
     """
     grid = src.grid
-    basis = grid.basis
     if not np.isfinite(src.coeffs).all():
         raise ResolutionError("source is not finite")
     if src.tail_fraction() > SOURCE_TAIL_TOL:
@@ -314,11 +307,7 @@ def poisson_solve(src):
     # zero boundary value
     rhs = src.coeffs.copy()
     rhs[:, -1] = 0.0
-    out = np.empty_like(rhs)
-    for k in range(basis.max_degree + 1):
-        s = basis.degree_slice(k)
-        out[s] = rhs[s] @ grid.solve_op[k].T
-    return BallField(grid, out)
+    return BallField(grid, grid.by_degree(rhs, grid.solve_op))
 
 
 def harmonic_extension(grid, h):
@@ -364,12 +353,8 @@ def solve_psi_eps(packet, eps, grid):
 
 def flat_laplacian(field):
     """lap(u) as a BallField (exact in coefficient space)."""
-    grid, basis = field.grid, field.grid.basis
-    coeffs = np.zeros_like(field.coeffs)
-    for k in range(basis.max_degree + 1):
-        s = basis.degree_slice(k)
-        coeffs[s] = field.coeffs[s] @ grid.lap_op[k].T
-    return BallField(grid, coeffs)
+    grid = field.grid
+    return BallField(grid, grid.by_degree(field.coeffs, grid.lap_op))
 
 
 # -- metric Laplacian --------------------------------------------------------
@@ -426,7 +411,7 @@ class LaplaceContext:
             return g - 1.0 if i == j else g
 
         # A : Hess counts each off-diagonal entry of the packed triangle twice
-        for q, (i, j) in enumerate(zip(*packed_pairs(N))):
+        for q, (i, j) in enumerate(zip(*np.triu_indices(N))):
             hess[:, q] = A(i, j) if i == j else 2.0 * A(i, j)
         for i in range(N):
             Ax = sum(A(i, j) * x[j] for j in range(N))

@@ -60,8 +60,24 @@ class DependencyError(RuntimeError):
 # -- config parsing -----------------------------------------------------------
 
 
+# Every key a config may hold, by section; each is read by one _get call of
+# a subcommand, and any other section or key is a config error.
+CONFIG_KEYS = {
+    "run": ("manifold", "dimension", "curvature", "max_degree", "n_radial",
+            "seed", "workers"),
+    "constants": ("n_min", "n_max"),
+    "solve": ("point", "eps"),
+    "sweep": ("points", "eps"),
+    "find-critical": ("eps", "tol", "jitter"),
+    "foliate": ("critical", "t_grid"),
+    "profile": ("volumes", "point"),
+    "acceptance": ("checks", "strict"),
+}
+
+
 def load_config(path):
-    """INI file to a plain nested dict of strings."""
+    """INI file to a plain nested dict of strings; a section or key outside
+    CONFIG_KEYS is a ConfigError."""
     if path is None:
         return {}
     if not os.path.exists(path):
@@ -71,7 +87,14 @@ def load_config(path):
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError("cannot parse config: %s" % exc) from exc
-    return {s: dict(parser.items(s)) for s in parser.sections()}
+    cfg = {s: dict(parser.items(s)) for s in parser.sections()}
+    for section, keys in cfg.items():
+        if section not in CONFIG_KEYS:
+            raise ConfigError("unknown config section [%s]" % section)
+        for key in keys:
+            if key not in CONFIG_KEYS[section]:
+                raise ConfigError("unknown config key [%s] %s" % (section, key))
+    return cfg
 
 
 def _boolean(raw):
@@ -521,6 +544,9 @@ def cmd_foliate(cfg, out, seed, workers, args, report):
 
 def cmd_profile(cfg, out, seed, workers, args, report):
     spec = manifold_spec(cfg)
+    for key in ("max_degree", "n_radial"):
+        if key in cfg.get("run", {}):
+            raise ConfigError("[run] %s is not read by profile" % key)
     manifold = make_manifold(spec)
     volumes = parse_grid(_get(cfg, "profile", "volumes", kind=str), "volumes")
     for v in volumes:

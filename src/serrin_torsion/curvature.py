@@ -36,7 +36,6 @@ from .sphere_spectral import (
     SphereFunction,
     get_basis,
     packed_index,
-    packed_pairs,
     product_points,
 )
 
@@ -92,7 +91,7 @@ def cubic_chart(packet, dirs, s):
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     n, N = dirs.shape
-    a, b = packed_pairs(N)
+    a, b = np.triu_indices(N)
     theta = np.ascontiguousarray(dirs.T)
     T2 = (theta[:, None] * theta[None]).reshape(N**2, n)
     T3 = (T2[:, None] * theta[None]).reshape(N**3, n)
@@ -122,10 +121,10 @@ def cubic_chart(packet, dirs, s):
 
 
 def _packed_cofactors(g):
-    """Cofactors, determinant and leading 1x1 / 2x2 minor of symmetric
-    matrices, N = 2 or 3, packed like cubic_chart along the first axis, in
-    closed form; g is positive definite where the minor and the determinant
-    are positive (Sylvester)."""
+    """Cofactors and determinant of symmetric matrices, N = 2 or 3, packed
+    like cubic_chart along the first axis, in closed form. The determinant
+    is NaN wherever g is not positive definite: Sylvester's test, the
+    leading 1x1 and 2x2 minors and the determinant all positive."""
     cof = np.empty_like(g)
     if len(g) == 3:
         g00, g01, g11 = g
@@ -145,7 +144,8 @@ def _packed_cofactors(g):
     det = g00 * cof[0] + g01 * cof[1]
     if len(g) == 6:
         det += g02 * cof[2]
-    return cof, det, minor
+    det[~((minor > 0) & (det > 0))] = np.nan
+    return cof, det
 
 
 # -- model manifolds -----------------------------------------------------------
@@ -610,16 +610,16 @@ class MetricJet:
         component-major jet of rho; writes g^-1, b and sqrt det g into the
         rows of out."""
         N = dirs.shape[1]
-        ia, ib = packed_pairs(N)
+        ia, ib = np.triu_indices(N)
         ix = packed_index(N)
         n_sym = len(ia)
         gbar, dgbar = self._chart(dirs, self.eps * rho * r[:, None])
         x = r[:, None] * dirs.T[:, None, :]
-        cof, det, minor = _packed_cofactors(gbar)
+        cof, det = _packed_cofactors(gbar)
         q = rho + sum(x[i] * drho[i] for i in range(N))
         det_J = rho ** (N - 1) * q
         # NaN marks a point off the envelope; it propagates to every output
-        det[~((minor > 0) & (det > 0) & (det_J > 0))] = np.nan
+        det[~(det_J > 0)] = np.nan
         np.multiply(det_J, np.sqrt(det), out=out[-1])
         M = cof
         M /= det

@@ -79,10 +79,10 @@ def reparametrize(w, basis):
     norms = np.linalg.norm(w, axis=1)
     if norms.min() < 1e-14:
         raise FoliationError("leaf passes through the base point")
-    comps = [basis.project_values(w[:, j]) for j in range(w.shape[1])]
+    comps = np.stack([basis.project_values(c).coeffs for c in w.T])
 
     def w_at(x):
-        return np.stack([c.evaluate(x) for c in comps], axis=1)
+        return (comps @ basis.eval_matrix(x)).T
 
     y = basis.nodes
     x = np.array(y)

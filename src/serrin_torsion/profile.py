@@ -66,8 +66,8 @@ def ball_volume_at(manifold, p, eps):
     grid = get_grid(N)
     packet = manifold.packet(np.asarray(p, dtype=float))
     gbar, _ = cubic_chart(packet, grid.basis.nodes, eps * grid.r[:, None])
-    _, det, minor = _packed_cofactors(gbar)
-    if not np.all((minor > 0) & (det > 0)):
+    _, det = _packed_cofactors(gbar)
+    if not np.all(det > 0):
         raise EnvelopeError("pulled-back metric lost positivity")
     return grid.volume_integral(np.sqrt(det)) * eps**N
 

@@ -248,6 +248,28 @@ class _StarMapJet(MetricJet):
         self._profile = speed * s
 
 
+def _hadamard_sides(grid, normal_speed, jet_at):
+    """Both sides of the Hadamard formula on the flat unit disk, for the
+    normal speed at the nodes and the jets jet_at(s) of a domain family
+    through the disk at s = 0: the record of -integral((J0 phi_nu)^2 speed),
+    the central difference of J at +-SHAPE_STEP and J0, and J_at(s)."""
+    basis = grid.basis
+    base = MetricJet(FlatSpace(2), np.zeros(2), 0.0)
+    phi0, info0 = dirichlet_solve_full(base, grid)
+    J0 = 1.0 / info0["torsion"]
+    trace, _ = neumann_trace(base, phi0)
+    analytic = -float(
+        basis.weights @ ((J0 * trace.node_values()) ** 2 * normal_speed)
+    )
+
+    def J_at(s):
+        _, info = dirichlet_solve_full(jet_at(s), grid)
+        return 1.0 / info["torsion"]
+
+    fd = (J_at(SHAPE_STEP) - J_at(-SHAPE_STEP)) / (2.0 * SHAPE_STEP)
+    return {"analytic": analytic, "finite_difference": fd, "J0": J0}, J_at
+
+
 def shape_derivative_check(speed):
     """Boundary-integral energy derivative vs central finite differences.
 
@@ -270,26 +292,10 @@ def shape_derivative_check(speed):
         zeta += float(a) * np.cos(int(k) * theta)
         zeta += float(b) * np.sin(int(k) * theta)
     speed_fn = basis.project_values(zeta)
-
-    # base solve on the disk itself (s = 0 map is the identity)
-    base_jet = _StarMapJet(0.0, speed_fn)
-    phi0, info0 = dirichlet_solve_full(base_jet, grid)
-    J0 = 1.0 / info0["torsion"]
-    trace, _ = neumann_trace(base_jet, phi0)
-    analytic = -float(basis.weights @ ((J0 * trace.node_values()) ** 2 * zeta))
-
-    def J_at(s):
-        _, info = dirichlet_solve_full(_StarMapJet(s, speed_fn), grid)
-        return 1.0 / info["torsion"]
-
-    fd = (J_at(SHAPE_STEP) - J_at(-SHAPE_STEP)) / (2.0 * SHAPE_STEP)
-    rel = abs(fd - analytic) / max(abs(analytic), 1e-300)
-    return {
-        "analytic": analytic,
-        "finite_difference": fd,
-        "rel_error": rel,
-        "J0": J0,
-    }
+    out, _ = _hadamard_sides(grid, zeta, lambda s: _StarMapJet(s, speed_fn))
+    analytic, fd = out["analytic"], out["finite_difference"]
+    out["rel_error"] = abs(fd - analytic) / max(abs(analytic), 1e-300)
+    return out
 
 
 class _TwistJet:
@@ -346,24 +352,9 @@ def tangential_derivative_check():
     normal_speed = np.einsum(
         "pi,pi->p", np.stack([-nodes[:, 1], nodes[:, 0]], axis=1), nodes
     )
-    base = MetricJet(FlatSpace(2), np.zeros(2), 0.0)
-    phi0, info0 = dirichlet_solve_full(base, grid)
-    J0 = 1.0 / info0["torsion"]
-    trace, _ = neumann_trace(base, phi0)
-    analytic = -float(
-        basis.weights @ ((J0 * trace.node_values()) ** 2 * normal_speed)
-    )
-
-    def J_at(s):
-        _, info = dirichlet_solve_full(_TwistJet(s), grid)
-        return 1.0 / info["torsion"]
-
-    fd = (J_at(SHAPE_STEP) - J_at(-SHAPE_STEP)) / (2.0 * SHAPE_STEP)
+    out, J_at = _hadamard_sides(grid, normal_speed, _TwistJet)
     J_twist = J_at(TWIST)
-    gap = abs(J_twist - J0 / (1.0 + TWIST**2) ** 2) / J_twist
-    return {
-        "analytic": analytic,
-        "finite_difference": fd,
-        "closed_form_gap": gap,
-        "J0": J0,
-    }
+    out["closed_form_gap"] = (
+        abs(J_twist - out["J0"] / (1.0 + TWIST**2) ** 2) / J_twist
+    )
+    return out

@@ -28,7 +28,6 @@ __all__ = [
     "PerturbationState",
     "get_basis",
     "product_points",
-    "packed_pairs",
     "packed_index",
     "ball_volume",
     "sphere_area",
@@ -301,19 +300,12 @@ def product_points(dirs, radii=None):
     return (radii[:, None, None] * dirs[None]).reshape(-1, dirs.shape[1])
 
 
-def packed_pairs(N):
-    """Row and column indices (a, b), a <= b, of the upper triangle of an
-    N x N symmetric matrix in np.triu_indices(N) order, the packed order of
-    SphereBasis.node_hessians()."""
-    pairs = [(i, j) for i in range(N) for j in range(i, N)]
-    return tuple(np.array(pairs).T)
-
-
 def packed_index(N):
-    """(N, N) position of entry (i, j) of a symmetric matrix packed in the
-    order of packed_pairs(N)."""
+    """(N, N) position of entry (i, j) of a symmetric matrix packed to its
+    upper triangle in np.triu_indices(N) order, the packed order of
+    SphereBasis.node_hessians()."""
     ix = np.empty((N, N), dtype=int)
-    a, b = packed_pairs(N)
+    a, b = np.triu_indices(N)
     ix[a, b] = ix[b, a] = np.arange(len(a))
     return ix
 
@@ -366,9 +358,6 @@ class SphereFunction:
 
     def node_values(self):
         return self.coeffs @ self.basis.Y
-
-    def evaluate(self, pts):
-        return self.coeffs @ self.basis.eval_matrix(pts)
 
     def norm_inf(self):
         """Sup norm approximated on the quadrature grid."""

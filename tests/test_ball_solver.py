@@ -273,7 +273,7 @@ def test_values_match_per_degree_sums(grid):
     want = np.zeros((grid.n_r, grid.n_ang))
     for k in range(basis.max_degree + 1):
         s = basis.degree_slice(k)
-        prof = grid.Q[k] @ u.coeffs[s].T
+        prof = grid.radial_basis[k][: grid.n_r] @ u.coeffs[s].T
         want += (grid.r**k)[:, None] * (prof @ basis.Y[s])
     assert np.abs(u.values() - want).max() < 1e-13 * np.abs(want).max()
 

@@ -419,8 +419,37 @@ def test_run_acceptance_rejects_unknown_check(tmp_path, capsys):
             CONF_RUN + "\n[foliate]\ncritical = {critical}\nt_grid = 0.12:0.02:8\n",
             "positive and strictly increasing",
         ),
+        (
+            "foliate",
+            CONF_RUN + "\n[foliate]\ncritical = {critical}\ntgrid = 0.02:0.12:4\n",
+            "unknown config key [foliate] tgrid",
+        ),
+        (
+            "foliate",
+            CONF_RUN + "\n[foliate]\ncritical = {critical}\nresidual_tol = -1\n",
+            "unknown config key [foliate] residual_tol",
+        ),
+        (
+            "solve",
+            "[run]\nmanifold = flat\n\n[solve]\neps = 0.1\n\n[solver]\n",
+            "unknown config section [solver]",
+        ),
+        (
+            "profile",
+            "[run]\nmanifold = round\nmax_degree = 20\n\n[profile]\nvolumes = 0.05\n",
+            "[run] max_degree is not read by profile",
+        ),
+        (
+            "profile",
+            "[run]\nmanifold = round\nn_radial = 40\n\n[profile]\nvolumes = 0.05\n",
+            "[run] n_radial is not read by profile",
+        ),
     ],
-    ids=["negative-curvature", "dimension-4", "short-t-grid", "decreasing-t-grid"],
+    ids=[
+        "negative-curvature", "dimension-4", "short-t-grid", "decreasing-t-grid",
+        "misspelt-t-grid", "removed-residual-tol", "unknown-section",
+        "profile-max-degree", "profile-n-radial",
+    ],
 )
 def test_config_error_before_any_solve(
     tmp_path, capsys, monkeypatch, critical_run, command, text, message
@@ -462,9 +491,13 @@ def _keys_readme_documents():
 
 
 def test_readme_config_reference_lists_every_key():
+    """The keys a config may hold, the keys the CLI reads and the README's
+    rows are one set, so the rejection of other keys cannot drift."""
     read = _keys_cli_reads()
     assert ("run", "manifold") in read
     assert read == _keys_readme_documents()
+    declared = {(s, k) for s, keys in cli.CONFIG_KEYS.items() for k in keys}
+    assert declared == read
 
 
 def test_error_record_written_to_out_dir(tmp_path, capsys):

@@ -25,6 +25,7 @@ from serrin_torsion.curvature import (
     CurvaturePacket,
     FlatSpace,
     MetricJet,
+    _packed_cofactors,
     cubic_chart,
 )
 from serrin_torsion.reduced import _StarMapJet
@@ -381,6 +382,30 @@ def test_cubic_chart_tables_match_truncated_chart(N):
     # s = 0 is the center of the chart: exactly the identity, no gradient
     assert np.array_equal(g[:, 0], np.eye(N)[a, b][:, None] * np.ones(7))
     assert not dg[:, :, 0].any()
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_packed_cofactors_positivity(N):
+    """_packed_cofactors owns the positivity test: its determinant is NaN
+    exactly where g has an eigenvalue <= 0, and np.linalg.det elsewhere.
+    The batch holds definite and indefinite matrices with det > 0 (two
+    negative eigenvalues), exact ones and a zero eigenvalue."""
+    rng = np.random.default_rng(40 + N)
+    Q, _ = np.linalg.qr(rng.standard_normal((120, N, N)))
+    lam = rng.uniform(0.2, 2.0, (120, N))
+    lam[40:80, 0] *= -1.0
+    lam[80:, :2] *= -1.0
+    exact = [np.diag([-1.0] * (N - 1) + [1.0]), np.diag([1.0] + [-1.0] * (N - 1)),
+             np.diag([0.0] + [1.0] * (N - 1)), np.diag([-1.0] * N), np.eye(N)]
+    G = np.concatenate([(Q * lam[:, None]) @ Q.transpose(0, 2, 1), exact])
+    G = 0.5 * (G + G.transpose(0, 2, 1))
+    a, b = np.triu_indices(N)
+    _, det = _packed_cofactors(G[:, a, b].T)
+    bad = np.linalg.eigvalsh(G).min(axis=1) <= 0.0
+    assert bad.sum() == 80 + len(exact) - 1
+    assert np.array_equal(np.isnan(det), bad)
+    want = np.linalg.det(G[~bad])
+    assert np.abs(det[~bad] / want - 1.0).max() < 1e-14
 
 
 def test_radial_profile_against_mpmath():

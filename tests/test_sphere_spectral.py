@@ -106,7 +106,9 @@ def test_parseval(basis):
 def test_evaluate_matches_node_values(basis):
     rng = np.random.default_rng(4)
     f = random_function(basis, rng)
-    assert_allclose(f.evaluate(basis.nodes), f.node_values(), atol=1e-12)
+    assert_allclose(
+        f.coeffs @ basis.eval_matrix(basis.nodes), f.node_values(), atol=1e-12
+    )
 
 
 def test_euler_identity_and_harmonicity(basis):
