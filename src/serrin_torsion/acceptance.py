@@ -19,7 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .ball_solver import BallField, get_grid, harmonic_extension, poisson_solve
+from .ball_solver import (
+    BallField,
+    EnvelopeError,
+    get_grid,
+    harmonic_extension,
+    poisson_solve,
+)
 from .curvature import ConformalSphere2D, ConstantCurvature, FlatSpace
 from .fitting import fit_even_series, loglog_slope
 from .foliation import (
@@ -112,7 +118,9 @@ class AcceptanceRun:
         p0 = problem.manifold.origin()
         sols, _ = sweep(problem, p0, ROUND_EPS)
         if len(sols) != len(ROUND_EPS):
-            raise RuntimeError("round sweep stopped early")
+            raise EnvelopeError(
+                "round sweep stopped at eps = %.6g" % ROUND_EPS[len(sols)]
+            )
         return [
             reduced_functional(problem, p0, eps, solution=sol)
             for eps, sol in zip(ROUND_EPS, sols)
@@ -125,7 +133,10 @@ class AcceptanceRun:
         for p in CONF_SAMPLES:
             sols, _ = sweep(problem, np.array(p), CONF_EPS)
             if len(sols) != len(CONF_EPS):
-                raise RuntimeError("conformal sweep stopped early at %r" % (p,))
+                raise EnvelopeError(
+                    "conformal sweep at %r stopped at eps = %.6g"
+                    % (p, CONF_EPS[len(sols)])
+                )
             out[p] = sols
         return out
 

@@ -47,6 +47,7 @@ __all__ = [
     "ConformalSphere2D",
     "MetricJet",
     "cubic_chart",
+    "cubic_chart_gradient",
 ]
 
 
@@ -80,14 +81,12 @@ def cubic_chart(packet, dirs, s):
     The model is homogeneous along each direction theta: with Y = s theta,
 
         gbar = I + s^2 A2(theta) + s^3 A3(theta),
-        d gbar = s D1(theta) + s^2 D2(theta),
 
-    so its four tables are products of the curvature tensors with the
+    so its two tables are products of the curvature tensors with the
     directions dirs (n, N), of any length, and meet the scales s, which
     broadcast against (n_r, n), only elementwise. Returns gbar
     (N(N+1)/2, n_r, n), the upper triangle packed in np.triu_indices(N)
-    order like SphereBasis.node_hessians(), and dgbar (N, N(N+1)/2, n_r, n)
-    with dgbar[c] = d_c gbar in true normal coordinates.
+    order like SphereBasis.node_hessians().
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     n, N = dirs.shape
@@ -101,11 +100,6 @@ def cubic_chart(packet, dirs, s):
     nR = packet.nabla_riemann.transpose(0, 2, 1, 3, 4)[a, b]
     A2 = R.reshape(-1, N**2) @ T2 / 3.0
     A3 = nR.reshape(-1, N**3) @ T3 / 6.0
-    # d_c gbar_ab: c in each y slot, rows [c, (a, b)]
-    dR = (R + R.transpose(0, 2, 1)).transpose(1, 0, 2)
-    dnR = (nR + nR.transpose(0, 2, 1, 3) + nR.transpose(0, 3, 1, 2))
-    D1 = dR.reshape(-1, N) @ theta / 3.0
-    D2 = dnR.transpose(1, 0, 2, 3).reshape(-1, N**2) @ T2 / 6.0
     # Horner in s, in place: every fresh (.., n_r, n) array costs page
     # faults on top of its arithmetic
     s = np.asarray(s, dtype=float)
@@ -114,10 +108,31 @@ def cubic_chart(packet, dirs, s):
     gbar *= s * s
     for k in np.flatnonzero(a == b):
         gbar[k] += 1.0
+    return gbar
+
+
+def cubic_chart_gradient(packet, dirs, s):
+    """First derivatives of the cubic model at Y = s theta, packed: with
+    d gbar = s D1(theta) + s^2 D2(theta), returns dgbar
+    (N, N(N+1)/2, n_r, n), dgbar[c] = d_c gbar in true normal coordinates,
+    on the layout of cubic_chart."""
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    n, N = dirs.shape
+    a, b = np.triu_indices(N)
+    theta = np.ascontiguousarray(dirs.T)
+    T2 = (theta[:, None] * theta[None]).reshape(N**2, n)
+    R = packet.riemann.transpose(0, 2, 1, 3)[a, b]
+    nR = packet.nabla_riemann.transpose(0, 2, 1, 3, 4)[a, b]
+    # d_c gbar_ab: c in each y slot, rows [c, (a, b)]
+    dR = (R + R.transpose(0, 2, 1)).transpose(1, 0, 2)
+    dnR = (nR + nR.transpose(0, 2, 1, 3) + nR.transpose(0, 3, 1, 2))
+    D1 = dR.reshape(-1, N) @ theta / 3.0
+    D2 = dnR.transpose(1, 0, 2, 3).reshape(-1, N**2) @ T2 / 6.0
+    s = np.asarray(s, dtype=float)
     dgbar = D2[:, None] * s
     dgbar += D1[:, None]
     dgbar *= s
-    return gbar, dgbar.reshape((N, len(a)) + dgbar.shape[1:])
+    return dgbar.reshape((N, len(a)) + dgbar.shape[1:])
 
 
 def _packed_cofactors(g):
@@ -468,9 +483,10 @@ class ConformalSphere2D(ModelManifold):
 # Points per elementwise pass of MetricJet.laplace_coefficients (whole radii
 # of the product set): a block's few dozen component arrays stay in cache,
 # and the allocator reuses its temporaries instead of faulting in fresh
-# pages for each of them. An N=3 context (P = 37584, 5 blocks, 1 BLAS
-# thread) took 21-28 ms against 32-42 ms in one pass, alternating in one
-# process; 4096 and 16384 points were slower than 8192.
+# pages for each of them. At N=3 (P = 37584, 5 blocks, 1 BLAS thread,
+# 2-vCPU x86_64 VM) the flux tensor took 7.1-7.6 ms against 15.8-16.4 ms in
+# one pass, alternating in one process; 4096 and 16384 points were slower
+# than 8192.
 BLOCK_POINTS = 8192
 
 
@@ -496,8 +512,10 @@ class MetricJet:
     The normal-coordinate metric is the cubic model built from the
     curvature packet at p, on every manifold. The chart point of x is
     Y = eps rho(x) x, so on the product set it is s theta with
-    s = eps rho r, and _chart evaluates the model from the four direction
-    tables of cubic_chart, n_ang-sized, rebuilt on every call.
+    s = eps rho r, and _chart evaluates the model from the two direction
+    tables of cubic_chart, n_ang-sized, rebuilt on every call. Only
+    metric_and_grad, the boundary metric of neumann_trace, also reads the
+    chart's first derivatives (_chart_gradient) and d2 rho.
     """
 
     def __init__(self, manifold, p, eps, state=None):
@@ -523,9 +541,13 @@ class MetricJet:
         return 1.0 + w, dw, d2w
 
     def _chart(self, dirs, s):
-        """Packed (gbar, dgbar) of the normal-coordinate metric at the true
-        normal coordinates s theta, theta in dirs (see cubic_chart)."""
+        """Packed gbar of the normal-coordinate metric at the true normal
+        coordinates s theta, theta in dirs (see cubic_chart)."""
         return cubic_chart(self.packet, dirs, s)
+
+    def _chart_gradient(self, dirs, s):
+        """Packed dgbar at the same points (see cubic_chart_gradient)."""
+        return cubic_chart_gradient(self.packet, dirs, s)
 
     # -- metric callbacks ------------------------------------------------------
 
@@ -537,7 +559,8 @@ class MetricJet:
         dirs = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.ones(1) if radii is None else np.asarray(radii, dtype=float)
         s = self.eps * rho.reshape(len(r), -1) * r[:, None]
-        gbar, dgbar = self._chart(dirs, s)
+        gbar = self._chart(dirs, s)
+        dgbar = self._chart_gradient(dirs, s)
         pts = product_points(pts, radii)
         P, N = pts.shape
         # unpacked point-major, (P, N, N) and (P, N, N, N)
@@ -565,102 +588,69 @@ class MetricJet:
         return g, dg
 
     def laplace_coefficients(self, pts, radii=None):
-        """(g^-1 (N(N+1)/2, P), b (N, P), sqrt det g (P,)) of the pulled-back
-        metric Laplacian lap_g u = g^ij u_ij + b^j u_j at unit-ball points,
-        with b = g^-1 ((1/2) d log det g - w), w_l = g^ik d_i g_kl.
-        Component-major: g^-1 is packed to its upper triangle in
+        """(F (N(N+1)/2, P), sqrt det g (P,)) of the pulled-back metric at
+        unit-ball points: the flux tensor F = sqrt det g g^-1 of the
+        divergence form sqrt det g lap_g u = div(F grad u), and the volume
+        element. Component-major: F is packed to its upper triangle in
         np.triu_indices(N) order, each component a block of P points.
 
-        The chart is evaluated once at Y = rho x, and its own operator
-        (gbar^-1 by cofactors, bbar = gbar^-1 ((1/2) d log det gbar - wbar))
-        is pulled through the Jacobian J = rho I + x (d rho)^T, a rank-one
-        update of a multiple of the identity: with q = rho + x . d rho,
-        J^-1 = (I - x (d rho)^T / q) / rho and det J = rho^(N-1) q, so
+        The chart is evaluated once at Y = rho x, and its own flux tensor
+        Fbar = sqrt det gbar gbar^-1 (by cofactors) is pulled through the
+        Jacobian J = rho I + x (d rho)^T, a rank-one update of a multiple of
+        the identity: with q = rho + x . d rho, J^-1 = (I - x (d rho)^T / q)
+        / rho and det J = rho^(N-1) q, so
 
-            g^-1 = J^-1 gbar^-1 J^-T,    sqrt det g = det J sqrt det gbar,
-            b = J^-1 (bbar - x tr(g^-1 d2 rho) - 2 g^-1 d rho).
+            F = det J J^-1 Fbar J^-T,    sqrt det g = det J sqrt det gbar.
 
-        sqrt det g is NaN wherever gbar is not positive definite (leading
-        minors) or det J is not positive (a folded domain map); on an
-        unfolded map that is exactly where g is not positive definite.
+        Only gbar, rho and d rho enter. sqrt det g is NaN wherever gbar is
+        not positive definite (leading minors) or det J is not positive (a
+        folded domain map); on an unfolded map that is exactly where g is
+        not positive definite.
 
         One elementwise pass per block of about BLOCK_POINTS points (whole
         radii of the product set), each writing its slice of one output.
         """
-        rho, drho, d2rho = self.rho_jet(pts, radii)
+        rho, drho, _ = self.rho_jet(pts, radii)
         dirs = np.atleast_2d(np.asarray(pts, dtype=float))
         r = np.ones(1) if radii is None else np.asarray(radii, dtype=float)
         (n, N), n_r = dirs.shape, len(r)
-        n_sym = N * (N + 1) // 2
         # component-major (.., n_r, n) views, strided over rho_jet's arrays
         rho = rho.reshape(n_r, n)
         drho = drho.T.reshape(N, n_r, n)
-        d2rho = d2rho.transpose(1, 2, 0).reshape(N, N, n_r, n)
-        out = np.empty((n_sym + N + 1, n_r, n))
+        out = np.empty((N * (N + 1) // 2 + 1, n_r, n))
         step = max(1, BLOCK_POINTS // n)
         for i in range(0, n_r, step):
             rows = slice(i, i + step)
-            self._laplace_block(dirs, r[rows], rho[rows], drho[:, rows],
-                                d2rho[:, :, rows], out[:, rows])
+            self._flux_block(dirs, r[rows], rho[rows], drho[:, rows],
+                             out[:, rows])
         out = out.reshape(len(out), n_r * n)
-        return out[:n_sym], out[n_sym:-1], out[-1]
+        return out[:-1], out[-1]
 
-    def _laplace_block(self, dirs, r, rho, drho, d2rho, out):
+    def _flux_block(self, dirs, r, rho, drho, out):
         """laplace_coefficients on the product set of dirs with r, from the
-        component-major jet of rho; writes g^-1, b and sqrt det g into the
+        component-major rho and d rho; writes F and sqrt det g into the
         rows of out."""
         N = dirs.shape[1]
-        ia, ib = np.triu_indices(N)
         ix = packed_index(N)
-        n_sym = len(ia)
-        gbar, dgbar = self._chart(dirs, self.eps * rho * r[:, None])
+        gbar = self._chart(dirs, self.eps * rho * r[:, None])
         x = r[:, None] * dirs.T[:, None, :]
-        cof, det = _packed_cofactors(gbar)
+        Fbar, det = _packed_cofactors(gbar)
         q = rho + sum(x[i] * drho[i] for i in range(N))
         det_J = rho ** (N - 1) * q
         # NaN marks a point off the envelope; it propagates to every output
         det[~(det_J > 0)] = np.nan
-        np.multiply(det_J, np.sqrt(det), out=out[-1])
-        M = cof
-        M /= det
-        # (1/2) d_l log det gbar - wbar_l = -gbar^ab Gamma_lab, with the
-        # Christoffel symbols Gamma_lab = (d_a g_bl + d_b g_al - d_l g_ab) / 2
-        # over the packed pairs a <= b; eps: chain rule from true to scaled
-        # coordinates
-        e = []
-        for l in range(N):
-            acc = 0.0
-            for k, (a, b) in enumerate(zip(ia, ib)):
-                if a == b:
-                    term = 0.5 * dgbar[l, k] - dgbar[a, ix[a, l]]
-                else:
-                    term = dgbar[l, k] - dgbar[a, ix[b, l]]
-                    term -= dgbar[b, ix[a, l]]
-                term *= M[k]
-                acc = acc + term
-            e.append(self.eps * acc)
-        # pull-back: with m = gbar^-1 d rho and s = m . d rho, g^-1 is
-        # (M - x u^T - u x^T) / rho^2 for u = m / q - s x / (2 q^2);
-        # J^-1 x = x / q and g^-1 d rho = J^-1 m / q = (m - s x / q) / (rho q)
-        m = [sum(M[ix[i, j]] * drho[j] for j in range(N)) for i in range(N)]
+        root = np.sqrt(det)
+        np.multiply(det_J, root, out=out[-1])
+        Fbar /= root
+        # with m = Fbar d rho and s = m . d rho, rho^2 J^-1 Fbar J^-T is
+        # Fbar - x u^T - u x^T for u = m / q - s x / (2 q^2)
+        m = [sum(Fbar[ix[i, j]] * drho[j] for j in range(N)) for i in range(N)]
         s = sum(m[i] * drho[i] for i in range(N))
         inv_q = 1.0 / q
-        inv_rho = 1.0 / rho
         hs = 0.5 * s * inv_q
         u = [(m[i] - hs * x[i]) * inv_q for i in range(N)]
-        ginv = out[:n_sym]
-        for k, (i, j) in enumerate(zip(ia, ib)):
-            np.subtract(M[k], x[i] * u[j], out=ginv[k])
-            ginv[k] -= u[i] * x[j]
-        ginv *= inv_rho * inv_rho
-        t = sum(ginv[ix[i, j]] * d2rho[i, j] for i in range(N) for j in range(N))
-        # b = J^-1 v - t x / q with v = bbar - 2 g^-1 d rho, bbar = M e,
-        # and J^-1 v = (v - x (d rho . v) / q) / rho
-        sq = s * inv_q
-        c2 = 2.0 * inv_rho * inv_q
-        v = [sum(M[ix[i, j]] * e[j] for j in range(N))
-             - c2 * (m[i] - sq * x[i]) for i in range(N)]
-        c = (sum(drho[i] * v[i] for i in range(N)) * inv_rho + t) * inv_q
-        for i in range(N):
-            np.multiply(v[i], inv_rho, out=out[n_sym + i])
-            out[n_sym + i] -= c * x[i]
+        F = out[:-1]
+        for k, (i, j) in enumerate(zip(*np.triu_indices(N))):
+            np.subtract(Fbar[k], x[i] * u[j], out=F[k])
+            F[k] -= u[i] * x[j]
+        F *= det_J / (rho * rho)

@@ -58,7 +58,8 @@ def recentering_solve(manifold, t, curve, profile):
         w = manifold.log(base, targets)
         gap = np.abs(manifold.exp(base, w) - targets).max()
     except RuntimeError as exc:
-        raise FoliationError("leaf left the chart of the base point") from exc
+        # a failed integration or an unconverged log: the leaf names which
+        raise FoliationError("leaf at t = %.6g: %s" % (t, exc)) from exc
     if gap > LEAF_RESIDUAL_TOL:
         raise FoliationError(
             "chart-map residual %.3g exceeds %.3g" % (gap, LEAF_RESIDUAL_TOL)

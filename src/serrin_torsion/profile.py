@@ -65,7 +65,7 @@ def ball_volume_at(manifold, p, eps):
     N = manifold.dim
     grid = get_grid(N)
     packet = manifold.packet(np.asarray(p, dtype=float))
-    gbar, _ = cubic_chart(packet, grid.basis.nodes, eps * grid.r[:, None])
+    gbar = cubic_chart(packet, grid.basis.nodes, eps * grid.r[:, None])
     _, det = _packed_cofactors(gbar)
     if not np.all(det > 0):
         raise EnvelopeError("pulled-back metric lost positivity")

@@ -304,8 +304,8 @@ class _TwistJet:
     F_s maps the unit disk onto the disk of radius sqrt(1 + s^2), moving its
     boundary with the rotation field (-y, x) per unit s, while the
     pulled-back metric g = DF^T DF differs from the identity at O(s). The
-    Laplacian is the flat one carried through F_s:
-    g^-1 = DF^-1 DF^-T, b = -DF^-1 tr(g^-1 d2F) and sqrt det g = det DF.
+    Laplacian is the flat one carried through F_s: its flux tensor is
+    F = det DF DF^-1 DF^-T and sqrt det g = det DF.
     """
 
     def __init__(self, s):
@@ -321,15 +321,11 @@ class _TwistJet:
             2.0 * (x @ R.T)[:, :, None] * x[:, None, :] + q[:, None, None] * R
         )
         inv = np.linalg.inv(DF)
-        ginv = np.einsum("pik,pjk->pij", inv, inv)
-        # d_j d_k F = 2 s (d_jk R x + x_j R e_k + x_k R e_j), so
-        # tr(g^-1 d2F) = 2 s R (tr(g^-1) x + 2 g^-1 x)
-        m = np.einsum("pii->p", ginv)[:, None] * x
-        m += 2.0 * np.einsum("pij,pj->pi", ginv, x)
-        drift = (-2.0 * self.s) * np.einsum("pij,pj->pi", inv, m @ R.T)
-        # the jet layout: component-major, g^-1 packed to its upper triangle
+        det = np.linalg.det(DF)
+        flux = det[:, None, None] * np.einsum("pik,pjk->pij", inv, inv)
+        # the jet layout: component-major, F packed to its upper triangle
         i, j = np.triu_indices(2)
-        return ginv[:, i, j].T, drift.T, np.linalg.det(DF)
+        return flux[:, i, j].T, det
 
 
 def tangential_derivative_check():
@@ -343,8 +339,8 @@ def tangential_derivative_check():
     (a reflection conjugates F_s to F_-s), so the finite-difference side
     vanishes too. Since F_s maps onto the disk of radius sqrt(1 + s^2),
     J(s) = J0 (1 + s^2)^-2 exactly; the record carries the relative gap
-    at s = TWIST, which a wrong drift or volume element opens. Solves run
-    on get_grid(2, 16).
+    at s = TWIST, which a wrong flux tensor or volume element opens. Solves
+    run on get_grid(2, 16).
     """
     grid = get_grid(2, 16)
     basis = grid.basis

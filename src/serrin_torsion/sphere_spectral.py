@@ -273,7 +273,9 @@ class SphereBasis:
     def node_hessians(self):
         """Upper triangles of the mode Hessians at the nodes,
         (n_modes, N(N+1)/2, n_nodes), entries in np.triu_indices(N) order;
-        the Hessians are symmetric, so the lower triangle is not kept."""
+        the Hessians are symmetric, so the lower triangle is not kept. Off
+        the solve path, whose Picard step takes gradients only: the strong
+        oracle of the tests and the benchmark's set-up read it."""
         if self._node_hessians is None:
             i, j = np.triu_indices(self.dim)
             H = self.eval_hess_matrix(self.nodes)

@@ -1,10 +1,10 @@
 """Reference normal-coordinate charts, the tests' oracles.
 
-The solver's one chart is the cubic model of curvature.cubic_chart, built
-from direction tables. truncated_chart evaluates the same model pointwise,
-by products with the point tensors, as the oracle of those tables. On a
-space of constant sectional curvature k the normal-coordinate metric also
-has a closed form,
+The solver's one chart is the cubic model of curvature.cubic_chart (and
+its gradient, cubic_chart_gradient), built from direction tables.
+truncated_chart evaluates the same model pointwise, by products with the
+point tensors, as the oracle of those tables. On a space of constant
+sectional curvature k the normal-coordinate metric also has a closed form,
 
     g_ab(y) = d_ab + k G(k|y|^2) (|y|^2 d_ab - y_a y_b),
 
@@ -125,11 +125,12 @@ class ExactJet(MetricJet):
     """MetricJet on the closed-form chart of a space form.
 
     The sectional curvature is read off the packet, S = k N (N - 1), so
-    the same class serves ConstantCurvature and FlatSpace. The chart is
-    evaluated at the points s theta and packed like cubic_chart.
+    the same class serves ConstantCurvature and FlatSpace. The chart and
+    its gradient are evaluated at the points s theta and packed like
+    cubic_chart and cubic_chart_gradient.
     """
 
-    def _chart(self, dirs, s):
+    def _exact(self, dirs, s):
         n, N = dirs.shape
         s = np.broadcast_to(s, np.broadcast_shapes(np.shape(s), (1, n)))
         Y = (s[:, :, None] * dirs[None]).reshape(-1, N)
@@ -137,6 +138,12 @@ class ExactJet(MetricJet):
         a, b = np.triu_indices(N)
         return (g[:, a, b].T.reshape((len(a),) + s.shape),
                 dg[:, :, a, b].transpose(1, 2, 0).reshape((N, len(a)) + s.shape))
+
+    def _chart(self, dirs, s):
+        return self._exact(dirs, s)[0]
+
+    def _chart_gradient(self, dirs, s):
+        return self._exact(dirs, s)[1]
 
 
 # -- geodesic balls of the unit round sphere, by radial quadrature -------------

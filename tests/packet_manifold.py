@@ -33,7 +33,7 @@ def riemann_space(N):
         row([((i, j, k, l), 1.0), ((k, l, i, j), -1.0)])
         row([((i, j, k, l), 1.0), ((j, k, i, l), 1.0), ((k, i, j, l), 1.0)])
     A = np.array(rows)
-    _, s, Vt = np.linalg.svd(A)
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
     null = Vt[np.sum(s > 1e-10):]
     return null.reshape(-1, N, N, N, N)
 
@@ -58,7 +58,7 @@ def nabla_riemann_space(N):
         # differential identity: cyclic over the last pair and the derivative
         row([((i, j, k, l, m), 1.0), ((i, j, l, m, k), 1.0), ((i, j, m, k, l), 1.0)])
     A = np.array(rows)
-    _, s, Vt = np.linalg.svd(A)
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
     null = Vt[np.sum(s > 1e-10):]
     return null.reshape(-1, N, N, N, N, N)
 

@@ -9,7 +9,9 @@ the verified coefficient instead.
 
 import pytest
 
+from serrin_torsion import serrin
 from serrin_torsion.acceptance import AcceptanceRun, acceptable
+from serrin_torsion.ball_solver import EnvelopeError
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +131,17 @@ def test_run_all_reports_crashes_as_failures(engine):
     assert not records[0]["passed"]
     assert records[0]["crashed"]
     assert "boom" in records[0]["details"]["error"]
+
+
+def test_stopped_sweeps_raise_envelope_error(monkeypatch):
+    """A sweep that stops early is an EnvelopeError naming the first eps
+    that did not converge: one quasi-Newton step converges nowhere."""
+    monkeypatch.setattr(serrin, "MAX_STEPS", 1)
+    run = AcceptanceRun(seed=0)
+    with pytest.raises(EnvelopeError,
+                       match="round sweep stopped at eps = 0.02$"):
+        run.round_reports
+    with pytest.raises(EnvelopeError,
+                       match=r"conformal sweep at \(0.25, 0.1\) stopped at "
+                       "eps = 0.04$"):
+        run.conf_sweeps

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import lu_factor, lu_solve
 
+from serrin_torsion import ball_solver
 from serrin_torsion.ball_solver import (
     _build_grid,
     BallField,
@@ -15,7 +16,6 @@ from serrin_torsion.ball_solver import (
     LaplaceContext,
     ResolutionError,
     dirichlet_solve_full,
-    flat_laplacian,
     get_grid,
     harmonic_extension,
     neumann_trace,
@@ -45,6 +45,7 @@ from exact_chart import (
     geodesic_ball_volume,
     geodesic_sphere_area,
 )
+from strong_oracle import field_jet, flat_laplacian, strong_laplacian
 
 
 @pytest.fixture(scope="module", params=[2, 3])
@@ -61,34 +62,15 @@ def random_field(grid, rng, decay=9.0):
     return BallField(grid, c)
 
 
-def assemble_derivatives(field, magnitude=False):
-    """Oracle: value, gradient and Hessian of a field on the product grid,
-    (P,), (P, N), (P, N, N), assembled pointwise from the chain-rule
-    products of BallField.derivatives:
-        grad u = 2 G'H x + G grad H,
-        Hess u = 4 G''H x x^T + 2 G'H I + 2 (x G' grad H^T
-                 + G' grad H x^T) + G Hess H.
-    magnitude=True assembles the absolute values of the products and of x
-    instead: the size of the summed terms, which bounds the roundoff."""
+def assemble_gradient(field):
+    """The gradient of a field on the product grid, (P, N), assembled
+    pointwise from the products of BallField.derivatives:
+        grad u = 2 G'H x + G grad H."""
     grid = field.grid
     N, P = grid.dim, grid.n_r * grid.n_ang
-    radial, grad, hess = (np.abs(a) if magnitude else a
-                          for a in field.derivatives())
-    G1H, G2H = radial.reshape(2, P, 1, 1)
-    G0dH, G1dH = grad.transpose(0, 1, 3, 2).reshape(2, P, N)
-    packed = hess.transpose(0, 2, 1).reshape(P, -1)
-    i, j = np.triu_indices(N)
-    G0d2H = np.empty((P, N, N))
-    G0d2H[:, i, j] = packed
-    G0d2H[:, j, i] = packed
-    x = np.abs(grid.points) if magnitude else grid.points
-    du = 2.0 * G1H[:, :, 0] * x + G0dH
-    xx = x[:, :, None] * x[:, None, :]
-    xg = x[:, :, None] * G1dH[:, None, :]
-    d2u = (4.0 * G2H * xx + 2.0 * G1H * np.eye(N)
-           + 2.0 * (xg + xg.transpose(0, 2, 1)) + G0d2H)
-    u = field.values().reshape(P)
-    return (np.abs(u) if magnitude else u), du, d2u
+    dG, grad = field.derivatives()
+    x = grid.points.reshape(grid.n_r, grid.n_ang, N)
+    return (2.0 * dG[..., None] * x + grad.transpose(0, 2, 1)).reshape(P, N)
 
 
 def unpack_sym(packed):
@@ -150,9 +132,11 @@ def test_harmonic_extension_modes(grid):
 
 @pytest.mark.parametrize("N,max_degree", [(2, 16), (2, 24), (2, 32), (3, 10)])
 def test_derivatives_polynomial_closed_form(N, max_degree):
-    """Value, gradient and Hessian of a loaded polynomial of degree <= 8
-    against their closed forms; L=24 and 32 are off the default grid, so
-    they check the per-grid power table too."""
+    """Value and gradient of a loaded polynomial of degree <= 8 from
+    BallField.values and the gradient products of BallField.derivatives,
+    and its Hessian from the strong oracle's field_jet, against their
+    closed forms; L=24 and 32 are off the default grid, so they check the
+    per-grid power table too."""
     grid = get_grid(N, max_degree)
     rng = np.random.default_rng(30 + N + max_degree)
     # C[e] is the coefficient of x^e, for |e| <= 8
@@ -181,7 +165,10 @@ def test_derivatives_polynomial_closed_form(N, max_degree):
                + 2 * np.arange(grid.n_radial)[None, :]) <= 8
     leak = np.abs(u.coeffs[~support]).max() / np.abs(u.coeffs).max()
     assert leak < 1e-12
-    val, grad, hess = assemble_derivatives(BallField(grid, u.coeffs * support))
+    cut = BallField(grid, u.coeffs * support)
+    val = cut.values().reshape(-1)
+    grad = assemble_gradient(cut)
+    hess = field_jet(cut)[2]
     want_grad = np.stack([evaluate(diff(C, i)) for i in range(N)], -1)
     want_hess = np.stack([
         np.stack([evaluate(diff(diff(C, i), j)) for j in range(N)], -1)
@@ -196,7 +183,9 @@ def test_derivatives_polynomial_closed_form(N, max_degree):
 
 
 def test_polynomial_source_oracle(grid):
-    """Random monomial-in-r sources against the closed-form solution."""
+    """Random monomial-in-r sources against the closed-form solution, by
+    the Poisson solve of lap u = f and by the flat Galerkin solve
+    grid.weak_op of -lap u = f from the projection of f."""
     N = grid.dim
     basis = grid.basis
     rng = np.random.default_rng(12)
@@ -207,10 +196,13 @@ def test_polynomial_source_oracle(grid):
         order = int(rng.integers(0, mult.stop - mult.start))
         Y = SphereFunction.from_mode(basis, k, order, 1.0)
         vals = (grid.r**m)[:, None] * Y.node_values()[None, :]
-        u = poisson_solve(BallField.from_values(grid, vals))
+        f = BallField.from_values(grid, vals)
+        u = poisson_solve(f)
         den = (m + 2) * (m + N) - k * (k + N - 2)
         want = ((grid.r ** (m + 2) - grid.r**k) / den)[:, None] * Y.node_values()
         assert np.abs(u.values() - want).max() < 1e-11
+        weak = BallField(grid, grid.by_degree(f.coeffs, grid.weak_op))
+        assert np.abs(weak.values() + want).max() < 1e-11
 
 
 def test_oracle_formula_symbolically():
@@ -318,11 +310,26 @@ def test_non_finite_source_rejected():
         harmonic_extension(grid, h)
 
 
+class _KinkedVolumeJet(MetricJet):
+    """A volume element with a kink at r = 0.6, which no radial truncation
+    resolves."""
+
+    def laplace_coefficients(self, pts, radii=None):
+        flux, sqrt_det = super().laplace_coefficients(pts, radii)
+        r = np.linalg.norm(product_points(pts, radii), axis=1)
+        return flux, sqrt_det * (1.0 + np.abs(r - 0.6))
+
+
 def test_unresolved_source_rejected():
     grid = get_grid(2, 16)
     vals = np.abs(grid.r - 0.6)[:, None] * np.ones(grid.n_ang)
     with pytest.raises(ResolutionError):
         poisson_solve(BallField.from_values(grid, vals))
+    # sqrt det g is the load of every weak Picard step of a metric solve
+    jet = _KinkedVolumeJet(FlatSpace(2), np.zeros(2), 0.0)
+    with pytest.raises(ResolutionError, match="volume element has "
+                       "unresolved radial tail"):
+        dirichlet_solve_full(jet, grid)
 
 
 @pytest.mark.parametrize("max_degree", [28, 32])
@@ -473,8 +480,9 @@ def test_full_solve_round_sphere():
     gaps = []
     for eps in (0.05, 0.1, 0.2):
         jet = MetricJet(man, man.origin(), eps)
-        phi, info = dirichlet_solve_full(jet, grid)
-        assert info["residual"] < 1e-10
+        phi, _ = dirichlet_solve_full(jet, grid)
+        # the strong residual of the weak solution, from the oracle
+        assert np.abs(strong_laplacian(jet, phi) + 1.0).max() < 1e-10
         phi0 = ((1.0 - grid.r**2) / 4.0)[:, None] * np.ones(grid.n_ang)
         gaps.append(np.abs(phi.values() - phi0).max())
     slope = np.polyfit(np.log([0.05, 0.1, 0.2]), np.log(gaps), 1)[0]
@@ -648,6 +656,14 @@ def test_positivity_loss_rejected():
         LaplaceContext(jet, get_grid(3, 10))
 
 
+def test_picard_non_convergence_rejected(monkeypatch):
+    monkeypatch.setattr(ball_solver, "PICARD_MAX_ITER", 2)
+    man = ConstantCurvature(2, 1.0)
+    jet = MetricJet(man, man.origin(), 0.2)
+    with pytest.raises(EnvelopeError, match="did not reach 1e-12 in 2 steps"):
+        dirichlet_solve_full(jet, get_grid(2, 16))
+
+
 def test_folded_domain_map_rejected():
     """A boundary profile steep enough to fold x -> rho x (rho + x . grad
     rho < 0 inside the ball) is off the envelope, although J^T gbar J stays
@@ -694,35 +710,55 @@ def _contraction_jets():
 CONTRACTION_JETS = _contraction_jets()
 
 
+def _load_pairing(field, load):
+    """int grad field . V from the load of a flux V: the loads of
+    LaplaceContext.correction carry the factor 2 n_j of from_values."""
+    grid = field.grid
+    two_n = 2.0 * (2.0 * np.arange(grid.n_radial)[None, :]
+                   + grid.basis.degrees[:, None] + grid.dim / 2.0)
+    return float(np.sum(field.coeffs * load / two_n))
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACTION_JETS))
 def test_contraction_matches_assembled_hessian(case):
-    """The Hessian-free correction against (g^-1 - I) : Hess u + b . grad u
-    with grad u and Hess u assembled pointwise, on seeded random fields;
-    the bound is relative to the size of the summed terms, which cancel
-    where g^-1 - I is small."""
+    """The weak correction load of a seeded random field u, tested against
+    a w that vanishes on the boundary, is int grad w . (F - I) grad u: the
+    gradients assembled pointwise, F from the flux seam; and, where the
+    jet has a metric for the strong oracle, -int w (sqrt det g lap_g u -
+    lap u) with lap_g u from the assembled Hessian and drift. The bounds
+    are relative to the size of the summed terms."""
     jet = CONTRACTION_JETS[case]
     grid = get_grid(jet.dim)
     ctx = LaplaceContext(jet, grid)
-    ginv, drift, _ = jet.laplace_coefficients(grid.basis.nodes, grid.r)
-    A = unpack_sym(ginv) - np.eye(grid.dim)
-    drift = drift.T
+    flux, sqrt_det = jet.laplace_coefficients(grid.basis.nodes, grid.r)
+    A = unpack_sym(flux) - np.eye(grid.dim)
+    weight = (grid.w_vol[:, None] * grid.basis.weights).reshape(-1)
     rng = np.random.default_rng(41)
     for _ in range(3):
         u = random_field(grid, rng)
-        _, du, d2u = assemble_derivatives(u)
-        want = (np.einsum("pij,pij->p", A, d2u)
-                + np.einsum("pj,pj->p", drift, du))
-        _, du, d2u = assemble_derivatives(u, magnitude=True)
-        scale = (np.einsum("pij,pij->p", np.abs(A), d2u)
-                 + np.einsum("pj,pj->p", np.abs(drift), du))
-        got = ctx.correction_values(u)
-        assert got.shape == (grid.n_r, grid.n_ang)
-        assert np.abs(got.reshape(-1) - want).max() < 1e-13 * scale.max()
+        w = poisson_solve(random_field(grid, rng))
+        load = ctx.correction(u)
+        assert load.shape == u.coeffs.shape
+        got = _load_pairing(w, load)
+        du, dw = assemble_gradient(u), assemble_gradient(w)
+        want = weight @ np.einsum("pi,pij,pj->p", dw, A, du)
+        scale = weight @ np.einsum("pi,pij,pj->p", np.abs(dw), np.abs(A),
+                                   np.abs(du))
+        assert abs(got - want) < 1e-13 * scale
+        if not isinstance(jet, MetricJet):
+            continue
+        lap_g = strong_laplacian(jet, u).reshape(-1)
+        lap = flat_laplacian(u).values().reshape(-1)
+        wv = w.values().reshape(-1)
+        want = -(weight @ (wv * (sqrt_det * lap_g - lap)))
+        scale = weight @ (np.abs(wv)
+                          * (np.abs(sqrt_det * lap_g) + np.abs(lap)))
+        assert abs(got - want) < 1e-13 * scale
 
 
 def test_one_derivatives_call_per_contraction(monkeypatch):
-    """A solve takes one BallField.derivatives call per Picard step and
-    one for its final residual, so a count of those calls counts steps."""
+    """A solve takes one BallField.derivatives call per Picard step, so a
+    count of those calls counts steps."""
     calls = []
     derivatives = BallField.derivatives
 
@@ -734,29 +770,28 @@ def test_one_derivatives_call_per_contraction(monkeypatch):
     jet = CONTRACTION_JETS["round3-truncated"]
     _, info = dirichlet_solve_full(jet, get_grid(3))
     assert info["iterations"] > 1
-    assert len(calls) == info["iterations"] + 1
+    assert len(calls) == info["iterations"]
 
 
 def test_divergence_form_consistency():
     """Integration by parts for the metric Laplacian, on the cubic and the
-    exact chart."""
+    exact chart: the strong oracle's lap_g against the flux seam's F."""
     grid = get_grid(2, 16)
     man = ConstantCurvature(2, 1.0)
     rng = np.random.default_rng(11)
     for cls in (MetricJet, ExactJet):
         jet = cls(man, man.origin(), 0.15)
-        ctx = LaplaceContext(jet, grid)
-        ginv = unpack_sym(jet.laplace_coefficients(grid.basis.nodes, grid.r)[0])
+        flux, dvol = jet.laplace_coefficients(grid.basis.nodes, grid.r)
+        F = unpack_sym(flux)
         u = poisson_solve(random_field(grid, rng))
         w = poisson_solve(random_field(grid, rng))
-        _, du, _ = assemble_derivatives(u)
-        _, dw, _ = assemble_derivatives(w)
+        du = assemble_gradient(u)
+        dw = assemble_gradient(w)
         shape = (grid.n_r, grid.n_ang)
-        lap_u = ctx.apply_values(u)
-        dvol = ctx.sqrt_det
-        lhs = grid.volume_integral(lap_u * w.values() * dvol)
-        energy = np.einsum("pij,pi,pj->p", ginv, du, dw).reshape(shape)
-        rhs = -grid.volume_integral(energy * dvol)
+        lap_u = strong_laplacian(jet, u)
+        lhs = grid.volume_integral(lap_u * w.values() * dvol.reshape(shape))
+        energy = np.einsum("pij,pi,pj->p", F, du, dw).reshape(shape)
+        rhs = -grid.volume_integral(energy)
         assert abs(lhs - rhs) < 1e-9
 
 

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 
 from serrin_torsion.ball_solver import (
     BallField,
-    LaplaceContext,
     get_grid,
     harmonic_extension,
     poisson_solve,
@@ -27,6 +26,7 @@ from serrin_torsion.curvature import (
     MetricJet,
     _packed_cofactors,
     cubic_chart,
+    cubic_chart_gradient,
 )
 from serrin_torsion.reduced import _StarMapJet
 from serrin_torsion.sphere_spectral import PerturbationState, SphereFunction, get_basis
@@ -43,6 +43,7 @@ from packet_manifold import (
     riemann_space,
     synthetic_packet,
 )
+from strong_oracle import generic_laplace_coefficients, strong_laplacian
 
 
 # -- the identities of a curvature packet ---------------------------------------
@@ -364,14 +365,15 @@ def test_truncated_chart_gradient_consistency():
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_cubic_chart_tables_match_truncated_chart(N):
-    """The direction tables of cubic_chart reproduce the pointwise model at
-    Y = s theta, s = 0 included, on directions of any length."""
+    """The direction tables of cubic_chart and cubic_chart_gradient
+    reproduce the pointwise model at Y = s theta, s = 0 included, on
+    directions of any length."""
     packet = synthetic_packet(N, seed=N)
     rng = np.random.default_rng(30 + N)
     dirs = rng.standard_normal((7, N))
     dirs[:4] /= np.linalg.norm(dirs[:4], axis=1)[:, None]
     s = np.array([0.0, 0.05, 0.2, 0.4])[:, None] * rng.uniform(0.5, 1.0, 7)
-    g, dg = cubic_chart(packet, dirs, s)
+    g, dg = cubic_chart(packet, dirs, s), cubic_chart_gradient(packet, dirs, s)
     assert g.shape == (N * (N + 1) // 2, 4, 7)
     assert dg.shape == (N,) + g.shape
     a, b = np.triu_indices(N)
@@ -712,19 +714,14 @@ def test_metric_gradient_consistency():
 # -- Laplace-Beltrami through the jet -------------------------------------------
 
 
-def generic_laplace_coefficients(jet, pts, radii=None):
-    """Oracle for MetricJet.laplace_coefficients: the generic assembly from
-    the pulled-back metric and its gradient, g^-1 by a dense inverse and
-    the drift g^-1 ((1/2) d log det g - w), w_l = g^ik d_i g_kl; the chart
-    enters through metric_and_grad, whose tables truncated_chart checks."""
-    g, dg = jet.metric_and_grad(pts, radii)
-    ginv = np.linalg.inv(g)
-    w = np.einsum("pik,pikl->pl", ginv, dg)
-    dlog = np.einsum("pab,pcab->pc", ginv, dg)
-    drift = np.einsum("pij,pj->pi", ginv, 0.5 * dlog - w)
-    # the jet's component-major layout, g^-1 packed to its upper triangle
+def generic_flux(jet, pts, radii=None):
+    """Oracle for MetricJet.laplace_coefficients: F = sqrt det g g^-1 and
+    sqrt det g from the pulled-back metric of metric_and_grad (whose chart
+    tables truncated_chart checks) by a dense inverse, in the jet's
+    component-major layout, F packed to its upper triangle."""
+    ginv, _, sqrt_det = generic_laplace_coefficients(jet, pts, radii)
     a, b = np.triu_indices(jet.dim)
-    return ginv[:, a, b].T, drift.T, np.sqrt(np.linalg.det(g))
+    return (sqrt_det[:, None] * ginv[:, a, b]).T, sqrt_det
 
 
 def _band_limited(basis, seed, amplitude, low):
@@ -769,14 +766,14 @@ def test_laplace_coefficients_match_generic_assembly(case):
         assert np.abs(jet._profile.coeffs[basis.degrees == 1]).max() > 0.0
     radii = np.concatenate([[0.0], get_grid(jet.dim).r, [1.0]])
     got = jet.laplace_coefficients(basis.nodes, radii)
-    want = generic_laplace_coefficients(jet, basis.nodes, radii)
+    want = generic_flux(jet, basis.nodes, radii)
     for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.abs(a - b).max() < 1e-13
     # arbitrary points, radii=None
     pts = np.random.default_rng(7).uniform(-0.55, 0.55, (40, jet.dim))
     got = jet.laplace_coefficients(pts)
-    want = generic_laplace_coefficients(jet, pts)
+    want = generic_flux(jet, pts)
     for a, b in zip(got, want):
         assert np.abs(a - b).max() < 1e-13
 
@@ -787,7 +784,7 @@ def test_laplacian_euclidean_torsion():
     phi0 = poisson_solve(
         BallField.from_values(grid, -np.ones((grid.n_r, grid.n_ang)))
     )
-    vals = LaplaceContext(jet, grid).apply_values(phi0)
+    vals = strong_laplacian(jet, phi0)
     assert np.abs(vals + 1.0).max() < 1e-11
 
 
@@ -798,11 +795,11 @@ def test_laplacian_harmonic_and_constant():
     h = SphereFunction.from_mode(basis, 3, 1, 1.0)
     harm = harmonic_extension(grid, h)
     flat_jet = MetricJet(FlatSpace(2), np.zeros(2), 0.0)
-    assert np.abs(LaplaceContext(flat_jet, grid).apply_values(harm)).max() < 1e-9
+    assert np.abs(strong_laplacian(flat_jet, harm)).max() < 1e-9
     const = harmonic_extension(grid, SphereFunction.constant(basis, 2.5))
     for cls in (MetricJet, ExactJet):
         jet = cls(man, man.origin(), 0.15)
-        vals = LaplaceContext(jet, grid).apply_values(const)
+        vals = strong_laplacian(jet, const)
         assert np.abs(vals).max() < 1e-9
 
 
@@ -817,7 +814,7 @@ def test_laplacian_cross_fidelity():
         out = []
         for cls in (MetricJet, ExactJet):
             jet = cls(man, man.origin(), eps)
-            out.append(LaplaceContext(jet, grid).apply_values(phi0))
+            out.append(strong_laplacian(jet, phi0))
         gaps.append(np.abs(out[0] - out[1]).max())
     assert gaps[0] < 5e-6
     assert 10.0 < gaps[1] / gaps[0] < 22.0

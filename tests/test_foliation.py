@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from serrin_torsion import curvature
 from serrin_torsion.curvature import (
     ConformalSphere2D,
     ConstantCurvature,
@@ -106,8 +107,25 @@ def test_unconverged_log_map_fails_the_leaf(basis, monkeypatch):
         manifold.log(p, targets)
     curve = lambda t: p
     profile = lambda t: SphereFunction.constant(basis, 0.0)
-    with pytest.raises(FoliationError, match="left the chart"):
+    with pytest.raises(FoliationError, match="log map did not converge"):
         recentering_solve(manifold, 0.1, curve, profile)
+
+
+def test_failed_geodesic_integration_fails_the_leaf(basis, monkeypatch):
+    """A failed DOP853 integration in exp reaches the leaf's FoliationError
+    with its own message, not as a chart failure."""
+
+    class Failed:
+        success = False
+        message = "step size became too small"
+
+    monkeypatch.setattr(curvature, "solve_ivp", lambda *a, **k: Failed())
+    p = np.array([0.3, -0.2])
+    curve = lambda t: p
+    profile = lambda t: SphereFunction.constant(basis, 0.0)
+    with pytest.raises(FoliationError, match="geodesic integration failed: "
+                       "step size became too small"):
+        recentering_solve(ConformalSphere2D(), 0.1, curve, profile)
 
 
 # -- reparametrization -----------------------------------------------------------

@@ -1,11 +1,14 @@
-"""The benchmark's tracer wraps names that exist in the package.
+"""The benchmark's tracer and workloads call names that exist in the package.
 
 perfbench/spans.py patches package methods and functions by name from
 outside the package. A renamed method target breaks `run.py --trace 1`
 (the tracer reads it from its owner's __dict__), and a renamed function
-target silently drops a layer from the trace. The tracer is loaded by path,
+target silently drops a layer from the trace. perfbench/workloads.py calls
+the package directly (set-up caches, solves, accounting), so a changed call
+surface breaks the benchmark's operations. Both files are loaded by path,
 so this only reads perfbench/. One traced solve checks that the spans the
-benchmark reduces are still recorded.
+benchmark reduces are still recorded, and the first operation of each
+solve workload runs with its output checks.
 """
 
 import importlib.util
@@ -19,17 +22,20 @@ from serrin_torsion.curvature import ConformalSphere2D, ConstantCurvature
 from serrin_torsion.serrin import SerrinProblem
 from serrin_torsion.sphere_spectral import ball_volume
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, PERFBENCH / (name + ".py")
+    )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
+workloads = _load("workloads")
 
 # Function targets the tracer still lists although no traced module defines
 # them, with the reason; each stays an expected failure until the benchmark
@@ -95,3 +101,19 @@ def test_tracer_volume_spans_build_no_jet():
     for name in ("ball_solver.context", "curvature.jet_build",
                  "curvature.rho_jet"):
         assert name not in names
+
+
+@pytest.fixture(scope="module")
+def seeded_workloads():
+    """Every workload built with seed 0; its set-up fills the basis caches
+    through the package (workloads._warm)."""
+    return {name: cls(0) for name, cls in workloads.WORKLOADS.items()}
+
+
+@pytest.mark.parametrize("name", ["solve-2d", "solve-3d"])
+def test_first_workload_operation_passes_its_checks(seeded_workloads, name):
+    _, operations = seeded_workloads[name].round(0)
+    rows = operations[0]()
+    assert rows
+    for row in rows:
+        assert row["error"] is None and row["check"] is None, row

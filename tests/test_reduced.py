@@ -352,21 +352,21 @@ def test_tangential_deformation_both_sides_vanish():
     assert abs(out["finite_difference"]) < 1e-10
 
 
-class _DriftlessTwist(reduced._TwistJet):
+class _UnweightedFluxTwist(reduced._TwistJet):
     def laplace_coefficients(self, pts, radii=None):
-        ginv, drift, sqrt_det = super().laplace_coefficients(pts, radii)
-        return ginv, np.zeros_like(drift), sqrt_det
+        flux, sqrt_det = super().laplace_coefficients(pts, radii)
+        return flux / sqrt_det, sqrt_det
 
 
 class _FlatVolumeTwist(reduced._TwistJet):
     def laplace_coefficients(self, pts, radii=None):
-        ginv, drift, sqrt_det = super().laplace_coefficients(pts, radii)
-        return ginv, drift, np.ones_like(sqrt_det)
+        flux, sqrt_det = super().laplace_coefficients(pts, radii)
+        return flux, np.ones_like(sqrt_det)
 
 
 def test_twist_energy_meets_closed_form():
-    # J(s) = J0 (1 + s^2)^-2; the relative gap measured 1.1e-15, 3.0e-14,
-    # 2.7e-13 and 1.9e-12 at s = 0.05, 0.1, 0.2 and 0.3
+    # J(s) = J0 (1 + s^2)^-2; the relative gap measured 2.8e-15, 3.4e-15,
+    # 3.6e-14 and 1.8e-13 at s = 0.05, 0.1, 0.2 and 0.3
     out = tangential_derivative_check()
     assert out["closed_form_gap"] < 1e-10
     for s in (0.05, 0.2, 0.3):
@@ -376,12 +376,14 @@ def test_twist_energy_meets_closed_form():
 
 
 @pytest.mark.parametrize(
-    "broken", [_DriftlessTwist, _FlatVolumeTwist], ids=["drift", "volume"]
+    "broken", [_UnweightedFluxTwist, _FlatVolumeTwist],
+    ids=["flux-weight", "volume"],
 )
 def test_closed_form_gap_detects_a_dropped_term(broken, monkeypatch):
-    """A twist jet with its drift or its volume element dropped still passes
-    both normal-speed sides, and only the closed-form gap sees it (measured
-    1.3e-2 and 5.0e-3)."""
+    """A twist jet with the sqrt det g factor dropped from its flux tensor
+    (F = g^-1) or from its volume element still passes both normal-speed
+    sides, and only the closed-form gap sees it (measured 1.5e-2 and
+    1.0e-2)."""
     monkeypatch.setattr(reduced, "_TwistJet", broken)
     out = tangential_derivative_check()
     assert abs(out["analytic"]) < 1e-12
