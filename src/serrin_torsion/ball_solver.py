@@ -10,7 +10,8 @@ exact on polynomials, so the closed-form polynomial oracle
 is reproduced at machine precision. Every radial operator is block-diagonal
 by degree (Vasil et al., J. Comput. Phys. X 3, 2019), and BallGrid.by_degree
 is the one per-degree product: projection, the stacked radial profiles,
-the flat Poisson and Galerkin solves and the boundary derivative use it.
+the Poisson and Galerkin solves, the radial loads and the boundary
+derivative use it.
 
 The metric torsion problem -lap_g u = 1 is in divergence form: times
 sqrt det g it reads -div(F grad u) = sqrt det g, with the flux tensor
@@ -21,18 +22,24 @@ packed to its upper triangle in np.triu_indices order), and the boundary
 metric of neumann_trace through its metric_and_grad, so this module does
 not care where the metric comes from.
 
-dirichlet_solve_full runs a Picard iteration on the weak form: each step
-solves the flat Galerkin problem
-    int grad psi . grad u_{k+1} = int psi sqrt det g
-                                  - int grad psi . (F - I) grad u_k
-over the test functions psi that vanish on the boundary, per degree with
-the exact flat stiffness (spectral Galerkin, Canuto, Hussaini, Quarteroni
-& Zang, Spectral Methods, 2006). A step takes the gradient products of
-the iterate (BallField.derivatives, two matrix products over the modes),
-meets them with F - I pointwise, and applies the transposed products
-(LaplaceContext.correction); no iterate Hessian and no drift of lap_g is
-formed. A context serves solves only: the volume of an unperturbed ball
-needs none, and profile reads it off the chart.
+dirichlet_solve_full runs a Picard iteration on the weak form. F splits
+into its rotation-invariant part Fbar = a(r) I + b(r) theta theta^T (the
+sphere averages of F at each radius) and the rest, and each step solves
+    int grad psi . Fbar grad u_{k+1} = int psi sqrt det g
+                                       - int grad psi . (F - Fbar) grad u_k
+over the test functions psi that vanish on the boundary. Fbar commutes
+with rotations, so that problem is one Galerkin solve per degree
+(spectral Galerkin, Canuto, Hussaini, Quarteroni & Zang, Spectral Methods,
+2006), and the iteration is left with the anisotropic part of F only: the
+preconditioning of a nonseparable elliptic operator by a separable one
+with a fast direct solve (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
+The right-hand side is the load less the correction of F - I
+(LaplaceContext.correction: the gradient products of the iterate from
+BallField.derivatives, met with F - I pointwise, through the transposed
+products) plus the radial load of Fbar - I, so the discrete Galerkin
+system, and its solution, is the flat-stiffness one. A context serves
+solves only: the volume of an unperturbed ball needs none, and profile
+reads it off the chart.
 
 The curvature source problem has one assembly: psi_source_values gives the
 cubic-model source -lap(psi_eps), and solve_psi_eps its flat solve with
@@ -43,6 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.special import eval_jacobi
 
 from .sphere_spectral import (
@@ -113,27 +121,25 @@ class BallGrid:
         N = self.dim
         M = n_radial
         js = np.arange(M)
-        # per degree, the radial basis and its s-derivative at the radial
-        # nodes, stacked as (2 n_r, M)
-        self.radial_basis = []
+        # Every per-degree operator is stacked by degree, (L + 1, ...).
+        # The radial basis and its s-derivative at the radial nodes, (2 n_r, M)
+        # per degree
+        self.radial_basis = np.empty((L + 1, 2 * n_r, M))
         # projection weights: coefficients of a sampled radial profile; and
         # the same weights against the gradient of each mode, which take a
         # flux to its load (see LaplaceContext.correction)
-        self.proj = []
-        self.grad_proj = []
+        self.proj = np.empty((L + 1, M, n_r))
+        self.grad_proj = np.empty((L + 1, M, 2 * n_r))
         # mode-wise Laplacian operators, and the inverses of the mode-wise
         # Poisson systems (the first M - 1 Laplacian rows, then the boundary
         # row); with explicit inverses the modes of a degree are one small
         # matrix product, which BLAS keeps on one thread, where a
         # multi-column LU solve starts every BLAS thread on an M x M system
-        self.lap_op = []
-        self.solve_op = []
-        # the Galerkin solves of -lap u = f, from the projection of f: the
-        # test functions (q_j - q_{j+1}) H vanish on the boundary, since
-        # every q_j is 1 at r = 1
-        self.weak_op = []
-        tests = np.eye(M)[:-1] - np.eye(M)[1:]
-        self.bc_deriv = []
+        self.lap_op = np.empty((L + 1, M, M))
+        self.solve_op = np.empty((L + 1, M, M))
+        self.bc_deriv = np.empty((L + 1, M))
+        # Jacobi norms n_j = 2j + k + N/2, the scale of a load
+        self._norm = np.empty((L + 1, M))
         t = 2.0 * s - 1.0
         for k in range(L + 1):
             b = k + N / 2.0 - 1.0
@@ -149,36 +155,37 @@ class BallGrid:
                     * (j + b + 2.0)
                     * eval_jacobi(j - 2, 2.0, b + 2.0, t)
                 )
-            self.radial_basis.append(np.vstack([Q, Qs]))
+            self.radial_basis[k] = np.vstack([Q, Qs])
             # int_0^1 q_i q_j s^b ds = delta_ij / (2j + b + 1); in r-form the
             # weight is 2 r^{2k+N-1}. Sampled profiles come as u(r) = r^k F(s),
             # so fold one r^k into the projection weight.
             norm = 2.0 * js + b + 1.0
+            self._norm[k] = norm
             base = 2.0 * wr * self.r ** (k + N - 1)
-            self.proj.append(norm[:, None] * (Q.T * base[None, :]))
+            self.proj[k] = norm[:, None] * (Q.T * base[None, :])
             # grad(q H) = 2 q' H x + q grad H, grad H = r^(k-1) (node table):
             # columns against the rows [grad H . V, H 2 x . V] of a flux V
-            self.grad_proj.append(np.hstack(
-                [self.proj[-1] / self.r, norm[:, None] * (Qs.T * base)]
-            ))
+            self.grad_proj[k] = np.hstack(
+                [self.proj[k] / self.r, norm[:, None] * (Qs.T * base)]
+            )
             # mode Laplacian in coefficient space: 4 s q'' + (4k + 2N) q';
             # against the weights, stiff[i, j] = 2 int q_i H lap(q_j H) dx
             A = 4.0 * s[:, None] * Qss + (4.0 * k + 2.0 * N) * Qs
             wk = (2.0 * wr * self.r ** (2 * k + N - 1))[None, :]
-            stiff = (Q.T * wk) @ A
-            op = norm[:, None] * stiff
-            self.lap_op.append(op)
-            sysmat = np.vstack([op[: M - 1, :], np.ones((1, M))])
-            self.solve_op.append(np.linalg.inv(sysmat))
-            # for the test functions, int grad psi . grad u = -int psi lap u
-            # (the stiffness -stiff / 2), and int psi f is the projection P
-            # of f over 2 norm: the test rows read -T stiff c = T (P / norm),
-            # and the boundary row of ones stays last
-            sysmat = np.vstack([-tests @ stiff, np.ones((1, M))])
-            self.weak_op.append(
-                np.linalg.inv(sysmat)[:, : M - 1] @ (tests / norm)
-            )
-            self.bc_deriv.append(k + 2.0 * js * (js + b + 1.0))
+            self.lap_op[k] = norm[:, None] * ((Q.T * wk) @ A)
+            sysmat = np.vstack([self.lap_op[k, : M - 1], np.ones((1, M))])
+            self.solve_op[k] = np.linalg.inv(sysmat)
+            self.bc_deriv[k] = k + 2.0 * js * (js + b + 1.0)
+
+        # the Galerkin solves of -div(Fbar grad u) = f (see galerkin): the
+        # radial weights 2 w r^(2k+N-3) of a stiffness and the diagonal flat
+        # stiffness on the test functions
+        self._stiff_weight = 2.0 * wr * self.r ** (
+            2.0 * np.arange(L + 1)[:, None] + N - 3.0
+        )
+        self._flat_diag = 2.0 * (self._norm[:, :-1] + self._norm[:, 1:])
+        zeros = np.zeros(n_r)
+        self.weak_op = self.galerkin(zeros, zeros)[0]
 
         # (2, n_r, n_modes): r^(k-j), j = 0, 1, for each mode's degree k;
         # zero where j > k, since derivatives of order above k vanish
@@ -192,10 +199,80 @@ class BallGrid:
         self.points = product_points(basis.nodes, self.r)
         self.n_ang = basis.nodes.shape[0]
 
+    def _stiffness(self, radial, angular):
+        """Per-degree stiffness, (L + 1, M, M), of a rotation-invariant flux
+        with the eigenvalue `radial` along theta and `angular` across it,
+        both sampled at the radial nodes: with R_j = r^k q_j(r^2),
+            2 int [radial R_i' R_j' + angular k (k + N - 2) R_i R_j / r^2]
+                  r^(N-1) dr
+        on the radial Gauss rule, where r^(1-k) R_j' = 2 s q_j' + k q_j."""
+        n_r, N = self.n_r, self.dim
+        k = np.arange(self.basis.max_degree + 1)
+        Q, Qs = self.radial_basis[:, :n_r], self.radial_basis[:, n_r:]
+        D = Qs * (2.0 * self.r**2)[:, None]
+        D += k[:, None, None] * Q
+        W = self._stiff_weight
+        wq = W * (k * (k + N - 2.0))[:, None] * angular
+        out = D.swapaxes(1, 2) @ ((W * radial)[:, :, None] * D)
+        out += Q.swapaxes(1, 2) @ (wq[:, :, None] * Q)
+        return out
+
+    def galerkin(self, alpha, beta):
+        """Per-degree Galerkin operators of the rotation-invariant flux
+        Fbar = (1 + alpha) I + beta theta theta^T, alpha and beta sampled at
+        the radial nodes, each stacked (L + 1, M, M): the solves of
+        -div(Fbar grad u) = f from the load of f (the scale of
+        BallField.from_values) to the coefficients of u, and the load
+        operators taking the coefficients of u to the load of
+        (Fbar - I) grad u.
+
+        A flux that commutes with rotations keeps each degree apart. On the
+        test functions psi_i = (q_i - q_{i+1}) H, which vanish on the
+        boundary since every q_j is 1 at r = 1, the flat stiffness
+        2 int grad psi_i . grad psi_j is diagonal, 2 (n_i + n_{i+1}): psi_i
+        is (1 - s) times a Jacobi polynomial orthogonal under the weight
+        (1 - s) s^b, and the Laplacian of psi_j is a polynomial of degree j
+        in s times H. The stiffness of Fbar - I is added to it, and one
+        Cholesky solve per degree takes the test rows of a load to the
+        coefficients d of u = sum_i d_i psi_i. Fbar is an average of the
+        positive definite F, so 1 + alpha and 1 + alpha + beta are
+        positive and so is every system. Zero weights give the flat solves
+        grid.weak_op.
+        """
+        extra = self._stiffness(alpha + beta, alpha)
+        rows = extra[:, :-1] - extra[:, 1:]
+        stiff = rows[:, :, :-1] - rows[:, :, 1:]
+        M = self.n_radial
+        stiff.reshape(len(stiff), -1)[:, :: M] += self._flat_diag
+        # stiff = U^T U: with Y = U^-T T the solve of the test rows T is
+        # T^T stiff^-1 T = Y^T Y, and a load enters over the norms
+        inv_chol = np.empty_like(stiff)
+        for k, A in enumerate(stiff):
+            chol, info = lapack.dpotrf(A)
+            if info:
+                raise EnvelopeError("rotation-invariant flux lost positivity")
+            inv_chol[k] = lapack.dtrtri(chol)[0]
+        Y = np.zeros((len(stiff), M - 1, M))
+        Y[:, :, :-1] = inv_chol.swapaxes(1, 2)
+        Y[:, :, 1:] -= inv_chol.swapaxes(1, 2)
+        solve = Y.swapaxes(1, 2) @ Y
+        solve /= self._norm[:, None, :]
+        return solve, self._norm[:, :, None] * extra
+
     def by_degree(self, rows, ops):
         """rows with the block s of the modes of degree k replaced by
-        rows[s] @ ops[k].T: every mode of a degree shares its operator."""
-        out = np.empty((len(rows),) + ops[0].shape[:-1])
+        rows[s] @ ops[k].T: every mode of a degree shares its operator, and
+        ops is stacked by degree. At N = 2 every degree k >= 1 holds one
+        pair of modes, so those blocks are one batched product over the
+        (L, 2, ...) view; the outputs are the per-degree products' bits."""
+        out = np.empty((len(rows),) + ops.shape[1:-1])
+        if self.dim == 2:
+            L = self.basis.max_degree
+            out[0] = rows[0] @ ops[0].T
+            pairs = rows[1:].reshape(L, 2, -1)
+            tops = ops[1:].reshape(L, -1, ops.shape[-1]).swapaxes(1, 2)
+            out[1:] = (pairs @ tops).reshape(out[1:].shape)
+            return out
         for k in range(self.basis.max_degree + 1):
             s = self.basis.degree_slice(k)
             out[s] = rows[s] @ ops[k].T
@@ -252,7 +329,7 @@ class BallField:
         radial profile at the radial nodes, (order + 1, n_r, n_modes)."""
         grid = self.grid
         n = (order + 1) * grid.n_r
-        G = grid.by_degree(self.coeffs, [T[:n] for T in grid.radial_basis])
+        G = grid.by_degree(self.coeffs, grid.radial_basis[:, :n])
         return G.T.reshape(order + 1, grid.n_r, -1)
 
     def values(self):
@@ -387,6 +464,18 @@ class LaplaceContext:
     metric near the identity keeps its relative accuracy. A volume element
     that is not positive (NaN where the metric is not positive definite)
     is an EnvelopeError.
+
+    From the same blocks it takes the rotation-invariant part
+    alpha(r) I + beta(r) theta theta^T of F - I, the orthogonal projection
+    at each radius: the sphere averages of tr(F - I) = N alpha + beta and
+    of theta . (F - I) theta = alpha + beta. grid.galerkin turns it into
+    the per-degree operators of one Picard step, weak_op (the Galerkin
+    solves of the rotation-invariant flux Fbar = I + alpha I + beta theta
+    theta^T) and radial_op (the load of (Fbar - I) grad u), both
+    (L + 1, M, M). Fbar is an average of the positive definite F: its
+    eigenvalues a = 1 + alpha (across theta) and a + b (along theta) are
+    averages of positive ones, so every per-degree system stays positive
+    definite.
     """
 
     def __init__(self, jet, grid):
@@ -396,10 +485,18 @@ class LaplaceContext:
             raise EnvelopeError("pulled-back metric lost positivity")
         self.sqrt_det = sqrt_det.reshape(grid.n_r, grid.n_ang)
         flux = flux.reshape(-1, grid.n_r, grid.n_ang)
-        a, b = np.triu_indices(grid.dim)
+        N, basis = grid.dim, grid.basis
+        a, b = np.triu_indices(N)
         flux[a == b] -= 1.0
-        flux *= grid.basis.weights
+        flux *= basis.weights
         self._flux = flux
+        # the packed theta theta^T, off-diagonal entries counted twice
+        theta = (np.where(a == b, 1.0, 2.0)[:, None]
+                 * (basis.nodes[:, a] * basis.nodes[:, b]).T)
+        trace = flux[a == b].sum(axis=(0, 2)) / basis.area
+        normal = np.tensordot(flux, theta, ([0, 2], [0, 1])) / basis.area
+        alpha = (trace - normal) / (N - 1)
+        self.weak_op, self.radial_op = grid.galerkin(alpha, normal - alpha)
 
     def correction(self, field):
         """Load of the metric correction of field u, (n_modes, M): entry
@@ -432,13 +529,19 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
     """Solve -lap_g(phi) = 1 in B_1, phi = 0 on the boundary.
 
     Picard iteration on the weak form (see the module docstring): each
-    step is the flat Galerkin solve grid.weak_op of the load of sqrt det g
-    less the metric correction of the previous iterate. That load is the
-    projection of sqrt det g, taken once per solve. It is the data of every
-    step (a weak step has no pointwise source), so its radial tail is the
-    resolution check: ResolutionError when its last radial coefficient
-    exceeds SOURCE_TAIL_TOL times its largest one. The cold start is the
-    flat torsion function; warm_start seeds the iteration with a previous
+    step takes the load of sqrt det g, less the correction of F - I of the
+    previous iterate, plus its radial load of Fbar - I (ctx.radial_op), and
+    solves it per degree with the Galerkin solves of the rotation-invariant
+    flux Fbar (ctx.weak_op). At a fixed point the two Fbar terms cancel, so
+    the solution is that of the flat-stiffness Galerkin system; the
+    iteration contracts with the anisotropic part F - Fbar alone, and a
+    rotation-invariant metric (a geodesic ball of a space form) is solved
+    by its first step. The load is the projection of sqrt det g, taken
+    once per solve. It is the data of every step (a weak step has no
+    pointwise source), so its radial tail is the resolution check:
+    ResolutionError when its last radial coefficient exceeds
+    SOURCE_TAIL_TOL times its largest one. The cold start is the flat
+    torsion function; warm_start seeds the iteration with a previous
     potential (same grid) to save steps. Returns (phi, info) with the
     Picard iterations and their max-norm steps on the product grid, the
     torsion integral of phi and the volume, both against sqrt det g
@@ -455,8 +558,9 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
     vals = phi.values()
     history = []
     for it in range(PICARD_MAX_ITER):
-        rhs = load - ctx.correction(phi)
-        phi = BallField(grid, grid.by_degree(rhs, grid.weak_op))
+        rhs = (load - ctx.correction(phi)
+               + grid.by_degree(phi.coeffs, ctx.radial_op))
+        phi = BallField(grid, grid.by_degree(rhs, ctx.weak_op))
         prev, vals = vals, phi.values()
         step = float(np.abs(vals - prev).max())
         history.append(step)
