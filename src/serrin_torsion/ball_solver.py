@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 from scipy.special import eval_jacobi
 
 from .sphere_spectral import (
@@ -126,10 +125,10 @@ class BallGrid:
         # per degree
         self.radial_basis = np.empty((L + 1, 2 * n_r, M))
         # projection weights: coefficients of a sampled radial profile; and
-        # the same weights against the gradient of each mode, which take a
-        # flux to its load (see LaplaceContext.correction)
+        # the same weights against the s-derivative of each mode, which with
+        # them take a flux to its load (see LaplaceContext.correction)
         self.proj = np.empty((L + 1, M, n_r))
-        self.grad_proj = np.empty((L + 1, M, 2 * n_r))
+        self.deriv_proj = np.empty((L + 1, M, n_r))
         # mode-wise Laplacian operators, and the inverses of the mode-wise
         # Poisson systems (the first M - 1 Laplacian rows, then the boundary
         # row); with explicit inverses the modes of a degree are one small
@@ -163,11 +162,7 @@ class BallGrid:
             self._norm[k] = norm
             base = 2.0 * wr * self.r ** (k + N - 1)
             self.proj[k] = norm[:, None] * (Q.T * base[None, :])
-            # grad(q H) = 2 q' H x + q grad H, grad H = r^(k-1) (node table):
-            # columns against the rows [grad H . V, H 2 x . V] of a flux V
-            self.grad_proj[k] = np.hstack(
-                [self.proj[k] / self.r, norm[:, None] * (Qs.T * base)]
-            )
+            self.deriv_proj[k] = norm[:, None] * (Qs.T * base)
             # mode Laplacian in coefficient space: 4 s q'' + (4k + 2N) q';
             # against the weights, stiff[i, j] = 2 int q_i H lap(q_j H) dx
             A = 4.0 * s[:, None] * Qss + (4.0 * k + 2.0 * N) * Qs
@@ -233,30 +228,23 @@ class BallGrid:
         is (1 - s) times a Jacobi polynomial orthogonal under the weight
         (1 - s) s^b, and the Laplacian of psi_j is a polynomial of degree j
         in s times H. The stiffness of Fbar - I is added to it, and one
-        Cholesky solve per degree takes the test rows of a load to the
-        coefficients d of u = sum_i d_i psi_i. Fbar is an average of the
-        positive definite F, so 1 + alpha and 1 + alpha + beta are
-        positive and so is every system. Zero weights give the flat solves
-        grid.weak_op.
+        batched solve takes the test rows of a load to the coefficients d
+        of u = sum_i d_i psi_i. Fbar is an average of the positive definite
+        F, so 1 + alpha and 1 + alpha + beta are positive and so is every
+        system. Zero weights give the flat solves grid.weak_op.
         """
         extra = self._stiffness(alpha + beta, alpha)
         rows = extra[:, :-1] - extra[:, 1:]
         stiff = rows[:, :, :-1] - rows[:, :, 1:]
         M = self.n_radial
         stiff.reshape(len(stiff), -1)[:, :: M] += self._flat_diag
-        # stiff = U^T U: with Y = U^-T T the solve of the test rows T is
-        # T^T stiff^-1 T = Y^T Y, and a load enters over the norms
-        inv_chol = np.empty_like(stiff)
-        for k, A in enumerate(stiff):
-            chol, info = lapack.dpotrf(A)
-            if info:
-                raise EnvelopeError("rotation-invariant flux lost positivity")
-            inv_chol[k] = lapack.dtrtri(chol)[0]
-        Y = np.zeros((len(stiff), M - 1, M))
-        Y[:, :, :-1] = inv_chol.swapaxes(1, 2)
-        Y[:, :, 1:] -= inv_chol.swapaxes(1, 2)
-        solve = Y.swapaxes(1, 2) @ Y
-        solve /= self._norm[:, None, :]
+        # a load enters the test rows over the norms; coefficient j of u
+        # is d_j - d_{j-1}
+        tests = np.eye(M)[:-1] - np.eye(M)[1:]
+        d = np.linalg.solve(stiff, tests / self._norm[:, None, :])
+        solve = np.zeros((len(stiff), M, M))
+        solve[:, :-1] = d
+        solve[:, 1:] -= d
         return solve, self._norm[:, :, None] * extra
 
     def by_degree(self, rows, ops):
@@ -504,8 +492,10 @@ class LaplaceContext:
         of BallField.from_values (n_j = 2j + k + N/2 the Jacobi norm).
 
         The gradient products of u meet F - I pointwise in the flux V, and
-        the transposed products take V to its load: the node tables against
-        grad H . V and H 2 x . V, then grid.grad_proj per degree.
+        the transposed products take V to its load: with
+        grad(q H) = 2 q' H x + q grad H and grad H = r^(k-1) times the node
+        table, the node tables against grad H . V / r and H 2 x . V, then
+        grid.proj and grid.deriv_proj per degree.
         """
         grid, basis = self.grid, self.grid.basis
         N = grid.dim
@@ -517,12 +507,11 @@ class LaplaceContext:
         V = np.empty_like(grad)
         for i in range(N):
             V[:, i] = sum(A[ix[i, j]] * grad[:, j] for j in range(N))
-        rows = np.hstack([
-            basis.node_grads().reshape(basis.n_modes, -1)
-            @ V.reshape(grid.n_r, -1).T,
-            basis.Y @ (2.0 * np.einsum("rin,rin->rn", x, V)).T,
-        ])
-        return grid.by_degree(rows, grid.grad_proj)
+        grad_rows = (basis.node_grads().reshape(basis.n_modes, -1)
+                     @ V.reshape(grid.n_r, -1).T) / grid.r
+        deriv_rows = basis.Y @ (2.0 * np.einsum("rin,rin->rn", x, V)).T
+        return (grid.by_degree(grad_rows, grid.proj)
+                + grid.by_degree(deriv_rows, grid.deriv_proj))
 
 
 def dirichlet_solve_full(jet, grid, warm_start=None):

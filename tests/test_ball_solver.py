@@ -729,7 +729,7 @@ def test_pair_products_match_per_degree_products():
     grid = get_grid(2)
     basis = grid.basis
     rng = np.random.default_rng(22)
-    ops = (grid.proj, grid.grad_proj, grid.solve_op, grid.weak_op,
+    ops = (grid.proj, grid.deriv_proj, grid.solve_op, grid.weak_op,
            grid.bc_deriv, grid.radial_basis[:, : grid.n_r])
     for op in ops:
         rows = rng.standard_normal((basis.n_modes, op.shape[-1]))
