@@ -37,7 +37,8 @@ The right-hand side is the load less the correction of F - I
 (LaplaceContext.correction: the gradient products of the iterate from
 BallField.derivatives, met with F - I pointwise, through the transposed
 products) plus the radial load of Fbar - I, so the discrete Galerkin
-system, and its solution, is the flat-stiffness one. A context serves
+system, and its solution, is the flat-stiffness one; a rotation-invariant
+metric is solved by the step from zero. A context serves
 solves only: the volume of an unperturbed ball needs none, and profile
 reads it off the chart.
 
@@ -522,16 +523,17 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
     previous iterate, plus its radial load of Fbar - I (ctx.radial_op), and
     solves it per degree with the Galerkin solves of the rotation-invariant
     flux Fbar (ctx.weak_op). At a fixed point the two Fbar terms cancel, so
-    the solution is that of the flat-stiffness Galerkin system; the
-    iteration contracts with the anisotropic part F - Fbar alone, and a
-    rotation-invariant metric (a geodesic ball of a space form) is solved
-    by its first step. The load is the projection of sqrt det g, taken
-    once per solve. It is the data of every step (a weak step has no
-    pointwise source), so its radial tail is the resolution check:
-    ResolutionError when its last radial coefficient exceeds
-    SOURCE_TAIL_TOL times its largest one. The cold start is the flat
-    torsion function; warm_start seeds the iteration with a previous
-    potential (same grid) to save steps. Returns (phi, info) with the
+    the solution is that of the flat-stiffness Galerkin system, and the
+    iteration contracts with the anisotropic part F - Fbar alone. The load
+    is the projection of sqrt det g, taken once per solve. It is the data
+    of every step (a weak step has no pointwise source), so its radial
+    tail is the resolution check: ResolutionError when its last radial
+    coefficient exceeds SOURCE_TAIL_TOL times its largest one. The cold
+    start is the step from zero, ctx.weak_op of the load, which needs no
+    correction: a rotation-invariant metric (a geodesic ball of a space
+    form) is solved by it, and its first counted step only confirms it.
+    warm_start seeds the iteration with a previous potential (same grid)
+    to save steps. Returns (phi, info) with the
     Picard iterations and their max-norm steps on the product grid, the
     torsion integral of phi and the volume, both against sqrt det g
     (unit-ball scale). Raises EnvelopeError on non-convergence or loss of
@@ -541,8 +543,8 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
     load = _resolved(
         BallField.from_values(grid, ctx.sqrt_det), "volume element"
     ).coeffs
-    phi = warm_start if warm_start is not None else poisson_solve(
-        BallField.from_values(grid, -np.ones((grid.n_r, grid.n_ang)))
+    phi = warm_start if warm_start is not None else BallField(
+        grid, grid.by_degree(load, ctx.weak_op)
     )
     vals = phi.values()
     history = []
