@@ -473,7 +473,10 @@ class AcceptanceRun:
         return _rec(11, passed, details)
 
     def check_solver_oracle(self):
-        """Spectral Poisson solves against the closed-form radial monomials."""
+        """Spectral Poisson solves against the closed-form radial monomials.
+
+        poisson_solve is the zero-weight Galerkin solve of the Picard step,
+        so this checks the solver that every metric solve runs."""
         rng = self._rng(12)
         worst = 0.0
         draws = []

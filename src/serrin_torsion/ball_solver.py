@@ -3,15 +3,17 @@
 Fields on the ball are stored mode-by-mode over the spherical-harmonic basis:
 the radial part of the degree-k mode is r^k * q(r^2) with q expanded in the
 shifted Jacobi polynomials P_j^{(0, k+N/2-1)}(2r^2-1). That ansatz bakes the
-r^k origin regularity into the representation, makes the mode-wise Laplacian
-a lower-triangular-plus-boundary-row matrix in coefficient space, and is
-exact on polynomials, so the closed-form polynomial oracle
+r^k origin regularity into the representation and is exact on polynomials.
+On the combinations psi_i = (q_i - q_{i+1}) r^k Y, which vanish on the
+boundary, the flat stiffness is diagonal (Shen, SIAM J. Sci. Comput. 15,
+1994), so the flat Poisson solve is one small Galerkin system per degree,
+the zero-weight case of every metric step (BallGrid.galerkin), and the
+closed-form polynomial oracle
     lap(r^a Y_k) = (a(a+N-2) - k(k+N-2)) r^{a-2} Y_k
 is reproduced at machine precision. Every radial operator is block-diagonal
 by degree (Vasil et al., J. Comput. Phys. X 3, 2019), and BallGrid.by_degree
 is the one per-degree product: projection, the stacked radial profiles,
-the Poisson and Galerkin solves, the radial loads and the boundary
-derivative use it.
+the Galerkin solves, the radial loads and the boundary derivative use it.
 
 The metric torsion problem -lap_g u = 1 is in divergence form: times
 sqrt det g it reads -div(F grad u) = sqrt det g, with the flux tensor
@@ -116,7 +118,6 @@ class BallGrid:
         self.r = 0.5 * (x + 1.0)
         wr = 0.5 * w
         self.n_r = n_r
-        s = self.r**2
 
         N = self.dim
         M = n_radial
@@ -130,31 +131,18 @@ class BallGrid:
         # them take a flux to its load (see LaplaceContext.correction)
         self.proj = np.empty((L + 1, M, n_r))
         self.deriv_proj = np.empty((L + 1, M, n_r))
-        # mode-wise Laplacian operators, and the inverses of the mode-wise
-        # Poisson systems (the first M - 1 Laplacian rows, then the boundary
-        # row); with explicit inverses the modes of a degree are one small
-        # matrix product, which BLAS keeps on one thread, where a
-        # multi-column LU solve starts every BLAS thread on an M x M system
-        self.lap_op = np.empty((L + 1, M, M))
-        self.solve_op = np.empty((L + 1, M, M))
+        # the Euclidean radial derivative of each mode at r = 1
         self.bc_deriv = np.empty((L + 1, M))
         # Jacobi norms n_j = 2j + k + N/2, the scale of a load
         self._norm = np.empty((L + 1, M))
-        t = 2.0 * s - 1.0
+        t = 2.0 * self.r**2 - 1.0
         for k in range(L + 1):
             b = k + N / 2.0 - 1.0
             Q = np.stack([eval_jacobi(j, 0.0, b, t) for j in js], axis=1)
             # dq/ds = 2 * d/dt P_j = (j + b + 1) * P_{j-1}^{(1, b+1)}
             Qs = np.zeros_like(Q)
-            Qss = np.zeros_like(Q)
             for j in range(1, M):
                 Qs[:, j] = (j + b + 1.0) * eval_jacobi(j - 1, 1.0, b + 1.0, t)
-            for j in range(2, M):
-                Qss[:, j] = (
-                    (j + b + 1.0)
-                    * (j + b + 2.0)
-                    * eval_jacobi(j - 2, 2.0, b + 2.0, t)
-                )
             self.radial_basis[k] = np.vstack([Q, Qs])
             # int_0^1 q_i q_j s^b ds = delta_ij / (2j + b + 1); in r-form the
             # weight is 2 r^{2k+N-1}. Sampled profiles come as u(r) = r^k F(s),
@@ -164,18 +152,12 @@ class BallGrid:
             base = 2.0 * wr * self.r ** (k + N - 1)
             self.proj[k] = norm[:, None] * (Q.T * base[None, :])
             self.deriv_proj[k] = norm[:, None] * (Qs.T * base)
-            # mode Laplacian in coefficient space: 4 s q'' + (4k + 2N) q';
-            # against the weights, stiff[i, j] = 2 int q_i H lap(q_j H) dx
-            A = 4.0 * s[:, None] * Qss + (4.0 * k + 2.0 * N) * Qs
-            wk = (2.0 * wr * self.r ** (2 * k + N - 1))[None, :]
-            self.lap_op[k] = norm[:, None] * ((Q.T * wk) @ A)
-            sysmat = np.vstack([self.lap_op[k, : M - 1], np.ones((1, M))])
-            self.solve_op[k] = np.linalg.inv(sysmat)
             self.bc_deriv[k] = k + 2.0 * js * (js + b + 1.0)
 
         # the Galerkin solves of -div(Fbar grad u) = f (see galerkin): the
         # radial weights 2 w r^(2k+N-3) of a stiffness and the diagonal flat
-        # stiffness on the test functions
+        # stiffness on the test functions; weak_op, the flat solves, serves
+        # poisson_solve
         self._stiff_weight = 2.0 * wr * self.r ** (
             2.0 * np.arange(L + 1)[:, None] + N - 3.0
         )
@@ -232,7 +214,8 @@ class BallGrid:
         batched solve takes the test rows of a load to the coefficients d
         of u = sum_i d_i psi_i. Fbar is an average of the positive definite
         F, so 1 + alpha and 1 + alpha + beta are positive and so is every
-        system. Zero weights give the flat solves grid.weak_op.
+        system. Zero weights give the flat solves grid.weak_op, which are
+        the flat Poisson solve (poisson_solve).
         """
         extra = self._stiffness(alpha + beta, alpha)
         rows = extra[:, :-1] - extra[:, 1:]
@@ -383,17 +366,15 @@ def poisson_solve(src):
 
     src is a BallField. Boundary data h enters by superposition: psi +
     harmonic_extension(grid, h) has the same Laplacian and boundary values h.
-    One radial solve per degree, all modes of the degree at once; raises
-    ResolutionError when the source is not finite or its last radial
-    coefficient exceeds SOURCE_TAIL_TOL times its largest one.
+    The solve is the zero-weight Galerkin solve grid.weak_op of
+    -lap(psi) = -src (BallGrid.galerkin), all modes of a degree at once, the
+    flat case of every Picard step; raises ResolutionError when the source
+    is not finite or its last radial coefficient exceeds SOURCE_TAIL_TOL
+    times its largest one.
     """
     grid = src.grid
     _resolved(src, "source")
-    # each mode's system: its first M - 1 source coefficients, then its
-    # zero boundary value
-    rhs = src.coeffs.copy()
-    rhs[:, -1] = 0.0
-    return BallField(grid, grid.by_degree(rhs, grid.solve_op))
+    return BallField(grid, -grid.by_degree(src.coeffs, grid.weak_op))
 
 
 def harmonic_extension(grid, h):

@@ -594,9 +594,12 @@ def _parse_checks(text):
         if "-" in tok:
             lo, hi = tok.split("-", 1)
             try:
-                ids.update(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
             except ValueError as exc:
                 raise ConfigError("bad check range %r" % tok) from exc
+            if lo > hi:
+                raise ConfigError("bad check range %r" % tok)
+            ids.update(range(lo, hi + 1))
         else:
             try:
                 ids.add(int(tok))
@@ -715,6 +718,8 @@ def main(argv=None):
             workers = _get(cfg, "run", "workers", 1, kind=int)
         if workers < 1:
             raise ConfigError("workers must be at least 1")
+        if seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         report = Reporter()
         code = handler(cfg, out, seed, workers, args, report)
         report.write_log(out, command.replace("-", "_"))

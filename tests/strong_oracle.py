@@ -13,7 +13,10 @@ strong operator beside it, assembled pointwise and independently:
   gradient (MetricJet.metric_and_grad), by dense inverses;
 * strong_laplacian meets the two: lap_g u pointwise.
 
-flat_laplacian is the exact flat Laplacian in coefficient space.
+mode_laplacian is the flat Laplacian of each degree in coefficient space,
+from the same tables: the reference of the solver's flat Galerkin solve,
+and with the boundary row the tau system of a second discretization of
+the flat Poisson problem. flat_laplacian applies it.
 """
 
 import numpy as np
@@ -22,10 +25,27 @@ from scipy.special import eval_jacobi
 from serrin_torsion.ball_solver import BallField
 
 
+def mode_laplacian(grid):
+    """The flat Laplacian per degree in coefficient space, (L + 1, M, M).
+
+    lap(q(r^2) r^k Y) = (4 s q'' + (4k + 2N) q') r^k Y with s = r^2, and
+    its coefficients are the projection of that profile: grid.proj, which
+    folds one r^k into its weights, times the other r^k. Exact on the
+    polynomial profiles; the Laplacian of q_j has degree j - 1 in s, so
+    each operator is strictly upper triangular."""
+    N, s = grid.dim, grid.r**2
+    ops = []
+    for k in range(grid.basis.max_degree + 1):
+        _, Qs, Qss = _radial_tables(grid, k)
+        A = 4.0 * s[:, None] * Qss + (4.0 * k + 2.0 * N) * Qs
+        ops.append((grid.proj[k] * grid.r**k) @ A)
+    return np.stack(ops)
+
+
 def flat_laplacian(field):
     """lap(u) as a BallField (exact in coefficient space)."""
     grid = field.grid
-    return BallField(grid, grid.by_degree(field.coeffs, grid.lap_op))
+    return BallField(grid, grid.by_degree(field.coeffs, mode_laplacian(grid)))
 
 
 def _radial_tables(grid, k):

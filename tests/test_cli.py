@@ -393,6 +393,44 @@ def test_run_acceptance_rejects_unknown_check(tmp_path, capsys):
     assert err["error"]["kind"] == "config_error"
 
 
+def test_run_acceptance_rejects_reversed_check_range(tmp_path, capsys):
+    cfg = tmp_path / "acc.ini"
+    cfg.write_text("[acceptance]\nchecks = 1, 6-4\n")
+    out = tmp_path / "out"
+    assert main(["run-acceptance", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "config_error"
+    assert err["error"]["message"] == "bad check range '6-4'"
+    assert not (out / "acceptance.json").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("find-critical", CONF_RUN + "\n[find-critical]\neps = 0.1\n"),
+        ("run-acceptance", "[acceptance]\nchecks = 1\n"),
+    ],
+    ids=["find-critical", "run-acceptance"],
+)
+def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
+    # a bad seed is a config mistake, not a solver failure or a failed check
+    argv = [command, "--config", str(tmp_path / "cfg.ini"),
+            "--out", str(tmp_path / "out")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif command == "find-critical":
+        text = text.replace("[run]\n", "[run]\nseed = -1\n")
+    else:
+        text = "[run]\nseed = -1\n\n" + text
+    (tmp_path / "cfg.ini").write_text(text)
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "config_error"
+    assert "non-negative integer" in err["error"]["message"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["error.json"]
+
+
 # -- config errors found before any solve ----------------------------------------
 
 
