@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import minimize, root
 
 from .sphere_spectral import (
@@ -41,6 +41,7 @@ from .sphere_spectral import (
 
 __all__ = [
     "CurvaturePacket",
+    "GeometryError",
     "ModelManifold",
     "FlatSpace",
     "ConstantCurvature",
@@ -49,6 +50,10 @@ __all__ = [
     "cubic_chart",
     "cubic_chart_gradient",
 ]
+
+
+class GeometryError(RuntimeError):
+    """A geodesic integration, log map or curvature maximum failed."""
 
 
 # -- curvature packet ---------------------------------------------------------
@@ -308,6 +313,101 @@ class ConstantCurvature(ModelManifold):
         return amb @ E.T
 
 
+# -- geodesic integrator ---------------------------------------------------------
+
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10):
+# the tableau scipy's DOP853 reads (no nodes C: the geodesic flow is
+# autonomous), and its step control
+_DOP_STAGES = dop853_coefficients.N_STAGES
+_DOP_A = dop853_coefficients.A[:_DOP_STAGES, :_DOP_STAGES]
+_DOP_B = dop853_coefficients.B
+_DOP_E3 = dop853_coefficients.E3
+_DOP_E5 = dop853_coefficients.E5
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _dop853(fun, y, rtol, atol):
+    """y(1) of the autonomous system y' = fun(y), y(0) = y, by adaptive
+    DOP853 steps over [0, 1].
+
+    The arithmetic is scipy's DOP853 solver's, step for step: the same
+    initial step, stage sums, E3/E5 error norm and step factors, so the
+    end point agrees with scipy's to the bit. The stage array lives only
+    in this call. Raises GeometryError on a non-finite initial state, or
+    when a rejected step falls below 10 ulp of t.
+    """
+    if not np.isfinite(y).all():
+        raise GeometryError("geodesic integration failed: initial state is "
+                            "not finite")
+    f = fun(y)
+    # initial step (select_initial_step, Solving ODEs I, II.4)
+    scale = atol + np.abs(y) * rtol
+    d0 = _rms(y / scale)
+    d1 = _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, 1.0)
+    d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, 1.0)
+
+    K = np.empty((_DOP_STAGES + 1, y.size))
+    t = 0.0
+    while t < 1.0:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            # "not >=" also stops a NaN step: a zero error scale (rtol =
+            # atol = 0) makes the initial step 0 / 0
+            if not h_abs >= min_step:
+                raise GeometryError(
+                    "geodesic integration failed: step size %.3g fell below "
+                    "%.3g at t = %.6g" % (h_abs, min_step, t)
+                )
+            t_new = min(t + h_abs, 1.0)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, _DOP_STAGES):
+                dy = np.dot(K[:s].T, _DOP_A[s, :s]) * h
+                K[s] = fun(y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _DOP_B)
+            f_new = fun(y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.linalg.norm(np.dot(K.T, _DOP_E5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(K.T, _DOP_E3) / scale) ** 2
+            if err5 == 0 and err3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / np.sqrt((err5 + 0.01 * err3)
+                                                    * y.size)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm**_ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+    return y
+
+
 class ConformalSphere2D(ModelManifold):
     """Two-sphere with a conformally perturbed round metric.
 
@@ -323,10 +423,13 @@ class ConformalSphere2D(ModelManifold):
         grad lap b = b D (4 / sigma^4 - |D|^2 / sigma^6).
 
     The frame is E_i = exp(-f) d_i, smooth across the whole chart. exp
-    integrates the conformal geodesic equations with a high-order adaptive
-    scheme; a batch shares one ODE solve. log inverts it by a per-point good
-    Broyden iteration (Broyden 1965) in inverse form, one batched exp per
-    step.
+    integrates the conformal geodesic equations, which read only grad f,
+    with the module's own DOP853 loop (_dop853: scipy's tableau and step
+    control, bit for bit, with no state kept past the call); a batch shares
+    one integration. log inverts it by a per-point good Broyden iteration
+    (Broyden 1965) in inverse form, one batched exp per step, so a batch of
+    points around one base, such as all leaves of a foliation chart, takes
+    one log. Failures raise GeometryError.
     """
 
     dim = 2
@@ -348,28 +451,36 @@ class ConformalSphere2D(ModelManifold):
 
     # -- conformal factor and curvature -------------------------------------
 
-    def _f_jet(self, Z):
-        """f and its chart gradient at points Z (n, 2), shapes (n,), (n, 2)."""
+    def _f(self, Z):
+        """f at points Z (n, 2), shape (n,)."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        # round part h(u) = log 2 - log(1 + u), u = |z|^2
+        f = math.log(2.0) - np.log1p(np.einsum("pi,pi->p", Z, Z))
+        for A, c, sg in self.BUMPS:
+            D = Z - c[None, :]
+            q = np.einsum("pi,pi->p", D, D)
+            f = f + A * np.exp(-q / (2.0 * sg**2))
+        return f
+
+    def _df(self, Z):
+        """Chart gradient of f at points Z (n, 2), shape (n, 2): all the
+        geodesic equations read."""
         u = np.einsum("pi,pi->p", Z, Z)
-        # round part through h(u) = log 2 - log(1 + u)
         c1 = -1.0 / (1.0 + u)
-        f = math.log(2.0) - np.log1p(u)
         df = c1[:, None] * 2.0 * Z
         for A, c, sg in self.BUMPS:
             D = Z - c[None, :]
             q = np.einsum("pi,pi->p", D, D)
             b = A * np.exp(-q / (2.0 * sg**2))
-            f = f + b
             db = -b[:, None] * D / sg**2
             df = df + db
-        return f, df
+        return df
 
     def _curvature_jet(self, Z):
         """(f, K, dK chart-gradient) at points Z, with K = -e^(-2f) lap f
         from the closed-form traces lap f and grad lap f."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        f, df = self._f_jet(Z)
+        f, df = self._f(Z), self._df(Z)
         w = 1.0 / (1.0 + np.einsum("pi,pi->p", Z, Z))
         lap = -4.0 * w**2
         dlap = (16.0 * w**3)[:, None] * Z
@@ -404,7 +515,7 @@ class ConformalSphere2D(ModelManifold):
         n = state.shape[0] // 4
         Z = state[: 2 * n].reshape(n, 2)
         V = state[2 * n :].reshape(n, 2)
-        _, df = self._f_jet(Z)
+        df = self._df(Z)
         fv = np.einsum("pi,pi->p", df, V)
         vv = np.einsum("pi,pi->p", V, V)
         acc = -2.0 * fv[:, None] * V + vv[:, None] * df
@@ -416,27 +527,17 @@ class ConformalSphere2D(ModelManifold):
         n = V.shape[0]
         if np.abs(V).max(initial=0.0) == 0.0:
             return np.tile(p, (n, 1))
-        f0 = float(self._f_jet(p[None, :])[0][0])
+        f0 = float(self._f(p)[0])
         Vc = V * math.exp(-f0)  # chart components of the initial velocity
         Z0 = np.tile(p, (n, 1))
         state0 = np.concatenate([Z0.ravel(), Vc.ravel()])
-        sol = solve_ivp(
-            lambda t, y: self._geodesic_rhs(y),
-            (0.0, 1.0),
-            state0,
-            method="DOP853",
-            rtol=self.RTOL,
-            atol=self.ATOL,
-        )
-        if not sol.success:
-            raise RuntimeError("geodesic integration failed: %s" % sol.message)
-        end = sol.y[:, -1]
+        end = _dop853(self._geodesic_rhs, state0, self.RTOL, self.ATOL)
         return end[: 2 * n].reshape(n, 2)
 
     def log(self, p, Q):
         p = np.asarray(p, dtype=float)
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        f0 = float(self._f_jet(p[None, :])[0][0])
+        f0 = float(self._f(p)[0])
         scale = math.exp(f0)
         U = scale * (Q - p[None, :])  # first-order seed in frame coefficients
         # per-point inverse Jacobian of U -> exp(p, U), first guess e^f0 I
@@ -459,7 +560,7 @@ class ConformalSphere2D(ModelManifold):
             dU = np.einsum("pij,pj->pi", H, gap)
             U = U + dU
             gap_old = gap
-        raise RuntimeError("log map did not converge")
+        raise GeometryError("log map did not converge")
 
     def scalar_max_point(self):
         """Chart location of the (local) maximum of the scalar curvature."""
@@ -473,8 +574,8 @@ class ConformalSphere2D(ModelManifold):
         # critical point; a root solve on the exact gradient finishes it
         crit = root(lambda z: neg(z)[1], res.x)
         if not crit.success:
-            raise RuntimeError("scalar curvature maximum not found: %s"
-                               % crit.message)
+            raise GeometryError("scalar curvature maximum not found: %s"
+                                % crit.message)
         return crit.x
 
 

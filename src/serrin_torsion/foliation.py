@@ -38,33 +38,48 @@ INVERSE_MAX_ITER = 50
 LEAF_RESIDUAL_TOL = 1e-12
 
 
-def recentering_solve(manifold, t, curve, profile):
-    """Leaf positions as tangent vectors at the base point.
+def recentering_solve(manifold, t_grid, curve, profile):
+    """Leaf positions as tangent vectors at the base point, one per t.
 
     The leaf of parameter t is the image of the perturbed sphere of radius
     t(1 + v) around curve(t); each quadrature direction x is pushed to the
-    manifold and pulled back through the base-point chart, returning the
-    (n, N) array w with exp_base(w(x)) on the leaf. The round trip through
-    the chart map must close to LEAF_RESIDUAL_TOL in point coordinates, or
-    the leaf fails with FoliationError; there is no looser setting.
+    manifold, one exp per leaf (the centers differ), and all leaves are
+    pulled back through the base-point chart by one log, since they share
+    the base. Returns, per t of t_grid, the (n, N) array w with
+    exp_base(w(x)) on the leaf. The round trip through the chart map, one
+    exp over all leaves, must close to LEAF_RESIDUAL_TOL in point
+    coordinates; the first leaf that does not fails with FoliationError,
+    and there is no looser setting.
     """
+    t_grid = [float(t) for t in t_grid]
     base = np.asarray(curve(0.0), dtype=float)
-    p_t = np.asarray(curve(t), dtype=float)
-    v = profile(t)
-    nodes = v.basis.nodes
-    radii = t * (1.0 + v.node_values())
+    targets = []
+    for t in t_grid:
+        v = profile(t)
+        radii = t * (1.0 + v.node_values())
+        try:
+            targets.append(manifold.exp(np.asarray(curve(t), dtype=float),
+                                        radii[:, None] * v.basis.nodes))
+        except RuntimeError as exc:
+            # a failed integration: the leaf names which
+            raise FoliationError("leaf at t = %.6g: %s" % (t, exc)) from exc
+    splits = np.cumsum([len(q) for q in targets])[:-1]
+    targets = np.concatenate(targets)
     try:
-        targets = manifold.exp(p_t, radii[:, None] * nodes)
         w = manifold.log(base, targets)
-        gap = np.abs(manifold.exp(base, w) - targets).max()
+        gap = np.abs(manifold.exp(base, w) - targets).max(axis=1)
     except RuntimeError as exc:
-        # a failed integration or an unconverged log: the leaf names which
-        raise FoliationError("leaf at t = %.6g: %s" % (t, exc)) from exc
-    if gap > LEAF_RESIDUAL_TOL:
+        # a failed integration or an unconverged log over all leaves
         raise FoliationError(
-            "chart-map residual %.3g exceeds %.3g" % (gap, LEAF_RESIDUAL_TOL)
-        )
-    return w
+            "leaves at t = %.6g..%.6g: %s" % (t_grid[0], t_grid[-1], exc)
+        ) from exc
+    for t, leaf_gap in zip(t_grid, np.split(gap, splits)):
+        if leaf_gap.max() > LEAF_RESIDUAL_TOL:
+            raise FoliationError(
+                "leaf at t = %.6g: chart-map residual %.3g exceeds %.3g"
+                % (t, leaf_gap.max(), LEAF_RESIDUAL_TOL)
+            )
+    return np.split(w, splits)
 
 
 def reparametrize(w, basis):
@@ -141,18 +156,18 @@ def check_certificate_grid(t_grid):
 
 
 def build_foliation_chart(manifold, t_grid, curve, profile):
-    """Assemble the sampled chart by recentering each leaf in turn.
+    """Assemble the sampled chart: recenter all leaves at once, then
+    reparametrize each.
 
     Every leaf must pass recentering_solve's LEAF_RESIDUAL_TOL round trip
     and reparametrize's INVERSE_TOL inversion; the first leaf that does not
     raises FoliationError.
     """
     t_grid = _leaf_grid(t_grid)
-    omegas = []
-    for t in t_grid:
-        basis = profile(float(t)).basis
-        w = recentering_solve(manifold, float(t), curve, profile)
-        omegas.append(reparametrize(w, basis))
+    ws = recentering_solve(manifold, t_grid, curve, profile)
+    omegas = [
+        reparametrize(w, profile(float(t)).basis) for t, w in zip(t_grid, ws)
+    ]
     return FoliationChart(t_grid=t_grid, omega=np.asarray(omegas))
 
 
@@ -230,11 +245,20 @@ def center_curve_through(manifold, p_ref, eps_ref):
         base = p_ref
         w_ref = np.zeros(manifold.dim)
 
+    # memoised, read-only: the leaf solves and the chart ask for the same
+    # points, each a single-point geodesic integration
+    cache = {}
+
     def curve(t):
         scale = (t / eps_ref) ** 2
         if scale == 0.0 or np.abs(w_ref).max() == 0.0:
             return base
-        return manifold.exp(base, np.atleast_2d(scale * w_ref))[0]
+        key = float(t)
+        if key not in cache:
+            point = manifold.exp(base, np.atleast_2d(scale * w_ref))[0]
+            point.setflags(write=False)
+            cache[key] = point
+        return cache[key]
 
     return base, curve
 

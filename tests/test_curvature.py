@@ -8,9 +8,16 @@ exact space-form charts it is measured against live in exact_chart, beside
 the jet that uses them.
 """
 
+import gc
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
+
+from serrin_torsion import curvature
 
 from serrin_torsion.ball_solver import (
     BallField,
@@ -23,6 +30,7 @@ from serrin_torsion.curvature import (
     ConstantCurvature,
     CurvaturePacket,
     FlatSpace,
+    GeometryError,
     MetricJet,
     _packed_cofactors,
     cubic_chart,
@@ -595,6 +603,94 @@ def test_scalar_max_point_is_critical():
     rng = np.random.default_rng(5)
     for _ in range(6):
         assert cs.scalar_curvature(pmax + 0.05 * rng.standard_normal(2)) < S0
+
+
+def _tangent_batch(n, seed):
+    """A seeded chart point and n tangent vectors of length up to 1."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-0.5, 0.5, 2)
+    V = rng.standard_normal((n, 2))
+    V *= (rng.uniform(0.0, 1.0, n) / np.linalg.norm(V, axis=1))[:, None]
+    return p, V
+
+
+def _solve_ivp_exp(cs, p, V):
+    """Oracle: exp through scipy's solve_ivp DOP853 on the class's own
+    geodesic right-hand side, at the class's tolerances."""
+    n = len(V)
+    Vc = V * math.exp(-float(cs._f(p)[0]))
+    state0 = np.concatenate([np.tile(p, (n, 1)).ravel(), Vc.ravel()])
+    sol = solve_ivp(
+        lambda t, y: cs._geodesic_rhs(y),
+        (0.0, 1.0),
+        state0,
+        method="DOP853",
+        rtol=cs.RTOL,
+        atol=cs.ATOL,
+    )
+    assert sol.success
+    return sol.y[: 2 * n, -1].reshape(n, 2)
+
+
+@pytest.mark.parametrize("n", [1, 96, 768, "zero"])
+def test_conformal_exp_matches_solve_ivp(n):
+    """The in-repo DOP853 loop repeats scipy's step for step: bit-identical
+    end points on seeded batches of 1, 96 and 768 geodesics, and at the
+    zero vector."""
+    cs = ConformalSphere2D()
+    if n == "zero":
+        p, V = np.array([0.2, -0.1]), np.zeros((1, 2))
+    else:
+        p, V = _tangent_batch(n, 31)
+    assert np.array_equal(cs.exp(p, V), _solve_ivp_exp(cs, p, V))
+
+
+def test_conformal_exp_leaves_no_reference_cycle():
+    """Nothing of an integration outlives the call: with the cyclic
+    collector off, one exp leaves no garbage for it to find (scipy's
+    OdeSolver leaves its stage arrays in a cycle)."""
+    cs = ConformalSphere2D()
+    p, V = _tangent_batch(96, 35)
+    cs.exp(p, V)
+    gc.collect()
+    gc.disable()
+    try:
+        cs.exp(p, V)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_conformal_exp_step_floor_raises_geometry_error(monkeypatch):
+    """Zero tolerances leave no step the error control accepts: the step
+    falls below its floor of 10 ulp of t."""
+    monkeypatch.setattr(ConformalSphere2D, "RTOL", 0.0)
+    monkeypatch.setattr(ConformalSphere2D, "ATOL", 0.0)
+    p, V = _tangent_batch(4, 36)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(GeometryError, match="step size .* fell below"):
+            ConformalSphere2D().exp(p, V)
+
+
+def test_conformal_exp_non_finite_state_raises_geometry_error():
+    with pytest.raises(GeometryError, match="not finite"):
+        ConformalSphere2D().exp(np.zeros(2), [[np.nan, 0.1]])
+
+
+def test_conformal_log_failure_raises_geometry_error(monkeypatch):
+    cs = ConformalSphere2D()
+    p, V = _tangent_batch(8, 37)
+    targets = cs.exp(p, 0.2 * V)
+    monkeypatch.setattr(ConformalSphere2D, "LOG_MAX_ITER", 2)
+    with pytest.raises(GeometryError, match="log map did not converge"):
+        cs.log(p, targets)
+
+
+def test_scalar_max_point_failure_raises_geometry_error(monkeypatch):
+    failed = SimpleNamespace(success=False, message="forced", x=np.zeros(2))
+    monkeypatch.setattr(curvature, "root", lambda *a, **k: failed)
+    with pytest.raises(GeometryError, match="maximum not found: forced"):
+        ConformalSphere2D().scalar_max_point()
 
 
 # -- metric jets ----------------------------------------------------------------

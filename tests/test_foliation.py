@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from serrin_torsion import curvature
+from serrin_torsion import foliation
 from serrin_torsion.curvature import (
     ConformalSphere2D,
     ConstantCurvature,
@@ -71,7 +71,7 @@ def test_flat_recentering_is_scaled_identity(basis):
     flat = FlatSpace(2)
     curve = lambda t: np.zeros(2)
     profile = lambda t: SphereFunction.constant(basis, 0.0)
-    w = recentering_solve(flat, 0.1, curve, profile)
+    (w,) = recentering_solve(flat, [0.1], curve, profile)
     assert np.abs(w - 0.1 * basis.nodes).max() == 0.0
 
 
@@ -79,7 +79,7 @@ def test_round_common_center_magnitudes(round_setup):
     # common center: the two chart maps cancel, so |w| = t (1 + v(x))
     manifold, _, curve, profile = round_setup
     t = 0.1
-    w = recentering_solve(manifold, t, curve, profile)
+    (w,) = recentering_solve(manifold, [t], curve, profile)
     expected = t * (1.0 + profile(t).node_values())
     assert np.abs(np.linalg.norm(w, axis=1) - expected).max() < 1e-13
 
@@ -88,8 +88,8 @@ def test_conformal_recentering_residual_and_slope(conf_setup, basis):
     manifold, _, base, curve, profile = conf_setup
     # LEAF_RESIDUAL_TOL (1e-12) is enforced inside; a successful return
     # certifies it
-    for t in (0.04, 0.12):
-        w = recentering_solve(manifold, t, curve, profile)
+    ts = (0.04, 0.12)
+    for t, w in zip(ts, recentering_solve(manifold, ts, curve, profile)):
         mags = np.linalg.norm(w, axis=1)
         assert np.abs(mags - t).max() < 0.02 * t  # w = t x + O(t^2) behavior
         assert np.abs(mags - t).max() / t**2 < 2.0
@@ -108,24 +108,74 @@ def test_unconverged_log_map_fails_the_leaf(basis, monkeypatch):
     curve = lambda t: p
     profile = lambda t: SphereFunction.constant(basis, 0.0)
     with pytest.raises(FoliationError, match="log map did not converge"):
-        recentering_solve(manifold, 0.1, curve, profile)
+        recentering_solve(manifold, [0.1], curve, profile)
 
 
 def test_failed_geodesic_integration_fails_the_leaf(basis, monkeypatch):
     """A failed DOP853 integration in exp reaches the leaf's FoliationError
-    with its own message, not as a chart failure."""
-
-    class Failed:
-        success = False
-        message = "step size became too small"
-
-    monkeypatch.setattr(curvature, "solve_ivp", lambda *a, **k: Failed())
+    with its own message, not as a chart failure. Zero tolerances leave no
+    step the error control accepts."""
+    monkeypatch.setattr(ConformalSphere2D, "RTOL", 0.0)
+    monkeypatch.setattr(ConformalSphere2D, "ATOL", 0.0)
     p = np.array([0.3, -0.2])
     curve = lambda t: p
     profile = lambda t: SphereFunction.constant(basis, 0.0)
-    with pytest.raises(FoliationError, match="geodesic integration failed: "
-                       "step size became too small"):
-        recentering_solve(ConformalSphere2D(), 0.1, curve, profile)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(FoliationError, match="leaf at t = 0.1: geodesic "
+                           "integration failed: step size .* fell below"):
+            recentering_solve(ConformalSphere2D(), [0.1], curve, profile)
+
+
+def test_batched_chart_matches_per_leaf_reference(conf_setup, conf_chart):
+    """One log over all leaves gives the chart of one log per leaf: each
+    leaf pushed out, pulled back and round-tripped on its own here."""
+    manifold, _, base, curve, profile = conf_setup
+    omegas = []
+    for t in T_GRID:
+        t = float(t)
+        v = profile(t)
+        radii = t * (1.0 + v.node_values())
+        targets = manifold.exp(curve(t), radii[:, None] * v.basis.nodes)
+        w = manifold.log(base, targets)
+        assert np.abs(manifold.exp(base, w) - targets).max() <= 1e-12
+        omegas.append(reparametrize(w, v.basis))
+    reference = FoliationChart(t_grid=T_GRID, omega=np.asarray(omegas))
+    rel = np.abs(conf_chart.omega - reference.omega) / reference.omega
+    assert rel.max() < 1e-11
+    cert, want = certify_foliation(conf_chart), certify_foliation(reference)
+    for key in ("nested", "n_certified", "t1"):
+        assert cert[key] == want[key]
+    for key in want:
+        assert abs(cert[key] - want[key]) < 1e-9
+
+
+def test_leaf_over_residual_tolerance_is_named(conf_setup, monkeypatch):
+    """The round-trip check runs per leaf on the shared log: with the
+    tolerance just below the largest leaf gap, that leaf, not the first or
+    the last of the grid, is named by its t."""
+    manifold, _, base, curve, profile = conf_setup
+    ts = [float(t) for t in T_GRID]
+    # the leaves' gaps as recentering_solve reads them: one round trip
+    # over all leaves
+    ws = recentering_solve(manifold, ts, curve, profile)
+    targets = []
+    for t in ts:
+        v = profile(t)
+        radii = t * (1.0 + v.node_values())
+        targets.append(manifold.exp(curve(t), radii[:, None] * v.basis.nodes))
+    back = manifold.exp(base, np.concatenate(ws))
+    splits = np.cumsum([len(w) for w in ws])[:-1]
+    gaps = [np.abs(leaf - q).max()
+            for leaf, q in zip(np.split(back, splits), targets)]
+    worst = int(np.argmax(gaps))
+    assert 0 < worst < len(ts) - 1
+    second = sorted(gaps)[-2]
+    assert second < gaps[worst]
+    monkeypatch.setattr(foliation, "LEAF_RESIDUAL_TOL",
+                        0.5 * (second + gaps[worst]))
+    with pytest.raises(FoliationError, match="leaf at t = %.6g: chart-map "
+                       "residual" % ts[worst]):
+        recentering_solve(manifold, ts, curve, profile)
 
 
 # -- reparametrization -----------------------------------------------------------
