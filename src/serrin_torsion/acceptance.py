@@ -146,11 +146,11 @@ class AcceptanceRun:
         """Harmonic extension then normal trace multiplies degree k by k."""
         rng = self._rng(1)
         worst = {}
-        for N, L in ((2, 16), (3, 10)):
-            grid = get_grid(N, L)
+        for N in (2, 3):
+            grid = get_grid(N)
             basis = grid.basis
             errs = []
-            for k in range(L - 1):
+            for k in range(basis.max_degree - 1):
                 sl = basis.degree_slice(k)
                 coeffs = np.zeros(basis.n_modes)
                 coeffs[sl] = rng.standard_normal(sl.stop - sl.start)
@@ -480,10 +480,10 @@ class AcceptanceRun:
         rng = self._rng(12)
         worst = 0.0
         draws = []
-        for N, L, n_draw in ((2, 16, 10), (3, 10, 10)):
-            grid = get_grid(N, L)
+        for N in (2, 3):
+            grid = get_grid(N)
             basis = grid.basis
-            for _ in range(n_draw):
+            for _ in range(10):
                 k = int(rng.integers(0, basis.max_degree - 1))
                 m = k + 2 * int(rng.integers(0, 4))
                 mult = basis.degree_slice(k)

@@ -450,11 +450,7 @@ def cmd_find_critical(cfg, out, seed, workers, args, report):
         jitter = _get(cfg, "find-critical", "jitter", kind=float)
         options["jitter"] = validate_positive(jitter, "jitter")
     manifold = problem.manifold
-    limit = (
-        np.asarray(manifold.scalar_max_point(), dtype=float)
-        if hasattr(manifold, "scalar_max_point")
-        else None
-    )
+    limit = manifold.scalar_max_point()
     rows = []
     for eps in sorted(eps_list):
         p, sol, info = find_critical(problem, eps, seed=seed, **options)
@@ -502,8 +498,19 @@ def cmd_foliate(cfg, out, seed, workers, args, report):
         raise DependencyError(
             "critical-point run not found: %s" % critical_path
         )
-    with open(critical_path, encoding="utf-8") as fh:
-        critical = json.load(fh)
+    try:
+        with open(critical_path, encoding="utf-8") as fh:
+            critical = json.load(fh)
+    except ValueError as exc:
+        raise DependencyError(
+            "critical-point run is not JSON: %s" % critical_path
+        ) from exc
+    ref = critical.get("reference") if isinstance(critical, dict) else None
+    if not isinstance(ref, dict) or not {"eps", "point"} <= ref.keys():
+        raise DependencyError(
+            "not a find-critical run (no reference eps and point): %s"
+            % critical_path
+        )
     if critical.get("manifold") != spec:
         raise DependencyError(
             "critical run used manifold %r, config says %r"
@@ -516,7 +523,6 @@ def cmd_foliate(cfg, out, seed, workers, args, report):
         t_grid = check_certificate_grid(t_grid)
     except ValueError as exc:
         raise ConfigError("[foliate] t_grid: %s" % exc) from exc
-    ref = critical["reference"]
     base, curve = center_curve_through(
         problem.manifold, np.array(ref["point"]), ref["eps"]
     )
@@ -554,10 +560,8 @@ def cmd_profile(cfg, out, seed, workers, args, report):
     point_raw = _get(cfg, "profile", "point")
     if point_raw is not None:
         p = np.array(config_points(point_raw, spec, one=True))
-    elif hasattr(manifold, "scalar_max_point"):
-        p = np.asarray(manifold.scalar_max_point(), dtype=float)
     else:
-        p = np.asarray(manifold.origin(), dtype=float)
+        p = manifold.center()
     points = profile_expansion(manifold, volumes, p=p)
     coef = profile_coefficient(points, spec["dimension"])
     write_csv(

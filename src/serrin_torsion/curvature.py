@@ -194,6 +194,17 @@ class ModelManifold:
     def scalar_gradient(self, p):
         return self.packet(p).scalar_gradient
 
+    def scalar_max_point(self):
+        """Isolated maximum of the scalar curvature, or None where S has
+        none (flat space, the round spheres)."""
+        return None
+
+    def center(self):
+        """The scalar-curvature maximum where it is isolated, else the
+        origin: the default center of a search or a profile."""
+        p = self.scalar_max_point()
+        return self.origin() if p is None else p
+
     def exp(self, p, V):
         raise NotImplementedError
 
@@ -445,6 +456,8 @@ class ConformalSphere2D(ModelManifold):
     # (one exp integration each)
     LOG_TOL = 1e-12
     LOG_MAX_ITER = 80
+    # the scalar-curvature maximum, set by the first scalar_max_point()
+    _scalar_max = None
 
     def origin(self):
         return np.zeros(2)
@@ -563,7 +576,13 @@ class ConformalSphere2D(ModelManifold):
         raise GeometryError("log map did not converge")
 
     def scalar_max_point(self):
-        """Chart location of the (local) maximum of the scalar curvature."""
+        """Chart location of the (local) maximum of the scalar curvature.
+
+        Found on the first call and kept read-only for the later ones; a
+        failed search keeps nothing, so every call raises GeometryError.
+        """
+        if self._scalar_max is not None:
+            return self._scalar_max
 
         def neg(z):
             _, K, dK = self._curvature_jet(z)
@@ -576,6 +595,8 @@ class ConformalSphere2D(ModelManifold):
         if not crit.success:
             raise GeometryError("scalar curvature maximum not found: %s"
                                 % crit.message)
+        crit.x.setflags(write=False)
+        self._scalar_max = crit.x
         return crit.x
 
 

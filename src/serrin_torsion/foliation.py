@@ -232,18 +232,18 @@ def center_curve_through(manifold, p_ref, eps_ref):
     achievable center accuracy degrades as 1/t^3 and pollutes the slope
     certificate.
 
-    The base is the scalar curvature maximum when the manifold exposes one
-    (there the zero-radius limit is exact); otherwise the reference point
-    itself, making the curve constant. Returns (base, curve) with
-    curve(0) = base and curve(eps_ref) = p_ref.
+    The base is the manifold's scalar-curvature maximum where it is
+    isolated (there the zero-radius limit is exact); otherwise the
+    reference point itself, making the curve constant. Returns (base,
+    curve) with curve(0) = base and curve(eps_ref) = p_ref.
     """
     p_ref = np.asarray(p_ref, dtype=float)
-    if hasattr(manifold, "scalar_max_point"):
-        base = np.asarray(manifold.scalar_max_point(), dtype=float)
-        w_ref = manifold.log(base, np.atleast_2d(p_ref))[0]
-    else:
+    base = manifold.scalar_max_point()
+    if base is None:
         base = p_ref
         w_ref = np.zeros(manifold.dim)
+    else:
+        w_ref = manifold.log(base, np.atleast_2d(p_ref))[0]
 
     # memoised, read-only: the leaf solves and the chart ask for the same
     # points, each a single-point geodesic integration

@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 
 from .ball_solver import EnvelopeError, dirichlet_solve_full, get_grid
 from .curvature import MetricJet, _packed_cofactors, cubic_chart
+from .reduced import constants
 from .sphere_spectral import ball_volume
 
 __all__ = [
@@ -33,8 +34,8 @@ def euclidean_profile(volume, N):
     T(v) = J(B_1) (v / |B_1|)^(-(N+2)/N); it grows without bound as the
     volume shrinks, consistent with J(B_eps) eps^(N+2) -> J(B_1).
     """
+    J1 = constants(N)[2]
     b1 = ball_volume(N)
-    J1 = N * (N + 2.0) / b1
     return J1 * (np.asarray(volume, dtype=float) / b1) ** (-(N + 2.0) / N)
 
 
@@ -121,18 +122,16 @@ class ProfilePoint:
 def profile_expansion(manifold, volume_grid, p=None):
     """Candidate isochoric profile along a volume grid.
 
-    Evaluates the geodesic-ball torsion energy at the scalar-curvature
-    maximum (or a supplied point) with the radius root-solved so the ball
+    Evaluates the geodesic-ball torsion energy at p, by default the
+    manifold's center (its scalar-curvature maximum where that is
+    isolated, else the origin), with the radius root-solved so the ball
     volume matches each grid value, and tabulates the ratio against the
     Euclidean profile. The fitted v^(2/N) coefficient of the ratio is the
     curvature response of the profile.
     """
     N = manifold.dim
     if p is None:
-        if hasattr(manifold, "scalar_max_point"):
-            p = manifold.scalar_max_point()
-        else:
-            p = manifold.origin()
+        p = manifold.center()
     p = np.asarray(p, dtype=float)
     points = []
     for v in np.asarray(volume_grid, dtype=float):

@@ -159,12 +159,13 @@ def find_critical(
 ):
     """Locate a center whose solution has no translation-kernel component.
 
-    Starts from p_init (falling back to the manifold's scalar-curvature
-    maximum when it exposes one, else the origin), applies seeded jitter,
-    and drives the kernel component a(p) to zero by Newton steps. Since
-    a = kernel_response_constant(N) eps^3 grad S + O(eps^4), the Jacobian
-    is the model c_N eps^3 Hess S, from central differences of the
-    scalar-curvature gradient at every iterate, so no solve is spent on it.
+    Starts from p_init (by default the manifold's center: its
+    scalar-curvature maximum where that is isolated, else the origin),
+    applies seeded jitter, and drives the kernel component a(p) to zero by
+    Newton steps. Since a = kernel_response_constant(N) eps^3 grad S +
+    O(eps^4), the Jacobian is the model c_N eps^3 Hess S, from central
+    differences of the scalar-curvature gradient at every iterate, so no
+    solve is spent on it.
     All stepping goes through the exponential map with tangent-frame
     coefficients, so embedded and chart-based point representations are
     handled alike. There is no derivative-free re-seed: a singular model
@@ -177,10 +178,7 @@ def find_critical(
     N = manifold.dim
     rng = np.random.default_rng(seed)
     if p_init is None:
-        if hasattr(manifold, "scalar_max_point"):
-            p_init = manifold.scalar_max_point()
-        else:
-            p_init = manifold.origin()
+        p_init = manifold.center()
     p_init = np.asarray(p_init, dtype=float)
 
     def move(p, w):
@@ -195,7 +193,7 @@ def find_critical(
         )
         return scale * (grads[:N] - grads[N:]).T / (2.0 * HESSIAN_STEP)
 
-    p = start = move(p_init, jitter * rng.standard_normal(N))
+    p = move(p_init, jitter * rng.standard_normal(N))
     sol = problem.solve(p, eps)
     solves = 1
     anorm = best = float(np.linalg.norm(sol.state.a))
@@ -221,7 +219,7 @@ def find_critical(
             "kernel component stalled at %.3g after %d Newton steps"
             % (best, MAX_POLISH)
         )
-    info = {"solves": solves, "a_norm": anorm, "start": start}
+    info = {"solves": solves, "a_norm": anorm}
     return p, sol, info
 
 
@@ -277,10 +275,11 @@ def shape_derivative_check(speed):
     for the normal speed on the Euclidean unit disk. The analytic side is
     the classical Hadamard formula for the normalized torsion potential,
     -integral((J phi_nu)^2 speed); the finite-difference side re-solves the
-    energy on the mapped domains at parameter +-SHAPE_STEP, on
-    get_grid(2, 16). Returns a dict with both values and their relative gap.
+    energy on the mapped domains at parameter +-SHAPE_STEP, on the default
+    grid get_grid(2). Returns a dict with both values and their relative
+    gap.
     """
-    grid = get_grid(2, 16)
+    grid = get_grid(2)
     basis = grid.basis
     theta = np.arctan2(basis.nodes[:, 1], basis.nodes[:, 0])
     zeta = np.zeros(len(theta))
@@ -340,9 +339,9 @@ def tangential_derivative_check():
     vanishes too. Since F_s maps onto the disk of radius sqrt(1 + s^2),
     J(s) = J0 (1 + s^2)^-2 exactly; the record carries the relative gap
     at s = TWIST, which a wrong flux tensor or volume element opens. Solves
-    run on get_grid(2, 16).
+    run on the default grid get_grid(2).
     """
-    grid = get_grid(2, 16)
+    grid = get_grid(2)
     basis = grid.basis
     nodes = basis.nodes
     normal_speed = np.einsum(

@@ -17,12 +17,24 @@ mode_laplacian is the flat Laplacian of each degree in coefficient space,
 from the same tables: the reference of the solver's flat Galerkin solve,
 and with the boundary row the tau system of a second discretization of
 the flat Poisson problem. flat_laplacian applies it.
+
+band_limited draws the seeded boundary perturbations of the jets that the
+solver's weak form is checked against this oracle on.
 """
 
 import numpy as np
 from scipy.special import eval_jacobi
 
 from serrin_torsion.ball_solver import BallField
+from serrin_torsion.sphere_spectral import SphereFunction
+
+
+def band_limited(basis, seed, amplitude, low):
+    """Seeded SphereFunction with content on degrees low..6 only."""
+    rng = np.random.default_rng(seed)
+    band = (basis.degrees >= low) & (basis.degrees <= 6)
+    c = np.where(band, rng.standard_normal(basis.n_modes), 0.0)
+    return SphereFunction(basis, amplitude * c / (1.0 + basis.degrees))
 
 
 def mode_laplacian(grid):

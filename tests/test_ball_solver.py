@@ -47,6 +47,7 @@ from exact_chart import (
 )
 from packet_manifold import PacketManifold, synthetic_packet
 from strong_oracle import (
+    band_limited,
     field_jet,
     flat_laplacian,
     mode_laplacian,
@@ -800,28 +801,20 @@ def test_folded_domain_map_rejected():
         LaplaceContext(jet, grid)
 
 
-def _band_limited(basis, seed, amplitude, low):
-    """Seeded SphereFunction with content on degrees low..6 only."""
-    rng = np.random.default_rng(seed)
-    band = (basis.degrees >= low) & (basis.degrees <= 6)
-    c = np.where(band, rng.standard_normal(basis.n_modes), 0.0)
-    return SphereFunction(basis, amplitude * c / (1.0 + basis.degrees))
-
-
 def _contraction_jets():
     jets = {}
     for N in (2, 3):
         basis = get_grid(N).basis
-        state = PerturbationState(0.01, _band_limited(basis, 50 + N, 0.02, 2))
+        state = PerturbationState(0.01, band_limited(basis, 50 + N, 0.02, 2))
         man = ConstantCurvature(N, 1.0)
         for fid, cls in (("truncated", MetricJet), ("exact", ExactJet)):
             jets["round%d-%s" % (N, fid)] = cls(man, man.origin(), 0.2, state)
     basis = get_grid(2).basis
-    state = PerturbationState(-0.01, _band_limited(basis, 54, 0.02, 2))
+    state = PerturbationState(-0.01, band_limited(basis, 54, 0.02, 2))
     jets["conformal-off-max"] = MetricJet(
         ConformalSphere2D(), np.array([0.3, -0.2]), 0.2, state
     )
-    jets["star-map-degree1"] = _StarMapJet(1.0, _band_limited(basis, 55, 0.02, 1))
+    jets["star-map-degree1"] = _StarMapJet(1.0, band_limited(basis, 55, 0.02, 1))
     jets["twist"] = _TwistJet(0.3)
     return jets
 

@@ -293,6 +293,39 @@ def test_foliate_rejects_mismatched_manifold(tmp_path, capsys, critical_run):
     assert "different" in err["error"]["message"] or "manifold" in err["error"]["message"]
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran before the dependency was checked")
+
+
+def test_foliate_rejects_solve_record(tmp_path, capsys, monkeypatch):
+    """A solve.json on the same manifold has no reference point: a
+    dependency error before any solve."""
+    cfg = tmp_path / "solve.ini"
+    cfg.write_text(CONF_RUN + "\n[solve]\npoint = 0.25, 0.1\neps = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    monkeypatch.setattr(SerrinProblem, "solve", _no_solve)
+    cfg = tmp_path / "fol.ini"
+    cfg.write_text(CONF_RUN + "\n[foliate]\ncritical = %s\n" % (out / "solve.json"))
+    capsys.readouterr()
+    assert main(["foliate", "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "dependency_error"
+    assert "not a find-critical run" in err["error"]["message"]
+
+
+def test_foliate_rejects_non_json_critical_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(SerrinProblem, "solve", _no_solve)
+    critical = tmp_path / "find_critical.json"
+    critical.write_text("eps,p0,p1\n0.1,0.0,0.0\n")
+    cfg = tmp_path / "fol.ini"
+    cfg.write_text(CONF_RUN + "\n[foliate]\ncritical = %s\n" % critical)
+    assert main(["foliate", "--config", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["kind"] == "dependency_error"
+    assert "not JSON" in err["error"]["message"]
+
+
 # -- profile ---------------------------------------------------------------------
 
 

@@ -36,7 +36,10 @@ from serrin_torsion.curvature import (
     cubic_chart,
     cubic_chart_gradient,
 )
-from serrin_torsion.reduced import _StarMapJet
+from serrin_torsion.foliation import center_curve_through
+from serrin_torsion.profile import profile_expansion
+from serrin_torsion.reduced import _StarMapJet, find_critical
+from serrin_torsion.serrin import SerrinProblem
 from serrin_torsion.sphere_spectral import PerturbationState, SphereFunction, get_basis
 
 from exact_chart import (
@@ -51,7 +54,11 @@ from packet_manifold import (
     riemann_space,
     synthetic_packet,
 )
-from strong_oracle import generic_laplace_coefficients, strong_laplacian
+from strong_oracle import (
+    band_limited,
+    generic_laplace_coefficients,
+    strong_laplacian,
+)
 
 
 # -- the identities of a curvature packet ---------------------------------------
@@ -693,6 +700,60 @@ def test_scalar_max_point_failure_raises_geometry_error(monkeypatch):
         ConformalSphere2D().scalar_max_point()
 
 
+def test_scalar_max_point_failure_is_not_kept(monkeypatch):
+    failed = SimpleNamespace(success=False, message="forced", x=np.zeros(2))
+    cs = ConformalSphere2D()
+    with monkeypatch.context() as m:
+        m.setattr(curvature, "root", lambda *a, **k: failed)
+        for _ in range(2):
+            with pytest.raises(GeometryError, match="maximum not found"):
+                cs.scalar_max_point()
+    assert np.linalg.norm(cs.scalar_gradient(cs.scalar_max_point())) < 1e-12
+
+
+def test_scalar_max_point_is_found_once_per_manifold(monkeypatch):
+    """The search, the center curve and the profile on one manifold share
+    one BFGS-plus-root search for the maximum."""
+    calls = []
+    found = curvature.root
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return found(*args, **kwargs)
+
+    monkeypatch.setattr(curvature, "root", counted)
+    cs = ConformalSphere2D()
+    p, _, _ = find_critical(SerrinProblem(cs), 0.1, seed=0)
+    base, _ = center_curve_through(cs, p, 0.1)
+    (point,) = profile_expansion(cs, [0.03])
+    assert len(calls) == 1
+    assert base is cs.scalar_max_point()
+    assert point.J_ball > 0.0
+
+
+def test_scalar_max_point_is_read_only_and_reproducible():
+    cs = ConformalSphere2D()
+    pmax = cs.scalar_max_point()
+    assert cs.scalar_max_point() is pmax
+    assert cs.center() is pmax
+    assert not pmax.flags.writeable
+    with pytest.raises(ValueError):
+        pmax[0] = 0.0
+    assert pmax.tobytes() == ConformalSphere2D().scalar_max_point().tobytes()
+
+
+@pytest.mark.parametrize(
+    "manifold",
+    [FlatSpace(2), ConstantCurvature(2), ConstantCurvature(3)],
+    ids=["flat2", "round2", "round3"],
+)
+def test_no_isolated_maximum_centers_at_origin(manifold):
+    """S is constant on flat space and the round spheres: no maximum, and
+    the center is the origin."""
+    assert manifold.scalar_max_point() is None
+    assert np.array_equal(manifold.center(), manifold.origin())
+
+
 # -- metric jets ----------------------------------------------------------------
 
 
@@ -820,32 +881,24 @@ def generic_flux(jet, pts, radii=None):
     return (sqrt_det[:, None] * ginv[:, a, b]).T, sqrt_det
 
 
-def _band_limited(basis, seed, amplitude, low):
-    """Seeded SphereFunction with content on degrees low..6 only."""
-    rng = np.random.default_rng(seed)
-    band = (basis.degrees >= low) & (basis.degrees <= 6)
-    c = np.where(band, rng.standard_normal(basis.n_modes), 0.0)
-    return SphereFunction(basis, amplitude * c / (1.0 + basis.degrees))
-
-
 def _coefficient_jets():
     jets = {}
     for N in (2, 3):
         basis = get_grid(N).basis
-        state = PerturbationState(0.01, _band_limited(basis, 20 + N, 0.02, 2))
+        state = PerturbationState(0.01, band_limited(basis, 20 + N, 0.02, 2))
         man = ConstantCurvature(N, 1.0)
         for fid, cls in (("truncated", MetricJet), ("exact", ExactJet)):
             jets["round%d-%s" % (N, fid)] = cls(man, man.origin(), 0.2, state)
     basis = get_grid(2).basis
-    state = PerturbationState(-0.01, _band_limited(basis, 24, 0.02, 2))
+    state = PerturbationState(-0.01, band_limited(basis, 24, 0.02, 2))
     jets["conformal-off-max"] = MetricJet(
         ConformalSphere2D(), np.array([0.3, -0.2]), 0.2, state
     )
-    jets["star-map-degree1"] = _StarMapJet(1.0, _band_limited(basis, 25, 0.02, 1))
+    jets["star-map-degree1"] = _StarMapJet(1.0, band_limited(basis, 25, 0.02, 1))
     # a generic N=3 packet: nabla R != 0, so the cubic terms A3 and D2 of
     # the chart are live, which they are not on any round sphere
     basis = get_grid(3).basis
-    state = PerturbationState(0.01, _band_limited(basis, 26, 0.02, 2))
+    state = PerturbationState(0.01, band_limited(basis, 26, 0.02, 2))
     man = PacketManifold(synthetic_packet(3, seed=3, r_scale=0.3, dr_scale=0.3))
     jets["packet3-perturbed"] = MetricJet(man, man.origin(), 0.2, state)
     return jets

@@ -149,30 +149,37 @@ def test_batched_chart_matches_per_leaf_reference(conf_setup, conf_chart):
         assert abs(cert[key] - want[key]) < 1e-9
 
 
-def test_leaf_over_residual_tolerance_is_named(conf_setup, monkeypatch):
-    """The round-trip check runs per leaf on the shared log: with the
-    tolerance just below the largest leaf gap, that leaf, not the first or
-    the last of the grid, is named by its t."""
-    manifold, _, base, curve, profile = conf_setup
+class _NudgedFlat(FlatSpace):
+    """The plane, except that an exp over all leaves at once, the round
+    trip of recentering_solve, moves the points of one leaf by NUDGE. The
+    flat log is closed-form and never calls exp, so only the round trip
+    sees the nudge."""
+
+    NUDGE = 1e-9
+
+    def __init__(self, leaf_points, n_leaves, leaf):
+        super().__init__(2)
+        self.all_points = leaf_points * n_leaves
+        self.rows = slice(leaf * leaf_points, (leaf + 1) * leaf_points)
+
+    def exp(self, p, V):
+        out = super().exp(p, V)
+        if len(out) == self.all_points:
+            out[self.rows] += self.NUDGE
+        return out
+
+
+def test_leaf_over_residual_tolerance_is_named(basis):
+    """The round-trip check runs per leaf on the shared log: an interior
+    leaf whose round-trip gap alone exceeds LEAF_RESIDUAL_TOL, not the
+    first or the last of the grid, is named by its t."""
     ts = [float(t) for t in T_GRID]
-    # the leaves' gaps as recentering_solve reads them: one round trip
-    # over all leaves
-    ws = recentering_solve(manifold, ts, curve, profile)
-    targets = []
-    for t in ts:
-        v = profile(t)
-        radii = t * (1.0 + v.node_values())
-        targets.append(manifold.exp(curve(t), radii[:, None] * v.basis.nodes))
-    back = manifold.exp(base, np.concatenate(ws))
-    splits = np.cumsum([len(w) for w in ws])[:-1]
-    gaps = [np.abs(leaf - q).max()
-            for leaf, q in zip(np.split(back, splits), targets)]
-    worst = int(np.argmax(gaps))
+    worst = 3
+    manifold = _NudgedFlat(len(basis.nodes), len(ts), worst)
+    curve = lambda t: np.zeros(2)
+    profile = lambda t: SphereFunction.constant(basis, 0.0)
     assert 0 < worst < len(ts) - 1
-    second = sorted(gaps)[-2]
-    assert second < gaps[worst]
-    monkeypatch.setattr(foliation, "LEAF_RESIDUAL_TOL",
-                        0.5 * (second + gaps[worst]))
+    assert foliation.LEAF_RESIDUAL_TOL < manifold.NUDGE
     with pytest.raises(FoliationError, match="leaf at t = %.6g: chart-map "
                        "residual" % ts[worst]):
         recentering_solve(manifold, ts, curve, profile)
