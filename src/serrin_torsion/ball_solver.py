@@ -20,7 +20,7 @@ sqrt det g it reads -div(F grad u) = sqrt det g, with the flux tensor
 F = sqrt det g g^-1. The metric enters only through the jet's
 laplace_coefficients on the quadrature grid, the packed F and sqrt det g
 (component-major: one (n_r, n_ang) block per component, the symmetric F
-packed to its upper triangle in np.triu_indices order), and the boundary
+packed to its upper triangle in packed_pairs order), and the boundary
 metric of neumann_trace through its metric_and_grad, so this module does
 not care where the metric comes from.
 
@@ -59,6 +59,7 @@ from .sphere_spectral import (
     SphereFunction,
     get_basis,
     packed_index,
+    packed_pairs,
     product_points,
 )
 
@@ -456,7 +457,7 @@ class LaplaceContext:
         self.sqrt_det = sqrt_det.reshape(grid.n_r, grid.n_ang)
         flux = flux.reshape(-1, grid.n_r, grid.n_ang)
         N, basis = grid.dim, grid.basis
-        a, b = np.triu_indices(N)
+        a, b = packed_pairs(N)
         flux[a == b] -= 1.0
         flux *= basis.weights
         self._flux = flux

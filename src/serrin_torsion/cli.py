@@ -38,7 +38,7 @@ from .foliation import (
 from .profile import profile_coefficient, profile_expansion
 from .reduced import constants, find_critical, reduced_functional
 from .serrin import SerrinProblem
-from .sphere_spectral import check_dimension
+from .sphere_spectral import ball_volume, check_dimension
 
 __all__ = ["main"]
 
@@ -555,15 +555,20 @@ def cmd_profile(cfg, out, seed, workers, args, report):
             raise ConfigError("[run] %s is not read by profile" % key)
     manifold = make_manifold(spec)
     volumes = parse_grid(_get(cfg, "profile", "volumes", kind=str), "volumes")
+    N = spec["dimension"]
     for v in volumes:
         validate_positive(v, "volume")
+        radius = (v / ball_volume(N)) ** (1.0 / N)
+        if radius > EPS_MAX:
+            raise ConfigError("volume %r has Euclidean radius %.3g outside "
+                              "(0, %s]" % (v, radius, EPS_MAX))
     point_raw = _get(cfg, "profile", "point")
     if point_raw is not None:
         p = np.array(config_points(point_raw, spec, one=True))
     else:
         p = manifold.center()
     points = profile_expansion(manifold, volumes, p=p)
-    coef = profile_coefficient(points, spec["dimension"])
+    coef = profile_coefficient(points, N)
     write_csv(
         out,
         "profile",
@@ -571,7 +576,7 @@ def cmd_profile(cfg, out, seed, workers, args, report):
         [pt.to_record() for pt in points],
     )
     S = manifold.scalar_curvature(p)
-    c = constants(spec["dimension"])[3]
+    c = constants(N)[3]
     payload = {
         "manifold": spec,
         "point": [float(x) for x in np.atleast_1d(p)],

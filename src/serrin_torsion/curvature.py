@@ -36,6 +36,7 @@ from .sphere_spectral import (
     SphereFunction,
     get_basis,
     packed_index,
+    packed_pairs,
     product_points,
 )
 
@@ -90,12 +91,12 @@ def cubic_chart(packet, dirs, s):
     so its two tables are products of the curvature tensors with the
     directions dirs (n, N), of any length, and meet the scales s, which
     broadcast against (n_r, n), only elementwise. Returns gbar
-    (N(N+1)/2, n_r, n), the upper triangle packed in np.triu_indices(N)
-    order like SphereBasis.node_hessians().
+    (N(N+1)/2, n_r, n), the upper triangle packed in packed_pairs(N) order
+    like SphereBasis.node_hessians().
     """
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     n, N = dirs.shape
-    a, b = np.triu_indices(N)
+    a, b = packed_pairs(N)
     theta = np.ascontiguousarray(dirs.T)
     T2 = (theta[:, None] * theta[None]).reshape(N**2, n)
     T3 = (T2[:, None] * theta[None]).reshape(N**3, n)
@@ -123,7 +124,7 @@ def cubic_chart_gradient(packet, dirs, s):
     on the layout of cubic_chart."""
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     n, N = dirs.shape
-    a, b = np.triu_indices(N)
+    a, b = packed_pairs(N)
     theta = np.ascontiguousarray(dirs.T)
     T2 = (theta[:, None] * theta[None]).reshape(N**2, n)
     R = packet.riemann.transpose(0, 2, 1, 3)[a, b]
@@ -181,6 +182,8 @@ class ModelManifold:
     """
 
     dim = None
+    # the log map's round-trip tolerance, in point coordinates
+    LOG_TOL = 1e-12
 
     def origin(self):
         raise NotImplementedError
@@ -209,6 +212,8 @@ class ModelManifold:
         raise NotImplementedError
 
     def log(self, p, Q):
+        """U (n, N) at p with max |exp(p, U) - Q| < LOG_TOL in point
+        coordinates: a log certifies its round trip or raises GeometryError."""
         raise NotImplementedError
 
     def distance(self, p, q):
@@ -310,18 +315,23 @@ class ConstantCurvature(ModelManifold):
         return out
 
     def log(self, p, Q):
+        """Closed form, the angle by atan2 (arccos loses half its digits at
+        short range); the round trip too, so the antipode raises."""
         p = np.asarray(p, dtype=float)
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
         R = self.radius
-        c = np.clip(Q @ p / R**2, -1.0, 1.0)
-        theta = np.arccos(c)
+        c = Q @ p / R**2
         W = Q - c[:, None] * p[None, :]
         norms = np.linalg.norm(W, axis=1)
+        theta = np.arctan2(norms / R, c)
         safe = np.where(norms > 1e-300, norms, 1.0)
         amb = (R * theta / safe)[:, None] * W
         amb[norms <= 1e-300] = 0.0
-        E = self.frame(p)
-        return amb @ E.T
+        U = amb @ self.frame(p).T
+        gap = np.abs(self.exp(p, U) - Q).max(initial=0.0)
+        if not gap < self.LOG_TOL:
+            raise GeometryError("log map round trip missed by %.3g" % gap)
+        return U
 
 
 # -- geodesic integrator ---------------------------------------------------------
@@ -338,6 +348,11 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
+# Cap on the steps (accepted or rejected) of one integration, 12 right-hand
+# sides each, so a diverging log fails instead of integrating ever longer
+# geodesics. A 96-point batch takes 13 steps at |V| = 1 from (0.499, 0.455),
+# 177 from the scalar-curvature maximum, and 254-424 at |V| = 5.
+MAX_STEPS = 500
 
 
 def _rms(x):
@@ -351,8 +366,8 @@ def _dop853(fun, y, rtol, atol):
     The arithmetic is scipy's DOP853 solver's, step for step: the same
     initial step, stage sums, E3/E5 error norm and step factors, so the
     end point agrees with scipy's to the bit. The stage array lives only
-    in this call. Raises GeometryError on a non-finite initial state, or
-    when a rejected step falls below 10 ulp of t.
+    in this call. Raises GeometryError on a non-finite initial state, when
+    a rejected step falls below 10 ulp of t, or past MAX_STEPS steps.
     """
     if not np.isfinite(y).all():
         raise GeometryError("geodesic integration failed: initial state is "
@@ -373,6 +388,7 @@ def _dop853(fun, y, rtol, atol):
 
     K = np.empty((_DOP_STAGES + 1, y.size))
     t = 0.0
+    steps = 0
     while t < 1.0:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -385,6 +401,12 @@ def _dop853(fun, y, rtol, atol):
                     "geodesic integration failed: step size %.3g fell below "
                     "%.3g at t = %.6g" % (h_abs, min_step, t)
                 )
+            if steps == MAX_STEPS:
+                raise GeometryError(
+                    "geodesic integration failed: %d steps reached t = %.6g"
+                    % (MAX_STEPS, t)
+                )
+            steps += 1
             t_new = min(t + h_abs, 1.0)
             h = t_new - t
             h_abs = np.abs(h)
@@ -440,7 +462,8 @@ class ConformalSphere2D(ModelManifold):
     one integration. log inverts it by a per-point good Broyden iteration
     (Broyden 1965) in inverse form, one batched exp per step, so a batch of
     points around one base, such as all leaves of a foliation chart, takes
-    one log. Failures raise GeometryError.
+    one log, whose exit test is the round trip of the contract. Failures
+    raise GeometryError.
     """
 
     dim = 2
@@ -452,9 +475,7 @@ class ConformalSphere2D(ModelManifold):
     # relative and absolute tolerances of the geodesic integration
     RTOL = 1e-12
     ATOL = 1e-13
-    # the log map's tolerance on the chart gap, and its cap on secant steps
-    # (one exp integration each)
-    LOG_TOL = 1e-12
+    # the log map's cap on secant steps (one exp integration each)
     LOG_MAX_ITER = 80
     # the scalar-curvature maximum, set by the first scalar_max_point()
     _scalar_max = None
@@ -714,7 +735,7 @@ class MetricJet:
         unit-ball points: the flux tensor F = sqrt det g g^-1 of the
         divergence form sqrt det g lap_g u = div(F grad u), and the volume
         element. Component-major: F is packed to its upper triangle in
-        np.triu_indices(N) order, each component a block of P points.
+        packed_pairs(N) order, each component a block of P points.
 
         The chart is evaluated once at Y = rho x, and its own flux tensor
         Fbar = sqrt det gbar gbar^-1 (by cofactors) is pulled through the
@@ -772,7 +793,7 @@ class MetricJet:
         hs = 0.5 * s * inv_q
         u = [(m[i] - hs * x[i]) * inv_q for i in range(N)]
         F = out[:-1]
-        for k, (i, j) in enumerate(zip(*np.triu_indices(N))):
+        for k, (i, j) in enumerate(zip(*packed_pairs(N))):
             np.subtract(Fbar[k], x[i] * u[j], out=F[k])
             F[k] -= u[i] * x[j]
         F *= det_J / (rho * rho)

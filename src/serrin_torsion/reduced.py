@@ -20,7 +20,7 @@ from .ball_solver import (
 )
 from .curvature import FlatSpace, MetricJet
 from .serrin import kernel_response_constant
-from .sphere_spectral import ball_volume, product_points
+from .sphere_spectral import ball_volume, packed_pairs, product_points
 
 __all__ = [
     "ReducedReport",
@@ -39,7 +39,7 @@ class SearchError(RuntimeError):
 
 # find_critical: Newton steps on the kernel component, the step of the
 # central differences of grad S that give the model Jacobian, and the
-# largest distance an iterate may move from the start point.
+# largest geodesic length the search may travel from the start point.
 MAX_POLISH = 12
 HESSIAN_STEP = 1e-4
 CHART_RADIUS = 1.5
@@ -166,13 +166,14 @@ def find_critical(
     O(eps^4), the Jacobian is the model c_N eps^3 Hess S, from central
     differences of the scalar-curvature gradient at every iterate, so no
     solve is spent on it.
-    All stepping goes through the exponential map with tangent-frame
-    coefficients, so embedded and chart-based point representations are
-    handled alike. There is no derivative-free re-seed: a singular model
-    Jacobian (Hess S = 0, as on constant curvature), a step longer than
-    0.5, an iterate farther than CHART_RADIUS from p_init, or MAX_POLISH
-    steps without reaching tol raise SearchError, and an EnvelopeError of a
-    solve propagates. Returns (point, solution, info).
+    All stepping goes through the exponential map with orthonormal-frame
+    coefficients, so the length travelled, |jitter| plus every |step|,
+    bounds the distance from p_init with no log. There is no
+    derivative-free re-seed: a singular model Jacobian (Hess S = 0, as on
+    constant curvature), a step longer than 0.5, a travel beyond
+    CHART_RADIUS, or MAX_POLISH steps without reaching tol raise
+    SearchError, and an EnvelopeError of a solve propagates. Returns
+    (point, solution, info).
     """
     manifold = problem.manifold
     N = manifold.dim
@@ -193,7 +194,9 @@ def find_critical(
         )
         return scale * (grads[:N] - grads[N:]).T / (2.0 * HESSIAN_STEP)
 
-    p = move(p_init, jitter * rng.standard_normal(N))
+    kick = jitter * rng.standard_normal(N)
+    p = move(p_init, kick)
+    travel = np.linalg.norm(kick)
     sol = problem.solve(p, eps)
     solves = 1
     anorm = best = float(np.linalg.norm(sol.state.a))
@@ -207,7 +210,8 @@ def find_critical(
         if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 0.5:
             raise SearchError("kernel-component Newton step diverged")
         p = move(p, -step)
-        if manifold.distance(p_init, p) > CHART_RADIUS:
+        travel += np.linalg.norm(step)
+        if travel > CHART_RADIUS:
             raise SearchError("search left the chart")
         # warm-started from the previous iterate's perturbation
         sol = problem.solve(p, eps, v_init=sol.v_function())
@@ -323,7 +327,7 @@ class _TwistJet:
         det = np.linalg.det(DF)
         flux = det[:, None, None] * np.einsum("pik,pjk->pij", inv, inv)
         # the jet layout: component-major, F packed to its upper triangle
-        i, j = np.triu_indices(2)
+        i, j = packed_pairs(2)
         return flux[:, i, j].T, det
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "PerturbationState",
     "get_basis",
     "product_points",
+    "packed_pairs",
     "packed_index",
     "ball_volume",
     "sphere_area",
@@ -272,12 +273,12 @@ class SphereBasis:
 
     def node_hessians(self):
         """Upper triangles of the mode Hessians at the nodes,
-        (n_modes, N(N+1)/2, n_nodes), entries in np.triu_indices(N) order;
+        (n_modes, N(N+1)/2, n_nodes), entries in packed_pairs(N) order;
         the Hessians are symmetric, so the lower triangle is not kept. Off
         the solve path, whose Picard step takes gradients only: the strong
         oracle of the tests and the benchmark's set-up read it."""
         if self._node_hessians is None:
-            i, j = np.triu_indices(self.dim)
+            i, j = packed_pairs(self.dim)
             H = self.eval_hess_matrix(self.nodes)
             self._node_hessians = np.ascontiguousarray(
                 H[:, :, i, j].transpose(0, 2, 1)
@@ -302,13 +303,26 @@ def product_points(dirs, radii=None):
     return (radii[:, None, None] * dirs[None]).reshape(-1, dirs.shape[1])
 
 
+@lru_cache(maxsize=None)
+def packed_pairs(N):
+    """(rows, cols) of the upper triangle of an N x N symmetric matrix, row
+    by row: the packed order of every symmetric tensor in the package (the
+    flux tensor, the chart metric, SphereBasis.node_hessians()). Built once
+    per N and read-only."""
+    pairs = np.triu_indices(N)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+@lru_cache(maxsize=None)
 def packed_index(N):
-    """(N, N) position of entry (i, j) of a symmetric matrix packed to its
-    upper triangle in np.triu_indices(N) order, the packed order of
-    SphereBasis.node_hessians()."""
+    """(N, N) position of entry (i, j) of a symmetric matrix in the packed
+    order of packed_pairs(N). Built once per N and read-only."""
+    a, b = packed_pairs(N)
     ix = np.empty((N, N), dtype=int)
-    a, b = np.triu_indices(N)
     ix[a, b] = ix[b, a] = np.arange(len(a))
+    ix.setflags(write=False)
     return ix
 
 

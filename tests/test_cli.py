@@ -515,11 +515,16 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
             "[run]\nmanifold = round\nn_radial = 40\n\n[profile]\nvolumes = 0.05\n",
             "[run] n_radial is not read by profile",
         ),
+        (
+            "profile",
+            "[run]\nmanifold = round\n\n[profile]\nvolumes = 0.05, 50, 100\n",
+            "volume 50.0 has Euclidean radius 3.99 outside (0, 0.5]",
+        ),
     ],
     ids=[
         "negative-curvature", "dimension-4", "short-t-grid", "decreasing-t-grid",
         "misspelt-t-grid", "removed-residual-tol", "unknown-section",
-        "profile-max-degree", "profile-n-radial",
+        "profile-max-degree", "profile-n-radial", "profile-volume-radius",
     ],
 )
 def test_config_error_before_any_solve(

@@ -10,6 +10,7 @@ the jet that uses them.
 
 import gc
 import math
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from serrin_torsion.curvature import (
     FlatSpace,
     GeometryError,
     MetricJet,
+    ModelManifold,
     _packed_cofactors,
     cubic_chart,
     cubic_chart_gradient,
@@ -471,6 +473,45 @@ def test_sphere_distance_and_transport():
     assert abs(man.distance(p, q) - 0.5) < 1e-12
 
 
+def _log_contract_case(name):
+    """(manifold, base point) of one contract case."""
+    if name == "flat":
+        return FlatSpace(2), np.array([0.3, -1.2])
+    if name == "conformal":
+        return ConformalSphere2D(), np.array([0.3, -0.2])
+    N = {"round2": 2, "round3": 3}[name]
+    man = ConstantCurvature(N, 0.7)
+    return man, man.exp(man.origin(), np.full((1, N), 0.4))[0]
+
+
+@pytest.mark.parametrize("name", ["flat", "round2", "round3", "conformal"])
+def test_log_certifies_its_round_trip(name):
+    """The log contract on every manifold: exp(p, log(p, Q)) meets Q to
+    LOG_TOL in point coordinates, on seeded batches with lengths from 1e-6
+    to 1 (below 1e-4 an arccos angle loses half its digits)."""
+    man, p = _log_contract_case(name)
+    assert man.LOG_TOL == ModelManifold.LOG_TOL == 1e-12
+    rng = np.random.default_rng(41)
+    V = rng.standard_normal((64, man.dim))
+    V *= (10.0 ** rng.uniform(-6.0, 0.0, 64)
+          / np.linalg.norm(V, axis=1))[:, None]
+    Q = man.exp(p, V)
+    U = man.log(p, Q)
+    assert np.abs(man.exp(p, U) - Q).max() < man.LOG_TOL
+    assert np.abs(U - V).max() < 1e-11
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_sphere_log_at_antipode_raises(N):
+    """The direction to the antipode is undefined: no tangent vector meets
+    the round trip, so log raises instead of returning zero."""
+    man = ConstantCurvature(N, 0.7)
+    p = man.exp(man.origin(), np.full((1, N), 0.4))[0]
+    Q = np.stack([man.exp(p, np.full((1, N), 0.1))[0], -p])
+    with pytest.raises(GeometryError, match="round trip"):
+        man.log(p, Q)
+
+
 def test_conformal_exp_log_round_trip():
     cs = ConformalSphere2D()
     p = np.array([0.1, -0.2])
@@ -682,6 +723,36 @@ def test_conformal_exp_step_floor_raises_geometry_error(monkeypatch):
 def test_conformal_exp_non_finite_state_raises_geometry_error():
     with pytest.raises(GeometryError, match="not finite"):
         ConformalSphere2D().exp(np.zeros(2), [[np.nan, 0.1]])
+
+
+def test_conformal_exp_step_cap_raises_geometry_error(monkeypatch):
+    """An integration that needs more than MAX_STEPS steps fails instead of
+    running on: |V| = 1 needs 13 here."""
+    monkeypatch.setattr(curvature, "MAX_STEPS", 5)
+    with pytest.raises(GeometryError, match="5 steps reached t = "):
+        ConformalSphere2D().exp(np.array([0.499, 0.455]), [[1.0, 0.0]])
+
+
+def test_conformal_log_far_targets_fail_fast():
+    """Far targets drive the secant iteration into ever longer geodesics
+    (|U| 1.9, 2.4, 4.4, 2.4, 36, ...); the step cap of the integration
+    stops it with GeometryError within 20 s (0.5 s on a 2-vCPU VM). An
+    uncapped integration runs for minutes, so an alarm bounds the wait."""
+
+    def timeout(signum, frame):
+        raise TimeoutError("log still running after 20 s")
+
+    p = np.array([0.499, 0.455])
+    Q = p + np.random.default_rng(0).uniform(-1.0, 1.0, (8, 2))
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 20.0)
+    try:
+        with pytest.raises(GeometryError, match="geodesic integration "
+                           "failed: %d steps" % curvature.MAX_STEPS):
+            ConformalSphere2D().log(p, Q)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_conformal_log_failure_raises_geometry_error(monkeypatch):

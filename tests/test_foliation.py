@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from serrin_torsion import foliation
 from serrin_torsion.curvature import (
     ConformalSphere2D,
     ConstantCurvature,
@@ -86,8 +85,8 @@ def test_round_common_center_magnitudes(round_setup):
 
 def test_conformal_recentering_residual_and_slope(conf_setup, basis):
     manifold, _, base, curve, profile = conf_setup
-    # LEAF_RESIDUAL_TOL (1e-12) is enforced inside; a successful return
-    # certifies it
+    # the log's round trip to LOG_TOL (1e-12) is its exit test; a successful
+    # return certifies it
     ts = (0.04, 0.12)
     for t, w in zip(ts, recentering_solve(manifold, ts, curve, profile)):
         mags = np.linalg.norm(w, axis=1)
@@ -149,40 +148,23 @@ def test_batched_chart_matches_per_leaf_reference(conf_setup, conf_chart):
         assert abs(cert[key] - want[key]) < 1e-9
 
 
-class _NudgedFlat(FlatSpace):
-    """The plane, except that an exp over all leaves at once, the round
-    trip of recentering_solve, moves the points of one leaf by NUDGE. The
-    flat log is closed-form and never calls exp, so only the round trip
-    sees the nudge."""
+def test_chart_integration_count(conf_setup, conf_chart, monkeypatch):
+    """With the leaves solved and the curve cached, a chart integrates each
+    leaf out from its center and then runs one log over all leaves, whose
+    round trip is its own exit test: 19 exp integrations for this chart,
+    with no second round-trip exp (which made 20)."""
+    manifold, _, _, curve, profile = conf_setup
+    calls = []
+    exp = ConformalSphere2D.exp
 
-    NUDGE = 1e-9
+    def counted(self, p, V):
+        calls.append(1)
+        return exp(self, p, V)
 
-    def __init__(self, leaf_points, n_leaves, leaf):
-        super().__init__(2)
-        self.all_points = leaf_points * n_leaves
-        self.rows = slice(leaf * leaf_points, (leaf + 1) * leaf_points)
-
-    def exp(self, p, V):
-        out = super().exp(p, V)
-        if len(out) == self.all_points:
-            out[self.rows] += self.NUDGE
-        return out
-
-
-def test_leaf_over_residual_tolerance_is_named(basis):
-    """The round-trip check runs per leaf on the shared log: an interior
-    leaf whose round-trip gap alone exceeds LEAF_RESIDUAL_TOL, not the
-    first or the last of the grid, is named by its t."""
-    ts = [float(t) for t in T_GRID]
-    worst = 3
-    manifold = _NudgedFlat(len(basis.nodes), len(ts), worst)
-    curve = lambda t: np.zeros(2)
-    profile = lambda t: SphereFunction.constant(basis, 0.0)
-    assert 0 < worst < len(ts) - 1
-    assert foliation.LEAF_RESIDUAL_TOL < manifold.NUDGE
-    with pytest.raises(FoliationError, match="leaf at t = %.6g: chart-map "
-                       "residual" % ts[worst]):
-        recentering_solve(manifold, ts, curve, profile)
+    monkeypatch.setattr(ConformalSphere2D, "exp", counted)
+    chart = build_foliation_chart(manifold, T_GRID, curve, profile)
+    assert len(calls) <= 19
+    assert np.array_equal(chart.omega, conf_chart.omega)
 
 
 # -- reparametrization -----------------------------------------------------------

@@ -288,6 +288,19 @@ def test_find_critical_conformal(conf_problem, conf):
     assert np.linalg.norm(sol.state.a) < 1e-9
 
 
+def test_find_critical_takes_no_log(conf_problem, monkeypatch):
+    """The chart guard sums the geodesic length of the kick and the steps,
+    frame coefficients all, so the search needs no log map."""
+
+    def no_log(self, p, Q):
+        raise AssertionError("find_critical called log")
+
+    monkeypatch.setattr(ConformalSphere2D, "log", no_log)
+    p, sol, info = find_critical(conf_problem, 0.06, seed=0)
+    assert info["a_norm"] < 1e-9
+    assert info["solves"] >= 2  # at least one guarded Newton step
+
+
 def test_find_critical_round_immediate(round_problem):
     # constant curvature: every center is critical, the start already
     # satisfies the tolerance and no Newton step should be attempted
