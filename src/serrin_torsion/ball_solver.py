@@ -13,7 +13,7 @@ closed-form polynomial oracle
 is reproduced at machine precision. Every radial operator is block-diagonal
 by degree (Vasil et al., J. Comput. Phys. X 3, 2019), and BallGrid.by_degree
 is the one per-degree product: projection, the stacked radial profiles,
-the Galerkin solves, the radial loads and the boundary derivative use it.
+the Galerkin solves and the boundary derivative use it.
 
 The metric torsion problem -lap_g u = 1 is in divergence form: times
 sqrt det g it reads -div(F grad u) = sqrt det g, with the flux tensor
@@ -35,14 +35,19 @@ with rotations, so that problem is one Galerkin solve per degree
 2006), and the iteration is left with the anisotropic part of F only: the
 preconditioning of a nonseparable elliptic operator by a separable one
 with a fast direct solve (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
-The right-hand side is the load less the correction of F - I
-(LaplaceContext.correction: the gradient products of the iterate from
-BallField.derivatives, met with F - I pointwise, through the transposed
-products) plus the radial load of Fbar - I, so the discrete Galerkin
-system, and its solution, is the flat-stiffness one; a rotation-invariant
-metric is solved by the step from zero. A context serves
-solves only: the volume of an unperturbed ball needs none, and profile
-reads it off the chart.
+The context keeps that one anisotropic flux, F - Fbar, and the
+right-hand side is the load less its correction (LaplaceContext.correction:
+the gradient products of the iterate from BallField.derivatives, met with
+F - Fbar pointwise, through the transposed products). The fixed point is
+the flat-stiffness Galerkin system, the flat stiffness plus the
+quadrature of F - I, because the stiffness of Fbar - I in the Galerkin
+solves is what that quadrature gives for Fbar - I: the angular rule is
+exact on the products of two harmonics of degree <= L with
+theta theta^T (max(6 L, 64) nodes at N = 2; L + 8 latitudes times
+2 (L + 8) azimuths at N = 3), and the correction and the Galerkin
+stiffness share the radial nodes. A rotation-invariant metric is solved
+by the step from zero. A context serves solves only: the volume of an
+unperturbed ball needs none, and profile reads it off the chart.
 
 The curvature source problem has one assembly: psi_source_values gives the
 cubic-model source -lap(psi_eps), and solve_psi_eps its flat solve with
@@ -164,7 +169,7 @@ class BallGrid:
         )
         self._flat_diag = 2.0 * (self._norm[:, :-1] + self._norm[:, 1:])
         zeros = np.zeros(n_r)
-        self.weak_op = self.galerkin(zeros, zeros)[0]
+        self.weak_op = self.galerkin(zeros, zeros)
 
         # (2, n_r, n_modes): r^(k-j), j = 0, 1, for each mode's degree k;
         # zero where j > k, since derivatives of order above k vanish
@@ -197,13 +202,11 @@ class BallGrid:
         return out
 
     def galerkin(self, alpha, beta):
-        """Per-degree Galerkin operators of the rotation-invariant flux
+        """Per-degree Galerkin solves of the rotation-invariant flux
         Fbar = (1 + alpha) I + beta theta theta^T, alpha and beta sampled at
-        the radial nodes, each stacked (L + 1, M, M): the solves of
+        the radial nodes, stacked (L + 1, M, M): the solves of
         -div(Fbar grad u) = f from the load of f (the scale of
-        BallField.from_values) to the coefficients of u, and the load
-        operators taking the coefficients of u to the load of
-        (Fbar - I) grad u.
+        BallField.from_values) to the coefficients of u.
 
         A flux that commutes with rotations keeps each degree apart. On the
         test functions psi_i = (q_i - q_{i+1}) H, which vanish on the
@@ -211,12 +214,14 @@ class BallGrid:
         2 int grad psi_i . grad psi_j is diagonal, 2 (n_i + n_{i+1}): psi_i
         is (1 - s) times a Jacobi polynomial orthogonal under the weight
         (1 - s) s^b, and the Laplacian of psi_j is a polynomial of degree j
-        in s times H. The stiffness of Fbar - I is added to it, and one
-        batched solve takes the test rows of a load to the coefficients d
-        of u = sum_i d_i psi_i. Fbar is an average of the positive definite
-        F, so 1 + alpha and 1 + alpha + beta are positive and so is every
-        system. Zero weights give the flat solves grid.weak_op, which are
-        the flat Poisson solve (poisson_solve).
+        in s times H. The stiffness of Fbar - I, on the radial Gauss rule,
+        is added to it, and one batched solve takes the test rows of a load
+        to the coefficients d of u = sum_i d_i psi_i. The same rule's nodes
+        carry LaplaceContext's quadrature of the flux, so that stiffness is
+        the one the context takes off F - I. Fbar is an average of the
+        positive definite F, so 1 + alpha and 1 + alpha + beta are positive
+        and so is every system. Zero weights give the flat solves
+        grid.weak_op, which are the flat Poisson solve (poisson_solve).
         """
         extra = self._stiffness(alpha + beta, alpha)
         rows = extra[:, :-1] - extra[:, 1:]
@@ -230,7 +235,7 @@ class BallGrid:
         solve = np.zeros((len(stiff), M, M))
         solve[:, :-1] = d
         solve[:, 1:] -= d
-        return solve, self._norm[:, :, None] * extra
+        return solve
 
     def by_degree(self, rows, ops):
         """rows with the block s of the modes of degree k replaced by
@@ -261,12 +266,17 @@ def get_grid(N, max_degree=None, n_radial=None):
 
     The defaults are max_degree 16 and n_radial 28 for N = 2, and 10 and 20
     otherwise; they are resolved before the cached build, so every way of
-    asking for a resolution returns the same grid.
+    asking for a resolution returns the same grid. Both must be at least 1,
+    a ValueError otherwise: the solves read the kernel component off the
+    degree-1 modes, and every mode carries at least one radial coefficient.
     """
     if max_degree is None:
         max_degree = 16 if N == 2 else 10
     if n_radial is None:
         n_radial = 28 if N == 2 else 20
+    for name, value in (("max_degree", max_degree), ("n_radial", n_radial)):
+        if value < 1:
+            raise ValueError("%s must be at least 1, got %d" % (name, value))
     return _build_grid(N, max_degree, n_radial)
 
 
@@ -430,23 +440,28 @@ class LaplaceContext:
     grid, as component-major (n_r, n_ang) blocks, F packed to its upper
     triangle: N(N+1)/2 + 1 blocks. It keeps sqrt det g as (n_r, n_ang),
     the load of every step and the weight of the torsion and volume
-    integrals, and F - I times the angular quadrature weights in the
-    blocks of F, the identity taken off before any product so that a
-    metric near the identity keeps its relative accuracy. A volume element
-    that is not positive (NaN where the metric is not positive definite)
-    is an EnvelopeError.
+    integrals. A volume element that is not positive (NaN where the
+    metric is not positive definite) is an EnvelopeError.
 
-    From the same blocks it takes the rotation-invariant part
-    alpha(r) I + beta(r) theta theta^T of F - I, the orthogonal projection
-    at each radius: the sphere averages of tr(F - I) = N alpha + beta and
-    of theta . (F - I) theta = alpha + beta. grid.galerkin turns it into
-    the per-degree operators of one Picard step, weak_op (the Galerkin
-    solves of the rotation-invariant flux Fbar = I + alpha I + beta theta
-    theta^T) and radial_op (the load of (Fbar - I) grad u), both
-    (L + 1, M, M). Fbar is an average of the positive definite F: its
-    eigenvalues a = 1 + alpha (across theta) and a + b (along theta) are
-    averages of positive ones, so every per-degree system stays positive
-    definite.
+    From the blocks of F - I, the identity taken off before any product so
+    that a metric near the identity keeps its relative accuracy, it takes
+    the rotation-invariant part alpha(r) I + beta(r) theta theta^T, the
+    orthogonal projection at each radius: the sphere averages of
+    tr(F - I) = N alpha + beta and of theta . (F - I) theta = alpha + beta.
+    grid.galerkin turns it into weak_op, the per-degree Galerkin solves of
+    the rotation-invariant flux Fbar = I + alpha I + beta theta theta^T,
+    (L + 1, M, M). Then it takes Fbar - I off the blocks, in place, and
+    keeps the one anisotropic flux F - Fbar times the angular quadrature
+    weights, which correction meets the iterate with. Fbar is an average
+    of the positive definite F: its eigenvalues a = 1 + alpha (across
+    theta) and a + b (along theta) are averages of positive ones, so every
+    per-degree system stays positive definite.
+
+    The solves and the correction split F exactly when the quadrature of
+    Fbar - I in the blocks equals its stiffness in weak_op: the angular
+    rule is exact on the products of two harmonics of degree <= L with
+    theta theta^T (max(6 L, 64) nodes at N = 2; L + 8 latitudes times
+    2 (L + 8) azimuths at N = 3), and both use the radial nodes grid.r.
     """
 
     def __init__(self, jet, grid):
@@ -458,23 +473,34 @@ class LaplaceContext:
         flux = flux.reshape(-1, grid.n_r, grid.n_ang)
         N, basis = grid.dim, grid.basis
         a, b = packed_pairs(N)
-        flux[a == b] -= 1.0
+        diag = a == b
+        flux[diag] -= 1.0
         flux *= basis.weights
-        self._flux = flux
-        # the packed theta theta^T, off-diagonal entries counted twice
-        outer = (np.where(a == b, 1.0, 2.0)[:, None]
-                 * (basis.nodes[:, a] * basis.nodes[:, b]).T)
-        trace = flux[a == b].sum(axis=(0, 2)) / basis.area
-        normal = np.tensordot(flux, outer, ([0, 2], [0, 1])) / basis.area
+        # the packed theta theta^T; its off-diagonal entries count twice in
+        # theta . (F - I) theta
+        tt = (basis.nodes[:, a] * basis.nodes[:, b]).T
+        trace = flux[diag].sum(axis=(0, 2)) / basis.area
+        normal = np.tensordot(flux, np.where(diag, 1.0, 2.0)[:, None] * tt,
+                              ([0, 2], [0, 1])) / basis.area
         alpha = (trace - normal) / (N - 1)
-        self.weak_op, self.radial_op = grid.galerkin(alpha, normal - alpha)
+        beta = normal - alpha
+        self.weak_op = grid.galerkin(alpha, beta)
+        # alpha I + beta theta theta^T, times the weights, comes off F - I
+        # in place, one packed component at a time
+        radial = np.stack([alpha, beta], axis=1)
+        angular = np.stack([np.outer(diag, basis.weights),
+                            tt * basis.weights], axis=1)
+        for c in range(len(a)):
+            flux[c] -= radial @ angular[c]
+        self._flux = flux
 
     def correction(self, field):
-        """Load of the metric correction of field u, (n_modes, M): entry
-        (m, j) is 2 n_j int grad(q_j H_m) . (F - I) grad u dx, in the scale
-        of BallField.from_values (n_j = 2j + k + N/2 the Jacobi norm).
+        """Load of the anisotropic correction of field u, (n_modes, M):
+        entry (m, j) is 2 n_j int grad(q_j H_m) . (F - Fbar) grad u dx, in
+        the scale of BallField.from_values (n_j = 2j + k + N/2 the Jacobi
+        norm).
 
-        The gradient products of u meet F - I pointwise in the flux V, and
+        The gradient products of u meet F - Fbar pointwise in the flux V, and
         the transposed products take V to its load: with
         grad(q H) = 2 q' H x + q grad H and grad H = r^(k-1) times the node
         table, the node tables against grad H . V / r and H 2 x . V, then
@@ -501,18 +527,19 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
     """Solve -lap_g(phi) = 1 in B_1, phi = 0 on the boundary.
 
     Picard iteration on the weak form (see the module docstring): each
-    step takes the load of sqrt det g, less the correction of F - I of the
-    previous iterate, plus its radial load of Fbar - I (ctx.radial_op), and
-    solves it per degree with the Galerkin solves of the rotation-invariant
-    flux Fbar (ctx.weak_op). At a fixed point the two Fbar terms cancel, so
-    the solution is that of the flat-stiffness Galerkin system, and the
-    iteration contracts with the anisotropic part F - Fbar alone. The load
-    is the projection of sqrt det g, taken once per solve. It is the data
-    of every step (a weak step has no pointwise source), so its radial
-    tail is the resolution check: ResolutionError when its last radial
-    coefficient exceeds SOURCE_TAIL_TOL times its largest one. The cold
-    start is the step from zero, ctx.weak_op of the load, which needs no
-    correction: a rotation-invariant metric (a geodesic ball of a space
+    step takes the load of sqrt det g less the correction of F - Fbar of
+    the previous iterate, and solves it per degree with the Galerkin solves
+    of the rotation-invariant flux Fbar (ctx.weak_op). The iteration
+    contracts with the anisotropic part F - Fbar alone, and its fixed point
+    is the flat-stiffness Galerkin system, since the angular rule is exact
+    on the products of two harmonics of degree <= L with theta theta^T and
+    the correction and the solves share the radial nodes (LaplaceContext).
+    The load is the projection of sqrt det g, taken once per solve. It is
+    the data of every step (a weak step has no pointwise source), so its
+    radial tail is the resolution check: ResolutionError when its last
+    radial coefficient exceeds SOURCE_TAIL_TOL times its largest one. The
+    cold start is the step from zero, ctx.weak_op of the load, which needs
+    no correction: a rotation-invariant metric (a geodesic ball of a space
     form) is solved by it, and its first counted step only confirms it.
     warm_start seeds the iteration with a previous potential (same grid)
     to save steps. Returns (phi, info) with the Picard iterations and their
@@ -530,8 +557,7 @@ def dirichlet_solve_full(jet, grid, warm_start=None):
     vals = phi.values()
     history = []
     for it in range(PICARD_MAX_ITER):
-        rhs = (load - ctx.correction(phi)
-               + grid.by_degree(phi.coeffs, ctx.radial_op))
+        rhs = load - ctx.correction(phi)
         phi = BallField(grid, grid.by_degree(rhs, ctx.weak_op))
         prev, vals = vals, phi.values()
         step = float(np.abs(vals - prev).max())

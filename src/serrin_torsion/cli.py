@@ -171,6 +171,13 @@ def validate_positive(value, name):
     return value
 
 
+def validate_distinct(values, name):
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError("%s repeats %r" % (name, v))
+    return values
+
+
 def parse_points(text, dim, one=False):
     """Points of dim comma-separated coordinates: a ";" list, or with one
     the whole text as a single point."""
@@ -246,13 +253,17 @@ def make_manifold(spec):
 
 def make_problem(cfg, spec):
     """The solver context; an absent [run] max_degree or n_radial takes the
-    grid's default."""
+    grid's default, and the grid's ValueError on a size it cannot build is
+    a config error."""
     run = cfg.get("run", {})
-    return SerrinProblem(
-        make_manifold(spec),
-        _get(cfg, "run", "max_degree", kind=int) if "max_degree" in run else None,
-        _get(cfg, "run", "n_radial", kind=int) if "n_radial" in run else None,
-    )
+    max_degree = (_get(cfg, "run", "max_degree", kind=int)
+                  if "max_degree" in run else None)
+    n_radial = (_get(cfg, "run", "n_radial", kind=int)
+                if "n_radial" in run else None)
+    try:
+        return SerrinProblem(make_manifold(spec), max_degree, n_radial)
+    except ValueError as exc:
+        raise ConfigError("[run] %s" % exc) from exc
 
 
 # -- deterministic serialization ----------------------------------------------
@@ -379,9 +390,17 @@ def _sweep_task(payload):
 
 def cmd_sweep(cfg, out, seed, workers, args, report):
     spec = manifold_spec(cfg)
-    points = config_points(_get(cfg, "sweep", "points", kind=str), spec)
+    points = validate_distinct(
+        config_points(_get(cfg, "sweep", "points", kind=str), spec),
+        "[sweep] points",
+    )
     eps_raw = _get(cfg, "sweep", "eps", kind=str)
-    eps_list = validate_radii(parse_grid(eps_raw, "eps"), "eps")
+    eps_list = validate_distinct(
+        validate_radii(parse_grid(eps_raw, "eps"), "eps"), "[sweep] eps"
+    )
+    # the tasks rebuild the problem in their workers; its grid is checked
+    # here, before they fan out
+    make_problem(cfg, spec)
     run_section = dict(cfg.get("run", {}))
     tasks = [
         {"run": run_section, "point": p, "eps": e}

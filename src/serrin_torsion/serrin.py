@@ -125,9 +125,9 @@ class SerrinProblem:
     def solve(self, p, eps, v_init=None):
         """Drive script_G to zero; returns a SerrinSolution.
 
-        Raises EnvelopeError when 50 quasi-Newton steps do not reach the
-        tolerance or when the perturbation norm leaves the contraction
-        envelope.
+        Raises EnvelopeError when MAX_STEPS quasi-Newton steps do not reach
+        SOLVE_TOL or when the perturbation norm leaves the contraction
+        envelope (ENVELOPE_NORM).
         """
         t0 = time.perf_counter()
         p = np.asarray(p, dtype=float)

@@ -1,5 +1,6 @@
 """Poisson and variable-coefficient Dirichlet solves on the unit ball."""
 
+import copy
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from serrin_torsion.sphere_spectral import (
     PerturbationState,
     SphereFunction,
     ball_volume,
+    packed_pairs,
     product_points,
 )
 
@@ -695,32 +697,40 @@ def test_space_form_ball_in_one_picard_step(N):
 
 
 @pytest.mark.parametrize("N", [2, 3])
-def test_radial_load_is_the_correction_of_a_space_form(N):
-    """The context's radial load operator against its correction on the
-    exact chart of the round S^N, where F - I is rotation invariant: the
-    radial Gauss rule is shared and the angular rule is exact on the
-    products of harmonics, so the two loads agree to roundoff (measured
-    2.8e-15 at N=2 and 1.1e-14 at N=3)."""
+def test_space_form_correction_is_roundoff(N):
+    """On the exact chart of the round S^N, F - I is rotation invariant, so
+    the context's one anisotropic flux F - Fbar is roundoff: the quadrature
+    of Fbar - I it takes off is exact on the products of harmonics, on the
+    radial nodes it shares with the Galerkin stiffness. Its correction is
+    held against the load of F - I, the same transposed products met with
+    the weighted F - I blocks (measured 1.6e-15 at N=2 and 3.2e-15 at
+    N=3)."""
     man = ConstantCurvature(N, 1.0)
     grid = get_grid(N)
-    ctx = LaplaceContext(ExactJet(man, man.origin(), 0.4), grid)
+    jet = ExactJet(man, man.origin(), 0.4)
+    ctx = LaplaceContext(jet, grid)
+    flux, _ = jet.laplace_coefficients(grid.basis.nodes, grid.r)
+    a, b = packed_pairs(N)
+    full = copy.copy(ctx)
+    full._flux = grid.basis.weights * (
+        flux.reshape(-1, grid.n_r, grid.n_ang) - (a == b)[:, None, None]
+    )
     u = random_field(grid, np.random.default_rng(21))
-    want = ctx.correction(u)
-    got = grid.by_degree(u.coeffs, ctx.radial_op)
-    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+    want = full.correction(u)
+    got = ctx.correction(u)
+    assert np.abs(got).max() < 1e-13 * np.abs(want).max()
 
 
 def test_flat_galerkin_is_the_zero_weight_case(grid):
-    """grid.weak_op is the Galerkin builder at zero weights, bit for bit,
-    with a zero load operator. It solves the test rows of the exact mode
-    Laplacian (the rows -T stiff from mode_laplacian, the boundary row last),
-    on whose test functions the flat stiffness is the diagonal
+    """grid.weak_op is the Galerkin builder at zero weights, bit for bit.
+    It solves the test rows of the exact mode Laplacian (the rows -T stiff
+    from mode_laplacian, the boundary row last), on whose test functions
+    the flat stiffness is the diagonal
     2 (n_i + n_{i+1}). Measured: the diagonal to 2.6e-14 and the solves to
     3.1e-15 of their largest entries."""
     zeros = np.zeros(grid.n_r)
-    weak, load = grid.galerkin(zeros, zeros)
+    weak = grid.galerkin(zeros, zeros)
     assert np.array_equal(weak, grid.weak_op)
-    assert not load.any()
     M = grid.n_radial
     tests = np.eye(M)[:-1] - np.eye(M)[1:]
     for k, op in enumerate(mode_laplacian(grid)):
@@ -765,23 +775,53 @@ def test_pair_products_match_per_degree_products():
         assert np.array_equal(grid.by_degree(rows, op), want)
 
 
+def _anisotropic_jet(case, eps):
+    """The generic N=3 packet at its origin, or the conformal sphere off
+    its maximum, at eps."""
+    if case == "packet-3d":
+        manifold = PacketManifold(
+            synthetic_packet(3, seed=3, r_scale=0.3, dr_scale=0.3)
+        )
+        return MetricJet(manifold, manifold.origin(), eps)
+    return MetricJet(ConformalSphere2D(), np.array([0.3, -0.2]), eps)
+
+
 @pytest.mark.parametrize("case", ["packet-3d", "conformal-2d"])
 def test_picard_stop_leaves_no_remainder(case, monkeypatch):
     """An anisotropic metric at eps 0.4: the potential at PICARD_TOL agrees
     with one iterated to 1e-15 (measured 1.8e-16 on the packet, 1.1e-16 on
     the conformal sphere)."""
-    if case == "packet-3d":
-        manifold = PacketManifold(
-            synthetic_packet(3, seed=3, r_scale=0.3, dr_scale=0.3)
-        )
-        jet = MetricJet(manifold, manifold.origin(), 0.4)
-    else:
-        jet = MetricJet(ConformalSphere2D(), np.array([0.3, -0.2]), 0.4)
+    jet = _anisotropic_jet(case, 0.4)
     grid = get_grid(jet.manifold.dim)
     phi, _ = dirichlet_solve_full(jet, grid)
     monkeypatch.setattr(ball_solver, "PICARD_TOL", 1e-15)
     tight, _ = dirichlet_solve_full(jet, grid)
     assert np.abs(phi.values() - tight.values()).max() < 1e-12
+
+
+@pytest.mark.parametrize("case", ["packet-3d", "conformal-2d"])
+def test_converged_potential_meets_its_weak_form(case):
+    """An anisotropic metric at eps 0.4: the converged phi satisfies
+    int grad w . F grad phi = int w sqrt det g for seeded w that vanish on
+    the boundary, the integrals on the product grid with F from the flux
+    seam, relative to int |grad w| |F| |grad phi| (measured 6.1e-16 on
+    the packet and 1.8e-16 on the conformal sphere)."""
+    jet = _anisotropic_jet(case, 0.4)
+    grid = get_grid(jet.manifold.dim)
+    phi, _ = dirichlet_solve_full(jet, grid)
+    flux, sqrt_det = jet.laplace_coefficients(grid.basis.nodes, grid.r)
+    F = unpack_sym(flux)
+    weight = (grid.w_vol[:, None] * grid.basis.weights).reshape(-1)
+    dphi = assemble_gradient(phi)
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        w = poisson_solve(random_field(grid, rng))
+        dw = assemble_gradient(w)
+        stiff = weight @ np.einsum("pi,pij,pj->p", dw, F, dphi)
+        load = weight @ (w.values().reshape(-1) * sqrt_det)
+        scale = weight @ np.einsum("pi,pij,pj->p", np.abs(dw), np.abs(F),
+                                   np.abs(dphi))
+        assert abs(stiff - load) < 1e-14 * scale
 
 
 def test_folded_domain_map_rejected():
@@ -831,19 +871,40 @@ def _load_pairing(field, load):
     return float(np.sum(field.coeffs * load / two_n))
 
 
+def _sphere_average_part(A, grid):
+    """The rotation-invariant part alpha(r) I + beta(r) theta theta^T of the
+    pointwise (P, N, N) tensors A: the sphere averages of tr A and of
+    theta . A theta at each radius, by the angular rule."""
+    N, basis = grid.dim, grid.basis
+    theta = basis.nodes
+    A = A.reshape(grid.n_r, grid.n_ang, N, N)
+    trace = np.einsum("rnii,n->r", A, basis.weights) / basis.area
+    normal = np.einsum("rnij,ni,nj,n->r", A, theta, theta,
+                       basis.weights) / basis.area
+    alpha = (trace - normal) / (N - 1)
+    beta = normal - alpha
+    tt = theta[:, :, None] * theta[:, None, :]
+    Abar = (alpha[:, None, None, None] * np.eye(N)
+            + beta[:, None, None, None] * tt)
+    return Abar.reshape(-1, N, N)
+
+
 @pytest.mark.parametrize("case", sorted(CONTRACTION_JETS))
 def test_contraction_matches_assembled_hessian(case):
     """The weak correction load of a seeded random field u, tested against
-    a w that vanishes on the boundary, is int grad w . (F - I) grad u: the
-    gradients assembled pointwise, F from the flux seam; and, where the
-    jet has a metric for the strong oracle, -int w (sqrt det g lap_g u -
-    lap u) with lap_g u from the assembled Hessian and drift. The bounds
-    are relative to the size of the summed terms."""
+    a w that vanishes on the boundary, is int grad w . (A - Abar) grad u
+    with A = F - I and Abar its rotation-invariant part from the sphere
+    averages: the gradients assembled pointwise, F from the flux seam; and,
+    where the jet has a metric for the strong oracle, with the pairing of
+    Abar added back, -int w (sqrt det g lap_g u - lap u) with lap_g u from
+    the assembled Hessian and drift. The bounds are relative to the size
+    of the summed terms."""
     jet = CONTRACTION_JETS[case]
     grid = get_grid(jet.dim)
     ctx = LaplaceContext(jet, grid)
     flux, sqrt_det = jet.laplace_coefficients(grid.basis.nodes, grid.r)
     A = unpack_sym(flux) - np.eye(grid.dim)
+    Abar = _sphere_average_part(A, grid)
     weight = (grid.w_vol[:, None] * grid.basis.weights).reshape(-1)
     rng = np.random.default_rng(41)
     for _ in range(3):
@@ -853,12 +914,13 @@ def test_contraction_matches_assembled_hessian(case):
         assert load.shape == u.coeffs.shape
         got = _load_pairing(w, load)
         du, dw = assemble_gradient(u), assemble_gradient(w)
-        want = weight @ np.einsum("pi,pij,pj->p", dw, A, du)
-        scale = weight @ np.einsum("pi,pij,pj->p", np.abs(dw), np.abs(A),
-                                   np.abs(du))
+        want = weight @ np.einsum("pi,pij,pj->p", dw, A - Abar, du)
+        scale = weight @ np.einsum("pi,pij,pj->p", np.abs(dw),
+                                   np.abs(A - Abar), np.abs(du))
         assert abs(got - want) < 1e-13 * scale
         if not isinstance(jet, MetricJet):
             continue
+        got += weight @ np.einsum("pi,pij,pj->p", dw, Abar, du)
         lap_g = strong_laplacian(jet, u).reshape(-1)
         lap = flat_laplacian(u).values().reshape(-1)
         wv = w.values().reshape(-1)

@@ -520,11 +520,60 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
             "[run]\nmanifold = round\n\n[profile]\nvolumes = 0.05, 50, 100\n",
             "volume 50.0 has Euclidean radius 3.99 outside (0, 0.5]",
         ),
+        (
+            "solve",
+            "[run]\nmanifold = flat\nmax_degree = 0\n\n[solve]\neps = 0.1\n",
+            "[run] max_degree must be at least 1, got 0",
+        ),
+        (
+            "solve",
+            "[run]\nmanifold = flat\nmax_degree = -1\n\n[solve]\neps = 0.1\n",
+            "[run] max_degree must be at least 1, got -1",
+        ),
+        (
+            "solve",
+            "[run]\nmanifold = flat\nn_radial = 0\n\n[solve]\neps = 0.1\n",
+            "[run] n_radial must be at least 1, got 0",
+        ),
+        (
+            "find-critical",
+            CONF_RUN + "max_degree = 0\n\n[find-critical]\neps = 0.1\n",
+            "[run] max_degree must be at least 1, got 0",
+        ),
+        (
+            "foliate",
+            CONF_RUN + "n_radial = 0\n\n[foliate]\ncritical = {critical}\n",
+            "[run] n_radial must be at least 1, got 0",
+        ),
+        (
+            "sweep",
+            FLAT_SWEEP.replace("dimension = 2", "max_degree = 0"),
+            "[run] max_degree must be at least 1, got 0",
+        ),
+        (
+            "sweep",
+            FLAT_SWEEP.replace("dimension = 2", "n_radial = -3"),
+            "[run] n_radial must be at least 1, got -3",
+        ),
+        (
+            "sweep",
+            FLAT_SWEEP.replace("0.05, 0.1", "0.1, 0.1"),
+            "[sweep] eps repeats 0.1",
+        ),
+        (
+            "sweep",
+            ROUND_SWEEP.replace("points = 0,0,1", "points = 0,0,1; 0,0,1"),
+            "[sweep] points repeats [0.0, 0.0, 1.0]",
+        ),
     ],
     ids=[
         "negative-curvature", "dimension-4", "short-t-grid", "decreasing-t-grid",
         "misspelt-t-grid", "removed-residual-tol", "unknown-section",
         "profile-max-degree", "profile-n-radial", "profile-volume-radius",
+        "solve-max-degree-0", "solve-max-degree-negative", "solve-n-radial-0",
+        "find-critical-max-degree-0", "foliate-n-radial-0",
+        "sweep-max-degree-0", "sweep-n-radial-negative", "sweep-repeated-eps",
+        "sweep-repeated-point",
     ],
 )
 def test_config_error_before_any_solve(

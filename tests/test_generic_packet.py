@@ -12,16 +12,19 @@ must follow the leading-order laws
 so their relative gaps to these models shrink like eps^2, and a / (eps^3
 grad S) extrapolates to c_N (1/210 at N = 3).
 
-The problem is also equivariant under O(N), which needs no closed form: the
-packet rotated by Q is solved by v o Q^T with kernel component Q a and the
-same torsion, volume and area (metamorphic testing; Chen et al., ACM
-Comput. Surv. 51, 2018).
+The problem also has exact symmetries, which need no closed form
+(metamorphic testing; Chen et al., ACM Comput. Surv. 51, 2018). It is
+equivariant under O(N): the packet rotated by Q is solved by v o Q^T with
+kernel component Q a and the same torsion, volume and area. And it is
+invariant under dilation: the packet (lam^2 R, lam^3 nabla R) at eps / lam,
+and ConstantCurvature(N, lam^2 k) at eps / lam, pose the unit-ball problem
+of (R, nabla R), or of ConstantCurvature(N, k), at eps.
 """
 
 import numpy as np
 import pytest
 
-from serrin_torsion.curvature import CurvaturePacket
+from serrin_torsion.curvature import ConstantCurvature, CurvaturePacket
 from serrin_torsion.serrin import SerrinProblem, kernel_response_constant
 
 from packet_manifold import PacketManifold, synthetic_packet
@@ -112,7 +115,8 @@ def test_vbar_degree2_content_at_three(generic):
 
 # -- rotation oracle ---------------------------------------------------------
 
-ROTATION_EPS = 0.3
+# the radius of the unrotated and undilated solves of the symmetry oracles
+SYMMETRY_EPS = 0.3
 
 
 def _rotated(packet, Q):
@@ -132,12 +136,12 @@ def _rotated(packet, Q):
 
 @pytest.fixture(scope="module")
 def unrotated():
-    """Per N: the generic packet and its solve at ROTATION_EPS."""
+    """Per N: the generic packet and its solve at SYMMETRY_EPS."""
     out = {}
     for N in (2, 3):
         packet = synthetic_packet(N, seed=3, r_scale=0.3, dr_scale=0.3)
         sol = SerrinProblem(PacketManifold(packet)).solve(np.zeros(N),
-                                                          ROTATION_EPS)
+                                                          SYMMETRY_EPS)
         out[N] = (packet, sol)
     return out
 
@@ -158,7 +162,7 @@ def test_solution_is_equivariant_under_orthogonal_maps(unrotated, N, det):
     if np.linalg.det(Q) * det < 0:
         Q[:, 0] *= -1.0
     turned = SerrinProblem(PacketManifold(_rotated(packet, Q))).solve(
-        np.zeros(N), ROTATION_EPS
+        np.zeros(N), SYMMETRY_EPS
     )
     for key in ("torsion", "volume", "area"):
         assert abs(getattr(turned, key) / getattr(sol, key) - 1.0) < 1e-14
@@ -168,3 +172,71 @@ def test_solution_is_equivariant_under_orthogonal_maps(unrotated, N, det):
     want = sol.v_function().coeffs @ basis.eval_matrix(basis.nodes @ Q)
     gap = np.abs(turned.v_function().node_values() - want).max()
     assert gap < {2: 5e-15, 3: 1e-13}[N]
+
+
+# -- dilation oracle ---------------------------------------------------------
+
+
+def _dilated(packet, lam):
+    """The packet of the metric scaled by lam^-2: R, Ricci and S scale by
+    lam^2, nabla R and grad S by lam^3."""
+    return CurvaturePacket(
+        dim=packet.dim,
+        scalar=lam**2 * packet.scalar,
+        scalar_gradient=lam**3 * packet.scalar_gradient,
+        ricci=lam**2 * packet.ricci,
+        riemann=lam**2 * packet.riemann,
+        nabla_riemann=lam**3 * packet.nabla_riemann,
+    )
+
+
+def _assert_same_solution(sol, scaled, lam):
+    """The two solves of one unit-ball problem: at lam = 2 every scaling is
+    a power of two and the solves agree bit for bit; at lam = 3 up to
+    roundoff (measured at most 8.9e-16 relative for the accounting,
+    5.5e-17 for a and 6.7e-16 for the coefficients of v), in as many outer
+    steps."""
+    got = [scaled.torsion, scaled.volume, scaled.area, scaled.state.a,
+           scaled.v_function().coeffs, len(scaled.iterations)]
+    want = [sol.torsion, sol.volume, sol.area, sol.state.a,
+            sol.v_function().coeffs, len(sol.iterations)]
+    if lam == 2:
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        return
+    for g, w in zip(got[:3], want[:3]):
+        assert abs(g / w - 1.0) < 5e-15
+    assert np.abs(got[3] - want[3]).max() < 3e-16
+    assert np.abs(got[4] - want[4]).max() < 3e-15
+    assert got[5] == want[5]
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+@pytest.mark.parametrize("N", [2, 3])
+def test_packet_solution_is_invariant_under_dilation(unrotated, N, lam):
+    """(lam^2 R, lam^3 nabla R) at eps / lam against (R, nabla R) at eps."""
+    packet, sol = unrotated[N]
+    scaled = SerrinProblem(PacketManifold(_dilated(packet, lam))).solve(
+        np.zeros(N), SYMMETRY_EPS / lam
+    )
+    _assert_same_solution(sol, scaled, lam)
+
+
+@pytest.fixture(scope="module")
+def round_solves():
+    """Per N: the solve of ConstantCurvature(N, 1) at SYMMETRY_EPS."""
+    out = {}
+    for N in (2, 3):
+        manifold = ConstantCurvature(N, 1.0)
+        out[N] = SerrinProblem(manifold).solve(manifold.origin(), SYMMETRY_EPS)
+    return out
+
+
+@pytest.mark.parametrize("lam", [2, 3])
+@pytest.mark.parametrize("N", [2, 3])
+def test_space_form_solution_is_invariant_under_dilation(round_solves, N, lam):
+    """ConstantCurvature(N, lam^2) at eps / lam against curvature 1 at
+    eps."""
+    manifold = ConstantCurvature(N, float(lam**2))
+    scaled = SerrinProblem(manifold).solve(manifold.origin(), SYMMETRY_EPS / lam)
+    _assert_same_solution(round_solves[N], scaled, lam)
