@@ -13,7 +13,9 @@ closed-form polynomial oracle
 is reproduced at machine precision. Every radial operator is block-diagonal
 by degree (Vasil et al., J. Comput. Phys. X 3, 2019), and BallGrid.by_degree
 is the one per-degree product: projection, the stacked radial profiles,
-the Galerkin solves and the boundary derivative use it.
+the Galerkin solves and the boundary derivative use it. At N = 2 and 3
+alike it is one batched product over the basis's degree-padded mode table
+(SphereBasis.degree_table), so the mode order stays the basis's business.
 
 The metric torsion problem -lap_g u = 1 is in divergence form: times
 sqrt det g it reads -div(F grad u) = sqrt det g, with the flux tensor
@@ -240,21 +242,17 @@ class BallGrid:
     def by_degree(self, rows, ops):
         """rows with the block s of the modes of degree k replaced by
         rows[s] @ ops[k].T: every mode of a degree shares its operator, and
-        ops is stacked by degree. At N = 2 every degree k >= 1 holds one
-        pair of modes, so those blocks are one batched product over the
-        (L, 2, ...) view; the outputs are the per-degree products' bits."""
-        out = np.empty((len(rows),) + ops.shape[1:-1])
-        if self.dim == 2:
-            L = self.basis.max_degree
-            out[0] = rows[0] @ ops[0].T
-            pairs = rows[1:].reshape(L, 2, -1)
-            tops = ops[1:].reshape(L, -1, ops.shape[-1]).swapaxes(1, 2)
-            out[1:] = (pairs @ tops).reshape(out[1:].shape)
-            return out
-        for k in range(self.basis.max_degree + 1):
-            s = self.basis.degree_slice(k)
-            out[s] = rows[s] @ ops[k].T
-        return out
+        ops is stacked by degree. One batched product over the
+        degree-padded view rows[basis.degree_table], then the real rows
+        (basis.degree_rows); the padding rows are computed and dropped.
+        Each degree is its own product, so a row carries no other degree's
+        operator, and the outputs agree with one product per degree to
+        roundoff."""
+        basis = self.basis
+        tops = ops.reshape(len(ops), -1, ops.shape[-1]).swapaxes(1, 2)
+        out = rows.take(basis.degree_table, axis=0) @ tops
+        return out.reshape((-1,) + ops.shape[1:-1]).take(basis.degree_rows,
+                                                         axis=0)
 
     def volume_integral(self, values):
         """Integral over B_1 of pointwise values (n_r, n_ang) dx."""

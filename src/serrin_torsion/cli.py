@@ -19,6 +19,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -110,7 +111,8 @@ def _get(cfg, section, key, default=None, kind=None):
 
     Without a kind the raw string is returned. With a kind (float, int,
     str or _boolean) the value is read as that kind, and a key that is
-    absent with no default is a ConfigError.
+    absent with no default is a ConfigError. A float must be finite: nan
+    and inf are ConfigErrors too.
     """
     raw = cfg.get(section, {}).get(key)
     if raw is None:
@@ -120,11 +122,16 @@ def _get(cfg, section, key, default=None, kind=None):
     if kind is None:
         return raw
     try:
-        return kind(raw)
+        value = kind(raw)
     except (KeyError, ValueError) as exc:
         raise ConfigError(
             "[%s] %s is not %s: %r" % (section, key, _KIND_NAMES[kind], raw)
         ) from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(
+            "[%s] %s is not a finite number: %r" % (section, key, raw)
+        )
+    return value
 
 
 def parse_grid(text, name):
@@ -459,7 +466,9 @@ def cmd_find_critical(cfg, out, seed, workers, args, report):
     spec = manifold_spec(cfg)
     problem = make_problem(cfg, spec)
     eps_raw = _get(cfg, "find-critical", "eps", "0.1")
-    eps_list = validate_radii(parse_grid(eps_raw, "eps"), "eps")
+    eps_list = validate_distinct(
+        validate_radii(parse_grid(eps_raw, "eps"), "eps"), "[find-critical] eps"
+    )
     section = cfg.get("find-critical", {})
     options = {}
     if "tol" in section:
@@ -581,6 +590,12 @@ def cmd_profile(cfg, out, seed, workers, args, report):
         if radius > EPS_MAX:
             raise ConfigError("volume %r has Euclidean radius %.3g outside "
                               "(0, %s]" % (v, radius, EPS_MAX))
+    # the fit of profile_coefficient has two orders, so it needs three
+    # distinct volumes
+    validate_distinct(volumes, "[profile] volumes")
+    if len(volumes) < 3:
+        raise ConfigError("[profile] volumes needs at least 3 values, got %d"
+                          % len(volumes))
     point_raw = _get(cfg, "profile", "point")
     if point_raw is not None:
         p = np.array(config_points(point_raw, spec, one=True))

@@ -67,6 +67,15 @@ class SphereBasis:
       are (-1)^m sqrt(2) (Re, Im) R_lm / |R_lm| for m >= 1, then
       R_l0 / |R_l0|, with |R_lm|^2 = 4 pi / ((2l+1) (l-m)! (l+m)!) over
       the sphere.
+    The modes of a degree are contiguous (degree_slice). degree_table,
+    (L + 1, width) with width the size of the widest degree (2 at N = 2,
+    2 L + 1 at N = 3), lists in row k the modes of degree k, padded by
+    repeating the last one, and degree_rows holds the flat positions in
+    it of the real entries, in mode order: rows[degree_table] is a
+    degree-stacked view of per-mode rows, and the flattened entries at
+    degree_rows of any per-degree result are its per-mode rows again. Both
+    are built once and read-only; they carry the mode order, so a caller
+    that applies one operator per degree (BallGrid.by_degree) need not.
     The maps D[i] give d_i H_m = sum_j D[i, j, m] H_j in closed form from
     the ladder relations of F (see _ladder). The class also holds an angular
     quadrature grid exact well beyond degree 2*max_degree, and cached node
@@ -112,10 +121,17 @@ class SphereBasis:
             norm2 = np.where(m > 0, 0.5 * norm2, norm2)
             sign = (-1.0) ** m
         self._scale = sign / np.sqrt(norm2)
-        self._deg_slices = []
-        for k in range(max_degree + 1):
-            idx = np.nonzero(self.degrees == k)[0]
-            self._deg_slices.append(slice(int(idx[0]), int(idx[-1]) + 1))
+        # the modes of degree k are the count[k] from start[k]; see the
+        # class docstring for degree_table and degree_rows
+        count = np.bincount(l)
+        start = np.cumsum(count) - count
+        self._deg_slices = [slice(a, a + c)
+                            for a, c in zip(start.tolist(), count.tolist())]
+        pad = np.arange(count.max())
+        self.degree_table = start[:, None] + np.minimum(pad, count[:, None] - 1)
+        self.degree_rows = np.flatnonzero(pad < count[:, None])
+        self.degree_table.setflags(write=False)
+        self.degree_rows.setflags(write=False)
 
         self.D = self._derivative_maps()
         self.nodes, self.weights = self._build_quadrature()

@@ -565,6 +565,46 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
             ROUND_SWEEP.replace("points = 0,0,1", "points = 0,0,1; 0,0,1"),
             "[sweep] points repeats [0.0, 0.0, 1.0]",
         ),
+        (
+            "solve",
+            "[run]\nmanifold = round\ncurvature = nan\n\n[solve]\neps = 0.1\n",
+            "[run] curvature is not a finite number: 'nan'",
+        ),
+        (
+            "solve",
+            "[run]\nmanifold = round\ncurvature = inf\n\n[solve]\neps = 0.1\n",
+            "[run] curvature is not a finite number: 'inf'",
+        ),
+        (
+            "find-critical",
+            CONF_RUN + "\n[find-critical]\neps = 0.1\ntol = inf\n",
+            "[find-critical] tol is not a finite number: 'inf'",
+        ),
+        (
+            "find-critical",
+            CONF_RUN + "\n[find-critical]\neps = 0.1\njitter = inf\n",
+            "[find-critical] jitter is not a finite number: 'inf'",
+        ),
+        (
+            "find-critical",
+            CONF_RUN + "\n[find-critical]\neps = 0.1, 0.1\n",
+            "[find-critical] eps repeats 0.1",
+        ),
+        (
+            "profile",
+            "[run]\nmanifold = round\n\n[profile]\nvolumes = 0.01\n",
+            "[profile] volumes needs at least 3 values, got 1",
+        ),
+        (
+            "profile",
+            "[run]\nmanifold = round\n\n[profile]\nvolumes = 0.01, 0.02\n",
+            "[profile] volumes needs at least 3 values, got 2",
+        ),
+        (
+            "profile",
+            "[run]\nmanifold = round\n\n[profile]\nvolumes = 0.01, 0.01, 0.02\n",
+            "[profile] volumes repeats 0.01",
+        ),
     ],
     ids=[
         "negative-curvature", "dimension-4", "short-t-grid", "decreasing-t-grid",
@@ -573,7 +613,10 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
         "solve-max-degree-0", "solve-max-degree-negative", "solve-n-radial-0",
         "find-critical-max-degree-0", "foliate-n-radial-0",
         "sweep-max-degree-0", "sweep-n-radial-negative", "sweep-repeated-eps",
-        "sweep-repeated-point",
+        "sweep-repeated-point", "nan-curvature", "inf-curvature",
+        "find-critical-inf-tol", "find-critical-inf-jitter",
+        "find-critical-repeated-eps", "profile-one-volume",
+        "profile-two-volumes", "profile-repeated-volume",
     ],
 )
 def test_config_error_before_any_solve(
@@ -583,6 +626,7 @@ def test_config_error_before_any_solve(
         raise AssertionError("a solve ran before the config was checked")
 
     monkeypatch.setattr(SerrinProblem, "solve", no_solve)
+    monkeypatch.setattr(cli, "profile_expansion", no_solve)
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text.format(critical=critical_run))
     assert main([command, "--config", str(cfg)]) == 2

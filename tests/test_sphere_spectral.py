@@ -85,6 +85,21 @@ def test_quadrature_harmonic_polynomial():
             assert block < 5e-12
 
 
+def test_degree_table_lists_each_degree(basis):
+    """Row k of degree_table holds the modes of degree k, padded by the
+    last one; degree_rows reads the modes back in order; both read-only."""
+    table, real = basis.degree_table, basis.degree_rows
+    width = 2 if basis.dim == 2 else 2 * basis.max_degree + 1
+    assert table.shape == (basis.max_degree + 1, width)
+    for k, row in enumerate(table):
+        s = basis.degree_slice(k)
+        n = s.stop - s.start
+        assert list(row[:n]) == list(range(s.start, s.stop))
+        assert (row[n:] == s.stop - 1).all()
+    assert list(table.reshape(-1)[real]) == list(range(basis.n_modes))
+    assert not table.flags.writeable and not real.flags.writeable
+
+
 def test_second_moment_identity(basis):
     # integral over the unit sphere of x^k x^l is |B_1| delta_kl
     N = basis.dim
