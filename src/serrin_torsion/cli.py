@@ -2,6 +2,8 @@
 
 Design constraints the implementation enforces:
 
+* every config value is read and checked by one schema (SCHEMA) before a
+  subcommand starts its work;
 * deterministic outputs: repeated runs with the same config and seed
   produce byte-identical files (floats are written in shortest
   round-trip form, JSON keys are sorted, nothing records wall time);
@@ -23,6 +25,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .foliation import (
     solved_profile_curve,
 )
 from .profile import profile_coefficient, profile_expansion
-from .reduced import constants, find_critical, reduced_functional
+from .reduced import CHART_RADIUS, constants, find_critical, reduced_functional
 from .serrin import SerrinProblem
 from .sphere_spectral import ball_volume, check_dimension
 
@@ -58,27 +61,259 @@ class DependencyError(RuntimeError):
     kind = "dependency_error"
 
 
-# -- config parsing -----------------------------------------------------------
+# -- config schema -----------------------------------------------------------
 
 
-# Every key a config may hold, by section; each is read by one _get call of
-# a subcommand, and any other section or key is a config error.
-CONFIG_KEYS = {
-    "run": ("manifold", "dimension", "curvature", "max_degree", "n_radial",
-            "seed", "workers"),
-    "constants": ("n_min", "n_max"),
-    "solve": ("point", "eps"),
-    "sweep": ("points", "eps"),
-    "find-critical": ("eps", "tol", "jitter"),
-    "foliate": ("critical", "t_grid"),
-    "profile": ("volumes", "point"),
-    "acceptance": ("checks", "strict"),
+def _boolean(text):
+    """configparser's boolean words, case and surrounding spaces ignored."""
+    return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+
+
+def _finite(text):
+    """float(text); a ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("%r is not finite" % text)
+    return value
+
+
+def parse_grid(text, name):
+    """Comma list ("0.05, 0.1") or range "lo:hi:n[:log|lin]" (log default)
+    of finite numbers; a log range needs lo, hi > 0."""
+    text = text.strip()
+    if ":" not in text:
+        try:
+            return [_finite(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError("bad %s list %r" % (name, text)) from exc
+    parts = text.split(":")
+    if len(parts) not in (3, 4):
+        raise ConfigError("%s range must be lo:hi:n[:log|lin]" % name)
+    try:
+        lo, hi, n = _finite(parts[0]), _finite(parts[1]), int(parts[2])
+        _finite(hi - lo)  # past the float range numpy warns and returns nan
+    except ValueError as exc:
+        raise ConfigError("bad %s range %r" % (name, text)) from exc
+    spacing = parts[3].strip().lower() if len(parts) == 4 else "log"
+    if n < 1:
+        raise ConfigError("%s range needs at least one value" % name)
+    if spacing == "log":
+        if lo <= 0 or hi <= 0:
+            raise ConfigError("log-spaced %s range needs lo, hi > 0" % name)
+        vals = np.geomspace(lo, hi, n)
+    elif spacing == "lin":
+        vals = np.linspace(lo, hi, n)
+    else:
+        raise ConfigError("unknown %s spacing %r" % (name, spacing))
+    return [float(v) for v in vals]
+
+
+def config_points(text, spec, one=False):
+    """The points of a config value on the manifold of spec: a ";" list of
+    points, or with one the whole text as a single point, each a comma
+    list of finite coordinates.
+
+    On the embedded round model a point is an ambient vector in R^(N+1)
+    and must lie on the sphere of radius 1/sqrt(k); on the conformal
+    sphere, whose factor reads |z|^2, that must be a finite float.
+    """
+    kind = spec["manifold"]
+    dim = spec["dimension"] + (kind == "round")
+    tokens = [text] if one else [t for t in text.split(";") if t.strip()]
+    points = []
+    for tok in tokens:
+        try:
+            p = [_finite(c) for c in tok.split(",") if c.strip()]
+        except ValueError as exc:
+            raise ConfigError("bad point %r" % tok) from exc
+        if len(p) != dim:
+            raise ConfigError("point %r has %d coordinates, manifold needs %d"
+                              % (tok, len(p), dim))
+        if kind == "round":
+            radius = 1.0 / math.sqrt(spec["curvature"])
+            if abs(math.hypot(*p) - radius) > 1e-8 * max(radius, 1.0):
+                raise ConfigError(
+                    "point %r is not on the sphere of radius %r" % (p, radius)
+                )
+        elif kind == "conformal" and not math.isfinite(sum(x * x for x in p)):
+            raise ConfigError("point %r has |z|^2 beyond the float range" % p)
+        points.append(p)
+    return points[0] if one else points
+
+
+def _parse_checks(text):
+    """Acceptance check ids: "all", or a comma list of ids and lo-hi ranges."""
+    text = (text or "all").strip().lower()
+    if text == "all":
+        return sorted(CHECK_IDS)
+    ids = set()
+    for tok in (t.strip() for t in text.split(",")):
+        if not tok:
+            continue
+        lo, dash, hi = tok.partition("-")
+        try:
+            lo, hi = int(lo), int(hi if dash else lo)
+        except ValueError as exc:
+            raise ConfigError("bad check %s %r"
+                              % ("range" if dash else "id", tok)) from exc
+        if lo > hi:
+            raise ConfigError("bad check range %r" % tok)
+        ids.update(range(lo, hi + 1))
+    unknown = ids - set(CHECK_IDS)
+    if unknown:
+        raise ConfigError("unknown check ids %s" % sorted(unknown))
+    return sorted(ids)
+
+
+def _scalar(parse, what):
+    """The kind of a one-value key: its text read by parse, which raises
+    KeyError or ValueError on text that is not what."""
+
+    def read(text, name, conf):
+        try:
+            return parse(text)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError("%s is not %s: %r" % (name, what, text)) from exc
+
+    return read
+
+
+# How each kind reads a key's text, given the key's name for its messages
+# and the values read before it (conf).
+KINDS = {
+    "word": lambda text, name, conf: text.strip().lower(),
+    "path": lambda text, name, conf: text,
+    "integer": _scalar(int, "an integer"),
+    "number": _scalar(_finite, "a finite number"),
+    "boolean": _scalar(_boolean, "a boolean"),
+    "grid": lambda text, name, conf: parse_grid(text, name),
+    "point": lambda text, name, conf: config_points(text, conf["spec"], True),
+    "points": lambda text, name, conf: config_points(text, conf["spec"]),
+    "checks": lambda text, name, conf: _parse_checks(text),
+}
+
+
+def volume_radius(volumes, conf):
+    """Rule of [profile] volumes: the Euclidean ball of each has a radius
+    in (0, EPS_MAX]."""
+    N = conf["spec"]["dimension"]
+    for v in volumes:
+        r = (v / ball_volume(N)) ** (1.0 / N)
+        if r > EPS_MAX:
+            return ("holds a ball too large: volume %r has Euclidean radius "
+                    "%.3g outside (0, %s]" % (v, r, EPS_MAX))
+    return None
+
+
+def certifiable(t_grid, conf):
+    """Rule of [foliate] t_grid: a grid the foliation certificate reads."""
+    try:
+        check_certificate_grid(t_grid)
+    except ValueError as exc:
+        return "cannot be certified: %s" % exc
+    return None
+
+
+def tabulable(n_max, conf):
+    """Rule of [constants] n_max: at least n_min, and its constants in the
+    float range (past it every larger N overflows too)."""
+    if n_max < conf["n_min"]:
+        return "is below [constants] n_min"
+    try:
+        constants(n_max)
+    except (ArithmeticError, ValueError) as exc:
+        return "= %d is past the float range of the constants: %r" % (n_max, exc)
+    return None
+
+
+REQUIRED = object()
+
+
+class Key(NamedTuple):
+    """One config key: kind names the grammar of its text (KINDS); default
+    is the text an absent key reads as (None: its consumer picks the
+    value; REQUIRED: a config error); the rest is its domain: at least
+    count values, each no less than least or in (0, most], none repeated
+    when distinct, and rule(value, conf), which says what is wrong or
+    returns None."""
+
+    kind: str
+    default: object = None
+    least: int = None
+    most: float = None
+    count: int = 1
+    distinct: bool = False
+    rule: object = None
+
+
+def _domain_error(entry, value, conf):
+    """What is wrong with value in the domain of entry, or None."""
+    values = value if isinstance(value, list) else [value]
+    if len(values) < entry.count:
+        return "needs at least %d value%s, got %d" % (
+            entry.count, "s" * (entry.count > 1), len(values))
+    for i, v in enumerate(values):
+        if entry.least is not None and v < entry.least:
+            need = ("a non-negative integer" if entry.least == 0
+                    else "at least %d" % entry.least)
+            return "must be %s, got %d" % (need, v)
+        if entry.most is not None and not 0.0 < v <= entry.most:
+            return "value %r outside (0, %s]" % (v, entry.most)
+        if entry.distinct and v in values[:i]:
+            return "repeats %r" % v
+    return entry.rule and entry.rule(value, conf)
+
+
+# Every key a config may hold, by section; any other section or key is a
+# config error.
+SCHEMA = {
+    "run": {
+        "manifold": Key("word", "flat"),
+        "dimension": Key("integer", "2"),
+        "curvature": Key("number", "1.0"),
+        "max_degree": Key("integer", None, least=1),
+        "n_radial": Key("integer", None, least=1),
+        "seed": Key("integer", "0", least=0),
+        "workers": Key("integer", "1", least=1),
+    },
+    "constants": {
+        "n_min": Key("integer", "2", least=2),
+        "n_max": Key("integer", "6", rule=tabulable),
+    },
+    "solve": {
+        "point": Key("point"),
+        "eps": Key("number", REQUIRED, most=EPS_MAX),
+    },
+    "sweep": {
+        "points": Key("points", REQUIRED, distinct=True),
+        "eps": Key("grid", REQUIRED, most=EPS_MAX, distinct=True),
+    },
+    "find-critical": {
+        "eps": Key("grid", "0.1", most=EPS_MAX, distinct=True),
+        "tol": Key("number", None, most=math.inf),
+        # the search travels at most CHART_RADIUS, its seeded offset included
+        "jitter": Key("number", None, most=CHART_RADIUS),
+    },
+    "foliate": {
+        "critical": Key("path"),
+        "t_grid": Key("grid", "0.02:0.12:8", most=EPS_MAX, rule=certifiable),
+    },
+    "profile": {
+        # the fit of profile_coefficient has two orders
+        "volumes": Key("grid", REQUIRED, most=math.inf, count=3,
+                       distinct=True, rule=volume_radius),
+        "point": Key("point"),
+    },
+    "acceptance": {
+        "checks": Key("checks", "all"),
+        "strict": Key("boolean", "false"),
+    },
 }
 
 
 def load_config(path):
     """INI file to a plain nested dict of strings; a section or key outside
-    CONFIG_KEYS is a ConfigError."""
+    SCHEMA is a ConfigError."""
     if path is None:
         return {}
     if not os.path.exists(path):
@@ -90,163 +325,69 @@ def load_config(path):
         raise ConfigError("cannot parse config: %s" % exc) from exc
     cfg = {s: dict(parser.items(s)) for s in parser.sections()}
     for section, keys in cfg.items():
-        if section not in CONFIG_KEYS:
+        if section not in SCHEMA:
             raise ConfigError("unknown config section [%s]" % section)
         for key in keys:
-            if key not in CONFIG_KEYS[section]:
+            if key not in SCHEMA[section]:
                 raise ConfigError("unknown config key [%s] %s" % (section, key))
     return cfg
 
 
-def _boolean(raw):
-    """configparser's boolean words, case and surrounding spaces ignored."""
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-
-
-_KIND_NAMES = {float: "a number", int: "an integer", _boolean: "a boolean"}
-
-
-def _get(cfg, section, key, default=None, kind=None):
-    """The value of [section] key, or default when the key is absent.
-
-    Without a kind the raw string is returned. With a kind (float, int,
-    str or _boolean) the value is read as that kind, and a key that is
-    absent with no default is a ConfigError. A float must be finite: nan
-    and inf are ConfigErrors too.
-    """
-    raw = cfg.get(section, {}).get(key)
-    if raw is None:
-        if kind is not None and default is None:
-            raise ConfigError("missing [%s] %s" % (section, key))
-        return default
-    if kind is None:
-        return raw
-    try:
-        value = kind(raw)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(
-            "[%s] %s is not %s: %r" % (section, key, _KIND_NAMES[kind], raw)
-        ) from exc
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(
-            "[%s] %s is not a finite number: %r" % (section, key, raw)
-        )
+def read_key(cfg, section, key, conf=None, flag=None):
+    """The checked value of [section] key: the flag when one is given, else
+    the key's text, else its default; None for an absent key whose
+    consumer picks the value."""
+    entry = SCHEMA[section][key]
+    if flag is not None:
+        name, value = "--" + key, flag
+    else:
+        name = "[%s] %s" % (section, key)
+        text = cfg.get(section, {}).get(key, entry.default)
+        if text is None:
+            return None
+        if text is REQUIRED:
+            raise ConfigError("missing %s" % name)
+        value = KINDS[entry.kind](text, name, conf)
+    problem = _domain_error(entry, value, conf)
+    if problem:
+        raise ConfigError("%s %s" % (name, problem))
     return value
-
-
-def parse_grid(text, name):
-    """Comma list ("0.05, 0.1") or range "lo:hi:n[:log|lin]" (log default)."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (3, 4):
-            raise ConfigError("%s range must be lo:hi:n[:log|lin]" % name)
-        try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigError("bad %s range %r" % (name, text)) from exc
-        spacing = parts[3].strip().lower() if len(parts) == 4 else "log"
-        if n < 1:
-            raise ConfigError("%s range needs at least one value" % name)
-        if spacing == "log":
-            if lo <= 0:
-                raise ConfigError("log-spaced %s range needs lo > 0" % name)
-            vals = np.geomspace(lo, hi, n)
-        elif spacing == "lin":
-            vals = np.linspace(lo, hi, n)
-        else:
-            raise ConfigError("unknown %s spacing %r" % (name, spacing))
-        return [float(v) for v in vals]
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError("bad %s list %r" % (name, text)) from exc
-
-
-def validate_radii(values, name):
-    for v in values:
-        if not 0.0 < v <= EPS_MAX:
-            raise ConfigError(
-                "%s value %r outside (0, %s]" % (name, v, EPS_MAX)
-            )
-    return values
-
-
-def validate_positive(value, name):
-    if not value > 0:
-        raise ConfigError("%s must be strictly positive, got %r" % (name, value))
-    return value
-
-
-def validate_distinct(values, name):
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ConfigError("%s repeats %r" % (name, v))
-    return values
-
-
-def parse_points(text, dim, one=False):
-    """Points of dim comma-separated coordinates: a ";" list, or with one
-    the whole text as a single point."""
-    tokens = [text] if one else [t for t in text.split(";") if t.strip()]
-    if not tokens:
-        raise ConfigError("empty point list")
-    points = []
-    for tok in tokens:
-        try:
-            coords = [float(c) for c in tok.split(",") if c.strip()]
-        except ValueError as exc:
-            raise ConfigError("bad point %r" % tok) from exc
-        if len(coords) != dim:
-            raise ConfigError(
-                "point %r has %d coordinates, manifold needs %d"
-                % (tok, len(coords), dim)
-            )
-        points.append(coords)
-    return points
-
-
-def config_points(text, spec, one=False):
-    """The points of a config value on the manifold of spec, in the grammar
-    of parse_points; the point itself when one is set.
-
-    On the embedded round model a point is an ambient vector in R^(N+1)
-    and must lie on the sphere of radius 1/sqrt(k).
-    """
-    round_model = spec["manifold"] == "round"
-    points = parse_points(text, spec["dimension"] + round_model, one)
-    if round_model:
-        radius = 1.0 / np.sqrt(spec["curvature"])
-        for p in points:
-            if abs(float(np.linalg.norm(p)) - radius) > 1e-8 * max(radius, 1.0):
-                raise ConfigError(
-                    "point %r is not on the sphere of radius %r" % (p, radius)
-                )
-    return points[0] if one else points
 
 
 def manifold_spec(cfg):
     """The [run] manifold as a plain dict, checked before any solve: the
     models' own ValueErrors (k > 0 on the round model, a ball dimension
     with a sphere basis) become config errors."""
-    kind = _get(cfg, "run", "manifold", "flat").strip().lower()
-    dim = _get(cfg, "run", "dimension", 2, kind=int)
-    if dim < 2:
-        raise ConfigError("dimension must be at least 2, got %d" % dim)
-    spec = {"manifold": kind, "dimension": dim}
-    if kind == "round":
-        spec["curvature"] = _get(cfg, "run", "curvature", 1.0, kind=float)
-    elif kind == "conformal":
-        if dim != 2:
-            raise ConfigError("the conformal model is two-dimensional")
-    elif kind != "flat":
-        raise ConfigError("unknown manifold %r (flat, round, conformal)" % kind)
+    spec = {key: read_key(cfg, "run", key) for key in ("manifold", "dimension")}
+    if spec["manifold"] == "round":
+        spec["curvature"] = read_key(cfg, "run", "curvature")
     try:
-        check_dimension(dim)
+        check_dimension(spec["dimension"])
         make_manifold(spec)
     except ValueError as exc:
         raise ConfigError("[run] %s" % exc) from exc
     return spec
+
+
+def read_config(cfg, command, flags=None):
+    """Every value command reads, checked before any of its work, by key:
+    [run] seed and workers; on a manifold its "spec" and the grid sizes
+    it reads; then the keys of its own section. flags holds command-line
+    values by key, and one that is set wins over its key."""
+    flags = flags or {}
+    _, section, grid = COMMANDS[command]
+    conf = {key: read_key(cfg, "run", key, flag=flags.get(key))
+            for key in ("seed", "workers")}
+    if grid is not None:
+        conf["spec"] = manifold_spec(cfg)
+        for key in GRID:
+            if key in grid:
+                conf[key] = read_key(cfg, "run", key)
+            elif key in cfg.get("run", {}):
+                raise ConfigError("[run] %s is not read by %s" % (key, command))
+    for key in SCHEMA[section]:
+        conf[key] = read_key(cfg, section, key, conf, flags.get(key))
+    return conf
 
 
 def make_manifold(spec):
@@ -255,22 +396,18 @@ def make_manifold(spec):
         return FlatSpace(spec["dimension"])
     if kind == "round":
         return ConstantCurvature(spec["dimension"], spec["curvature"])
+    if kind != "conformal":
+        raise ValueError("unknown manifold %r (flat, round, conformal)" % kind)
+    if spec["dimension"] != 2:
+        raise ValueError("the conformal model is two-dimensional")
     return ConformalSphere2D()
 
 
-def make_problem(cfg, spec):
-    """The solver context; an absent [run] max_degree or n_radial takes the
-    grid's default, and the grid's ValueError on a size it cannot build is
-    a config error."""
-    run = cfg.get("run", {})
-    max_degree = (_get(cfg, "run", "max_degree", kind=int)
-                  if "max_degree" in run else None)
-    n_radial = (_get(cfg, "run", "n_radial", kind=int)
-                if "n_radial" in run else None)
-    try:
-        return SerrinProblem(make_manifold(spec), max_degree, n_radial)
-    except ValueError as exc:
-        raise ConfigError("[run] %s" % exc) from exc
+def make_problem(conf):
+    """The solver context of the checked spec and grid sizes in conf."""
+    return SerrinProblem(
+        make_manifold(conf["spec"]), conf["max_degree"], conf["n_radial"]
+    )
 
 
 # -- deterministic serialization ----------------------------------------------
@@ -334,18 +471,15 @@ def _point_columns(row):
 
 
 # -- subcommands ---------------------------------------------------------------
+#
+# Each takes the checked values of read_config, the output directory and
+# the Reporter, and returns the exit code.
 
 
-def cmd_verify_constants(cfg, out, seed, workers, args, report):
-    n_min = _get(cfg, "constants", "n_min", 2, kind=int)
-    n_max = _get(cfg, "constants", "n_max", 6, kind=int)
-    if n_min < 2:
-        raise ConfigError("constants need dimension at least 2, got %d" % n_min)
-    if n_max < n_min:
-        raise ConfigError("n_max below n_min")
+def cmd_verify_constants(conf, out, report):
     rows = []
     report.say("N alpha beta J1 c")
-    for N in range(n_min, n_max + 1):
+    for N in range(conf["n_min"], conf["n_max"] + 1):
         alpha, beta, J1, c = constants(N)
         rows.append({"N": N, "alpha": alpha, "beta": beta, "J1": J1, "c": c})
         report.say(
@@ -356,21 +490,18 @@ def cmd_verify_constants(cfg, out, seed, workers, args, report):
     return 0
 
 
-def cmd_solve(cfg, out, seed, workers, args, report):
-    spec = manifold_spec(cfg)
-    problem = make_problem(cfg, spec)
-    point_raw = _get(cfg, "solve", "point")
-    if point_raw is None:
+def cmd_solve(conf, out, report):
+    problem = make_problem(conf)
+    point = conf["point"]
+    if point is None:
         point = [float(x) for x in problem.manifold.origin()]
-    else:
-        point = config_points(point_raw, spec, one=True)
-    eps = validate_radii([_get(cfg, "solve", "eps", kind=float)], "eps")[0]
+    eps = conf["eps"]
     rep = reduced_functional(problem, np.array(point), eps)
     sol = rep.solution
     record = rep.to_record()
     record.update(
-        manifold=spec,
-        seed=seed,
+        manifold=conf["spec"],
+        seed=conf["seed"],
         steps=len(sol.iterations),
         residual_inf=float(sol.residual_overdetermined.norm_inf()),
     )
@@ -383,11 +514,11 @@ def cmd_solve(cfg, out, seed, workers, args, report):
     return 0
 
 
-def _sweep_task(payload):
-    """One cold solve; runs in a worker process, so it rebuilds the problem."""
-    cfg = {"run": payload["run"]}
-    problem = make_problem(cfg, manifold_spec(cfg))
-    rep = reduced_functional(problem, np.array(payload["point"]), payload["eps"])
+def _sweep_task(task):
+    """One cold solve of the checked spec, grid sizes, point and eps in
+    task; runs in a worker process, so it rebuilds the problem."""
+    rep = reduced_functional(make_problem(task), np.array(task["point"]),
+                             task["eps"])
     row = rep.to_record()
     row["v_norm"] = row.pop("v_sobolev")
     row["v0"] = rep.solution.state.v0
@@ -395,25 +526,17 @@ def _sweep_task(payload):
     return _point_columns(row)
 
 
-def cmd_sweep(cfg, out, seed, workers, args, report):
-    spec = manifold_spec(cfg)
-    points = validate_distinct(
-        config_points(_get(cfg, "sweep", "points", kind=str), spec),
-        "[sweep] points",
-    )
-    eps_raw = _get(cfg, "sweep", "eps", kind=str)
-    eps_list = validate_distinct(
-        validate_radii(parse_grid(eps_raw, "eps"), "eps"), "[sweep] eps"
-    )
-    # the tasks rebuild the problem in their workers; its grid is checked
-    # here, before they fan out
-    make_problem(cfg, spec)
-    run_section = dict(cfg.get("run", {}))
+def cmd_sweep(conf, out, report):
+    spec, points, eps_list = conf["spec"], conf["points"], conf["eps"]
     tasks = [
-        {"run": run_section, "point": p, "eps": e}
+        {"spec": spec, "max_degree": conf["max_degree"],
+         "n_radial": conf["n_radial"], "point": p, "eps": e}
         for p in points
         for e in eps_list
     ]
+    # fork starts every worker at the first submit, so the pool is no
+    # larger than the work
+    workers = min(conf["workers"], len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_task, tasks))
@@ -450,7 +573,7 @@ def cmd_sweep(cfg, out, seed, workers, args, report):
             report.say("point %s: v_norm slope %s" % (p, repr(entry["v_norm_slope"])))
     payload = {
         "manifold": spec,
-        "seed": seed,
+        "seed": conf["seed"],
         "eps": eps_list,
         "summaries": summaries,
         "invariants_ok": invariants_ok,
@@ -462,26 +585,14 @@ def cmd_sweep(cfg, out, seed, workers, args, report):
     return 0
 
 
-def cmd_find_critical(cfg, out, seed, workers, args, report):
-    spec = manifold_spec(cfg)
-    problem = make_problem(cfg, spec)
-    eps_raw = _get(cfg, "find-critical", "eps", "0.1")
-    eps_list = validate_distinct(
-        validate_radii(parse_grid(eps_raw, "eps"), "eps"), "[find-critical] eps"
-    )
-    section = cfg.get("find-critical", {})
-    options = {}
-    if "tol" in section:
-        tol = _get(cfg, "find-critical", "tol", kind=float)
-        options["tol"] = validate_positive(tol, "tol")
-    if "jitter" in section:
-        jitter = _get(cfg, "find-critical", "jitter", kind=float)
-        options["jitter"] = validate_positive(jitter, "jitter")
+def cmd_find_critical(conf, out, report):
+    problem = make_problem(conf)
+    options = {k: conf[k] for k in ("tol", "jitter") if conf[k] is not None}
     manifold = problem.manifold
     limit = manifold.scalar_max_point()
     rows = []
-    for eps in sorted(eps_list):
-        p, sol, info = find_critical(problem, eps, seed=seed, **options)
+    for eps in sorted(conf["eps"]):
+        p, sol, info = find_critical(problem, eps, seed=conf["seed"], **options)
         row = {
             "eps": eps,
             "point": [float(x) for x in np.atleast_1d(p)],
@@ -497,8 +608,8 @@ def cmd_find_critical(cfg, out, seed, workers, args, report):
         )
     reference = rows[-1]
     payload = {
-        "manifold": spec,
-        "seed": seed,
+        "manifold": conf["spec"],
+        "seed": conf["seed"],
         "rows": rows,
         "reference": {"eps": reference["eps"], "point": reference["point"]},
     }
@@ -515,9 +626,8 @@ def cmd_find_critical(cfg, out, seed, workers, args, report):
     return 0
 
 
-def cmd_foliate(cfg, out, seed, workers, args, report):
-    spec = manifold_spec(cfg)
-    critical_path = _get(cfg, "foliate", "critical")
+def cmd_foliate(conf, out, report):
+    spec, critical_path = conf["spec"], conf["critical"]
     if critical_path is None:
         raise DependencyError(
             "foliate needs [foliate] critical pointing at a find-critical run"
@@ -544,13 +654,8 @@ def cmd_foliate(cfg, out, seed, workers, args, report):
             "critical run used manifold %r, config says %r"
             % (critical.get("manifold"), spec)
         )
-    problem = make_problem(cfg, spec)
-    t_raw = _get(cfg, "foliate", "t_grid", "0.02:0.12:8")
-    t_grid = validate_radii(parse_grid(t_raw, "t_grid"), "t_grid")
-    try:
-        t_grid = check_certificate_grid(t_grid)
-    except ValueError as exc:
-        raise ConfigError("[foliate] t_grid: %s" % exc) from exc
+    problem = make_problem(conf)
+    t_grid = conf["t_grid"]
     base, curve = center_curve_through(
         problem.manifold, np.array(ref["point"]), ref["eps"]
     )
@@ -561,7 +666,7 @@ def cmd_foliate(cfg, out, seed, workers, args, report):
         report.say("%s = %s" % (key, _fmt_cell(cert[key])))
     payload = {
         "manifold": spec,
-        "seed": seed,
+        "seed": conf["seed"],
         "base": [float(x) for x in np.atleast_1d(base)],
         "t_grid": t_grid,
         "certificate": cert,
@@ -576,29 +681,12 @@ def cmd_foliate(cfg, out, seed, workers, args, report):
     return 0
 
 
-def cmd_profile(cfg, out, seed, workers, args, report):
-    spec = manifold_spec(cfg)
-    for key in ("max_degree", "n_radial"):
-        if key in cfg.get("run", {}):
-            raise ConfigError("[run] %s is not read by profile" % key)
+def cmd_profile(conf, out, report):
+    spec, volumes = conf["spec"], conf["volumes"]
     manifold = make_manifold(spec)
-    volumes = parse_grid(_get(cfg, "profile", "volumes", kind=str), "volumes")
     N = spec["dimension"]
-    for v in volumes:
-        validate_positive(v, "volume")
-        radius = (v / ball_volume(N)) ** (1.0 / N)
-        if radius > EPS_MAX:
-            raise ConfigError("volume %r has Euclidean radius %.3g outside "
-                              "(0, %s]" % (v, radius, EPS_MAX))
-    # the fit of profile_coefficient has two orders, so it needs three
-    # distinct volumes
-    validate_distinct(volumes, "[profile] volumes")
-    if len(volumes) < 3:
-        raise ConfigError("[profile] volumes needs at least 3 values, got %d"
-                          % len(volumes))
-    point_raw = _get(cfg, "profile", "point")
-    if point_raw is not None:
-        p = np.array(config_points(point_raw, spec, one=True))
+    if conf["point"] is not None:
+        p = np.array(conf["point"])
     else:
         p = manifold.center()
     points = profile_expansion(manifold, volumes, p=p)
@@ -625,42 +713,9 @@ def cmd_profile(cfg, out, seed, workers, args, report):
     return 0
 
 
-def _parse_checks(text):
-    text = (text or "all").strip().lower()
-    if text == "all":
-        return sorted(CHECK_IDS)
-    ids = set()
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if "-" in tok:
-            lo, hi = tok.split("-", 1)
-            try:
-                lo, hi = int(lo), int(hi)
-            except ValueError as exc:
-                raise ConfigError("bad check range %r" % tok) from exc
-            if lo > hi:
-                raise ConfigError("bad check range %r" % tok)
-            ids.update(range(lo, hi + 1))
-        else:
-            try:
-                ids.add(int(tok))
-            except ValueError as exc:
-                raise ConfigError("bad check id %r" % tok) from exc
-    unknown = ids - set(CHECK_IDS)
-    if unknown:
-        raise ConfigError("unknown check ids %s" % sorted(unknown))
-    if not ids:
-        raise ConfigError("empty check selection")
-    return sorted(ids)
-
-
-def cmd_run_acceptance(cfg, out, seed, workers, args, report):
-    # the command-line flag wins over the config key
-    strict = _get(cfg, "acceptance", "strict", False, kind=_boolean) or args.strict
-    ids = _parse_checks(_get(cfg, "acceptance", "checks"))
-    engine = AcceptanceRun(seed=seed)
+def cmd_run_acceptance(conf, out, report):
+    strict, ids = conf["strict"], conf["checks"]
+    engine = AcceptanceRun(seed=conf["seed"])
     records = engine.run_all(ids)
     gate = True
     n_pass = n_fail = n_documented = 0
@@ -685,7 +740,7 @@ def cmd_run_acceptance(cfg, out, seed, workers, args, report):
         out,
         "acceptance",
         {
-            "seed": seed,
+            "seed": conf["seed"],
             "strict": strict,
             "checks": ids,
             "records": records,
@@ -695,14 +750,19 @@ def cmd_run_acceptance(cfg, out, seed, workers, args, report):
     return 0 if gate else 1
 
 
+GRID = ("max_degree", "n_radial")
+
+# Per subcommand: its handler, the config section it reads, and the [run]
+# grid sizes it reads when it runs on a manifold (None: it does not).
 COMMANDS = {
-    "verify-constants": (cmd_verify_constants, False),
-    "solve": (cmd_solve, True),
-    "sweep": (cmd_sweep, True),
-    "find-critical": (cmd_find_critical, True),
-    "foliate": (cmd_foliate, True),
-    "profile": (cmd_profile, True),
-    "run-acceptance": (cmd_run_acceptance, False),
+    "verify-constants": (cmd_verify_constants, "constants", None),
+    "solve": (cmd_solve, "solve", GRID),
+    "sweep": (cmd_sweep, "sweep", GRID),
+    "find-critical": (cmd_find_critical, "find-critical", GRID),
+    "foliate": (cmd_foliate, "foliate", GRID),
+    # profile solves on the default grid
+    "profile": (cmd_profile, "profile", ()),
+    "run-acceptance": (cmd_run_acceptance, "acceptance", None),
 }
 
 
@@ -723,6 +783,7 @@ def build_parser():
             p.add_argument(
                 "--strict",
                 action="store_true",
+                default=None,
                 help="demand every stated check, documented discrepancies "
                 "included",
             )
@@ -745,26 +806,17 @@ def _error_record(kind, command, message, out):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     command = args.command
-    handler, needs_config = COMMANDS[command]
+    handler, _, grid = COMMANDS[command]
     out = args.out
     try:
         if out is not None:
             os.makedirs(out, exist_ok=True)
-        if needs_config and args.config is None:
+        # a subcommand on a manifold reads it from the config
+        if grid is not None and args.config is None:
             raise ConfigError("%s requires --config" % command)
-        cfg = load_config(args.config)
-        seed = args.seed
-        if seed is None:
-            seed = _get(cfg, "run", "seed", 0, kind=int)
-        workers = args.workers
-        if workers is None:
-            workers = _get(cfg, "run", "workers", 1, kind=int)
-        if workers < 1:
-            raise ConfigError("workers must be at least 1")
-        if seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        conf = read_config(load_config(args.config), command, vars(args))
         report = Reporter()
-        code = handler(cfg, out, seed, workers, args, report)
+        code = handler(conf, out, report)
         report.write_log(out, command.replace("-", "_"))
         return code
     except (ConfigError, DependencyError) as exc:

@@ -5,13 +5,18 @@ exit codes, machine-readable error records, and the determinism contract
 (same config + seed => byte-identical files, worker count included).
 """
 
-import ast
+import contextlib
+import inspect
+import io
 import json
+import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from serrin_torsion import cli
 from serrin_torsion.cli import (
@@ -19,11 +24,9 @@ from serrin_torsion.cli import (
     main,
     manifold_spec,
     parse_grid,
-    parse_points,
-    parse_points as parse_point,
-    validate_radii,
+    read_key,
 )
-from serrin_torsion.reduced import constants
+from serrin_torsion.reduced import constants, find_critical
 from serrin_torsion.serrin import SerrinProblem
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -58,19 +61,25 @@ def test_parse_grid_rejects_junk():
 
 
 def test_validate_radii_bounds():
-    assert validate_radii([0.5], "eps") == [0.5]
+    # the radius domain (0, EPS_MAX], read through the schema
+    assert read_key({"sweep": {"eps": "0.5"}}, "sweep", "eps") == [0.5]
     with pytest.raises(ConfigError):
-        validate_radii([0.6], "eps")
+        read_key({"sweep": {"eps": "0.6"}}, "sweep", "eps")
     with pytest.raises(ConfigError):
-        validate_radii([0.0], "eps")
+        read_key({"sweep": {"eps": "0.0"}}, "sweep", "eps")
 
 
 def test_parse_points_and_dimension_mismatch():
-    assert parse_points("0,0 ; 0.3,0.1", 2) == [[0.0, 0.0], [0.3, 0.1]]
+    conf = {"spec": {"manifold": "flat", "dimension": 2}}
+
+    def points(text):
+        return read_key({"sweep": {"points": text}}, "sweep", "points", conf)
+
+    assert points("0,0 ; 0.3,0.1") == [[0.0, 0.0], [0.3, 0.1]]
     with pytest.raises(ConfigError):
-        parse_point("0.1,0.2,0.3", 2)
+        points("0.1,0.2,0.3")
     with pytest.raises(ConfigError):
-        parse_points(" ; ", 2)
+        points(" ; ")
 
 
 def test_manifold_spec_validation():
@@ -147,6 +156,46 @@ def test_flat_sweep_exit_zero_and_deterministic(tmp_path):
     assert payload["summaries"][0]["max_v_norm"] < 1e-10
     header = csv1.decode().splitlines()[0]
     assert header == "p0,p1,eps,v0,v_norm,a_norm,J,volume,area,phi_eps,F,steps"
+
+
+def _serial_pool(log):
+    """A stand-in for ProcessPoolExecutor that notes (max_workers, number of
+    tasks) in log and maps in this process, so no worker is started."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            log.append((self.max_workers, len(tasks)))
+            return map(fn, tasks)
+
+    return SerialPool
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sweep_pool_is_bounded_by_its_tasks(tmp_path, monkeypatch, source):
+    log = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _serial_pool(log))
+    if source == "flag":
+        code, out = _run_sweep(tmp_path, FLAT_SWEEP, "pool",
+                               ("--workers", "100000"))
+    else:
+        code, out = _run_sweep(
+            tmp_path, FLAT_SWEEP.replace("[run]\n", "[run]\nworkers = 100000\n"),
+            "pool",
+        )
+    assert code == 0
+    assert log == [(2, 2)]
+    _, serial = _run_sweep(tmp_path, FLAT_SWEEP, "serial")
+    assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
 
 
 def test_sweep_rejects_eps_outside_envelope(tmp_path, capsys):
@@ -605,6 +654,46 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
             "[run]\nmanifold = round\n\n[profile]\nvolumes = 0.01, 0.01, 0.02\n",
             "[profile] volumes repeats 0.01",
         ),
+        (
+            "solve",
+            "[run]\nmanifold = flat\n\n[solve]\npoint = nan, 0\neps = 0.1\n",
+            "bad point 'nan, 0'",
+        ),
+        (
+            "sweep",
+            FLAT_SWEEP.replace("points = 0,0", "points = 0,0; inf,0"),
+            "bad point ' inf,0'",
+        ),
+        (
+            "solve",
+            CONF_RUN + "\n[solve]\npoint = 1e300, 0\neps = 0.1\n",
+            "|z|^2 beyond the float range",
+        ),
+        (
+            "profile",
+            CONF_RUN + "\n[profile]\npoint = nan, 0\nvolumes = 0.01, 0.02, 0.05\n",
+            "bad point 'nan, 0'",
+        ),
+        (
+            "sweep",
+            FLAT_SWEEP.replace("0.05, 0.1", "0.1:0:3"),
+            "log-spaced [sweep] eps range needs lo, hi > 0",
+        ),
+        (
+            "sweep",
+            FLAT_SWEEP.replace("0.05, 0.1", "0.1:-0.2:3"),
+            "log-spaced [sweep] eps range needs lo, hi > 0",
+        ),
+        (
+            "find-critical",
+            "[run]\nmanifold = flat\n\n[find-critical]\neps = 0.1\njitter = 1e300\n",
+            "[find-critical] jitter value 1e+300 outside (0, 1.5]",
+        ),
+        (
+            "verify-constants",
+            "[constants]\nn_max = 400\n",
+            "[constants] n_max = 400 is past the float range of the constants",
+        ),
     ],
     ids=[
         "negative-curvature", "dimension-4", "short-t-grid", "decreasing-t-grid",
@@ -617,6 +706,9 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
         "find-critical-inf-tol", "find-critical-inf-jitter",
         "find-critical-repeated-eps", "profile-one-volume",
         "profile-two-volumes", "profile-repeated-volume",
+        "flat-nan-point", "sweep-inf-point", "conformal-huge-point",
+        "conformal-nan-profile-point", "log-range-zero-hi",
+        "log-range-negative-hi", "flat-huge-jitter", "constants-overflow",
     ],
 )
 def test_config_error_before_any_solve(
@@ -630,43 +722,255 @@ def test_config_error_before_any_solve(
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text.format(critical=critical_run))
     assert main([command, "--config", str(cfg)]) == 2
-    err = json.loads(capsys.readouterr().err)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
     assert err["error"]["kind"] == "config_error"
     assert message in err["error"]["message"]
+
+
+# -- generated hostile configs -----------------------------------------------------
+
+
+# hostile tokens: non-finite, huge, zero, negative, past a bound, not a
+# number, empty
+HOSTILE = ["nan", "inf", "1e300", "1e160", "-1e300", "0", "-1", "-0.2", "0.6",
+           "342", "abc", ""]
+
+
+def _valid_config(command, manifold):
+    """Valid texts of every key command reads on manifold, by section."""
+    point, points = {
+        "flat": ("0.25, 0.1", "0, 0; 0.25, 0.1"),
+        "round": ("0, 0.6, 0.8", "0, 0, 1; 0, 0.6, 0.8"),
+        "conformal": ("0.25, 0.1", "0, 0; 0.25, 0.1"),
+    }[manifold]
+    _, section, grid = cli.COMMANDS[command]
+    run = {"seed": "3", "workers": "2"}
+    if grid is not None:
+        run.update(manifold=manifold, dimension="2", curvature="1.0")
+        run.update((key, "2") for key in grid)
+    own = {
+        "constants": {"n_min": "2", "n_max": "6"},
+        "solve": {"point": point, "eps": "0.1"},
+        "sweep": {"points": points, "eps": "0.02:0.2:3"},
+        "find-critical": {"eps": "0.05, 0.1", "tol": "1e-9", "jitter": "0.01"},
+        "foliate": {"t_grid": "0.02:0.12:8"},
+        "profile": {"volumes": "0.01, 0.02, 0.05", "point": point},
+        "acceptance": {"checks": "1, 4-6", "strict": "true"},
+    }
+    return {"run": run, section: own[section]}
+
+
+@st.composite
+def _configs(draw):
+    """A subcommand and a config of valid texts, each key absent unless
+    required or the manifold, but for one hostile key of [run] or the
+    subcommand's section: one field of its text (split at , : ;)
+    replaced by a HOSTILE token or dropped, or the whole text repeated or
+    cleared."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    manifold = draw(st.sampled_from(["flat", "round", "conformal"]))
+    cfg = _valid_config(command, manifold)
+    section = draw(st.sampled_from(sorted(cfg)))
+    hostile = (section, draw(st.sampled_from(sorted(cfg[section]))))
+    for section, key in [(s, k) for s in cfg for k in cfg[s]]:
+        text = cfg[section][key]
+        if (section, key) == hostile:
+            fields = re.split(r"([,:;])", text)
+            i = 2 * draw(st.integers(0, len(fields) // 2))
+            edit = draw(st.sampled_from(["replace", "drop", "repeat", "clear"]))
+            if edit == "replace":
+                fields[i] = draw(st.sampled_from(HOSTILE))
+            elif edit == "drop":
+                del fields[max(i - 1, 0):i + 1]
+            elif edit == "repeat":
+                fields += ["; " if ";" in text else ", ", text]
+            else:
+                fields = []
+            cfg[section][key] = "".join(fields)
+        elif key != "manifold" and cli.SCHEMA[section][key].default is not cli.REQUIRED:
+            if draw(st.booleans()):
+                del cfg[section][key]
+    return command, cfg
+
+
+class _Stop(Exception):
+    """Raised by the stubs once they have noted what they received."""
+
+
+def _check_received(kind, args):
+    """AssertionError unless what a stub received is finite and in the
+    domain the schema promises."""
+    if kind == "grid":
+        assert all(n is None or n >= 1 for n in args)
+    elif kind == "solve":
+        manifold, p, eps = args
+        assert np.all(np.isfinite(p)) and 0.0 < eps <= cli.EPS_MAX
+        r = math.hypot(*p)
+        if isinstance(manifold, cli.ConstantCurvature):
+            assert abs(r - manifold.radius) <= 1e-6 * max(manifold.radius, 1.0)
+        if isinstance(manifold, cli.ConformalSphere2D):
+            assert math.isfinite(r * r)
+    elif kind == "profile":
+        volumes, p = args
+        assert np.all(np.isfinite(p))
+        assert len(set(volumes)) == len(volumes) >= 3
+        assert all(np.isfinite(v) and v > 0 for v in volumes)
+    elif kind == "checks":
+        assert args and set(args) <= set(cli.CHECK_IDS)
+    else:
+        max_workers, n_tasks = args
+        assert 2 <= max_workers <= n_tasks
+
+
+@settings(
+    derandomize=True, database=None, max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(drawn=_configs())
+def test_generated_configs_fail_typed_or_reach_the_solver_in_domain(
+    tmp_path, monkeypatch, drawn
+):
+    """A config drawn from the grammar with hostile values either exits 2
+    with one config_error line before any solve, or hands the solver, the
+    profile, the acceptance run and the pool only finite, in-domain
+    values."""
+    command, cfg = drawn
+    received = []
+
+    class Problem:
+        """SerrinProblem with the grid sizes noted and no grid built."""
+
+        def __init__(self, manifold, max_degree, n_radial):
+            received.append(("grid", (max_degree, n_radial)))
+            self.manifold = manifold
+
+        def solve(self, p, eps, v_init=None):
+            received.append(("solve", (self.manifold, np.asarray(p), eps)))
+            raise _Stop()
+
+    def expansion(manifold, volumes, p=None):
+        received.append(("profile", (volumes, np.asarray(p))))
+        raise _Stop()
+
+    def run_all(engine, ids=None):
+        received.append(("checks", ids))
+        raise _Stop()
+
+    pool_log = []
+    monkeypatch.setattr(cli, "SerrinProblem", Problem)
+    monkeypatch.setattr(cli, "profile_expansion", expansion)
+    monkeypatch.setattr(cli.AcceptanceRun, "run_all", run_all)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _serial_pool(pool_log))
+    if command == "foliate":
+        # a find-critical run on the config's manifold, when it has one
+        critical = tmp_path / "find_critical.json"
+        try:
+            spec = manifold_spec(cfg)
+            point = cli.make_manifold(spec).center()
+        except ConfigError:
+            spec, point = None, [0.0, 0.0]
+        critical.write_text(json.dumps({
+            "manifold": spec,
+            "reference": {"eps": 0.1, "point": [float(x) for x in point]},
+        }))
+        cfg["foliate"]["critical"] = str(critical)
+    path = tmp_path / "drawn.ini"
+    path.write_text("".join(
+        "[%s]\n%s\n" % (section, "".join("%s = %s\n" % kv for kv in keys.items()))
+        for section, keys in cfg.items()
+    ))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(path)])
+    assert [str(w.message) for w in caught] == []
+    lines = stderr.getvalue().splitlines()
+    if code == 2:
+        (line,) = lines
+        assert json.loads(line)["error"]["kind"] == "config_error"
+        assert received == [] and pool_log == []
+        return
+    if code == 0:
+        assert command == "verify-constants" and lines == []
+    else:
+        (line,) = lines
+        assert json.loads(line)["error"]["message"] == "_Stop()"
+        assert received
+    for kind, args in received:
+        _check_received(kind, args)
+    for entry in pool_log:
+        _check_received("pool", entry)
 
 
 # -- docs ------------------------------------------------------------------------
 
 
-def _keys_cli_reads():
-    """Every (section, key) that cli.py reads: the arguments of its _get
-    calls, which must be literal so that none escapes this list."""
-    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
-    keys = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_get":
-            section, key = node.args[1:3]
-            assert isinstance(section, ast.Constant), ast.unparse(node)
-            assert isinstance(key, ast.Constant), ast.unparse(node)
-            keys.add((section.value, key.value))
-    return keys
+def _readme_section(title):
+    return README.read_text().split(title, 1)[1].split("\n### ", 1)[0]
 
 
-def _keys_readme_documents():
-    """The (section, key) rows of the README's config reference table."""
-    text = README.read_text()
-    reference = text.split("### Config reference", 1)[1].split("\n#", 1)[0]
-    return set(re.findall(r"^\| `\[([\w-]+)\] (\w+)`", reference, re.M))
+def _canonical_configs(tmp_path):
+    """(command, checked-to-load cfg) of every ini block under the README's
+    "Canonical configs", each block under the paragraph that names its
+    subcommand first."""
+    blocks = re.findall(r"^`([\w-]+)`.*?```ini\n(.*?)```",
+                        _readme_section("### Canonical configs"), re.M | re.S)
+    configs = []
+    for i, (command, text) in enumerate(blocks):
+        path = tmp_path / ("%d.ini" % i)
+        path.write_text(text)
+        configs.append((command, cli.load_config(str(path))))
+    return configs
 
 
-def test_readme_config_reference_lists_every_key():
-    """The keys a config may hold, the keys the CLI reads and the README's
-    rows are one set, so the rejection of other keys cannot drift."""
-    read = _keys_cli_reads()
+def test_readme_canonical_configs_pass_the_schema(tmp_path):
+    configs = _canonical_configs(tmp_path)
+    assert sorted(command for command, _ in configs) == sorted(cli.COMMANDS)
+    for command, cfg in configs:
+        cli.read_config(cfg, command)
+
+
+def test_readme_config_reference_lists_every_key(tmp_path, monkeypatch):
+    """The README's rows, the schema's keys and the keys the subcommands
+    read are one set, so the rejection of other keys cannot drift, and
+    each README default is the schema's."""
+    rows = dict(
+        ((section, key), default.strip())
+        for section, key, default in re.findall(
+            r"^\| `\[([\w-]+)\] (\w+)` \| [^|]+ \| ([^|]+) \|",
+            _readme_section("### Config reference"), re.M,
+        )
+    )
+    read = set()
+    read_key = cli.read_key
+
+    def recording_read_key(cfg, section, key, *args, **kwargs):
+        read.add((section, key))
+        return read_key(cfg, section, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_key", recording_read_key)
+    for command, cfg in _canonical_configs(tmp_path):
+        cli.read_config(cfg, command)
+    schema = {(s, k) for s, keys in cli.SCHEMA.items() for k in keys}
     assert ("run", "manifold") in read
-    assert read == _keys_readme_documents()
-    declared = {(s, k) for s, keys in cli.CONFIG_KEYS.items() for k in keys}
-    assert declared == read
+    assert set(rows) == schema == read
+
+    # tol and jitter, when absent, are find_critical's own defaults
+    search = inspect.signature(find_critical).parameters
+    for (section, key), cell in rows.items():
+        default = cli.SCHEMA[section][key].default
+        if default is cli.REQUIRED:
+            assert cell == "required", (section, key)
+        elif default is not None:
+            assert cell == "`%s`" % default, (section, key)
+        elif section == "find-critical":
+            assert float(cell.strip("`")) == search[key].default, key
+        else:
+            assert not cell.startswith("`") and cell != "required", (section, key)
 
 
 def test_error_record_written_to_out_dir(tmp_path, capsys):
