@@ -267,6 +267,8 @@ def get_grid(N, max_degree=None, n_radial=None):
     asking for a resolution returns the same grid. Both must be at least 1,
     a ValueError otherwise: the solves read the kernel component off the
     degree-1 modes, and every mode carries at least one radial coefficient.
+    At N = 3, max_degree past 84 is a ValueError of SphereBasis, raised
+    before any table is built: its norms pass the float range.
     """
     if max_degree is None:
         max_degree = 16 if N == 2 else 10

@@ -47,6 +47,10 @@ from .sphere_spectral import ball_volume, check_dimension
 __all__ = ["main"]
 
 EPS_MAX = 0.5
+# Most values of a lo:hi:n range. A range spells n values in a few
+# characters, all built before any is checked, and each is at least one
+# solve (0.03-0.1 s on the default grids): 1000 values run 0.5-2 minutes.
+RANGE_MAX = 1000
 
 
 class ConfigError(ValueError):
@@ -79,7 +83,8 @@ def _finite(text):
 
 def parse_grid(text, name):
     """Comma list ("0.05, 0.1") or range "lo:hi:n[:log|lin]" (log default)
-    of finite numbers; a log range needs lo, hi > 0."""
+    of finite numbers; a range holds 1 to RANGE_MAX values, and a log
+    range needs lo, hi > 0."""
     text = text.strip()
     if ":" not in text:
         try:
@@ -97,6 +102,9 @@ def parse_grid(text, name):
     spacing = parts[3].strip().lower() if len(parts) == 4 else "log"
     if n < 1:
         raise ConfigError("%s range needs at least one value" % name)
+    if n > RANGE_MAX:
+        raise ConfigError("%s range holds %d values, at most %d"
+                          % (name, n, RANGE_MAX))
     if spacing == "log":
         if lo <= 0 or hi <= 0:
             raise ConfigError("log-spaced %s range needs lo, hi > 0" % name)
@@ -233,9 +241,9 @@ class Key(NamedTuple):
     """One config key: kind names the grammar of its text (KINDS); default
     is the text an absent key reads as (None: its consumer picks the
     value; REQUIRED: a config error); the rest is its domain: at least
-    count values, each no less than least or in (0, most], none repeated
-    when distinct, and rule(value, conf), which says what is wrong or
-    returns None."""
+    count values, each no less than least and in (0, most] where these
+    are set, none repeated when distinct, and rule(value, conf), which
+    says what is wrong or returns None."""
 
     kind: str
     default: object = None
@@ -271,8 +279,14 @@ SCHEMA = {
         "manifold": Key("word", "flat"),
         "dimension": Key("integer", "2"),
         "curvature": Key("number", "1.0"),
-        "max_degree": Key("integer", None, least=1),
-        "n_radial": Key("integer", None, least=1),
+        # the grid sizes, bounded by what get_grid builds (1 BLAS thread,
+        # 2-vCPU x86_64 VM): an N = 3 basis grows like max_degree^4, 0.2 s
+        # and 191 MB at 32 against 0.4 s and 357 MB at 40; the radial
+        # set-up grows like n_radial^3, 0.7 s at 128 against 5.2 s at 256
+        # (N = 2, max_degree 16); a round N = 3 solve at (32, 128) takes
+        # 6 s and peaks at 478 MB
+        "max_degree": Key("integer", None, least=1, most=32),
+        "n_radial": Key("integer", None, least=1, most=128),
         "seed": Key("integer", "0", least=0),
         "workers": Key("integer", "1", least=1),
     },

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate import DOP853
 from scipy.optimize import minimize, root
 
 from .sphere_spectral import (
@@ -336,109 +336,42 @@ class ConstantCurvature(ModelManifold):
 
 # -- geodesic integrator ---------------------------------------------------------
 
-# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, Solving ODEs I, II.10):
-# the tableau scipy's DOP853 reads (no nodes C: the geodesic flow is
-# autonomous), and its step control
-_DOP_STAGES = dop853_coefficients.N_STAGES
-_DOP_A = dop853_coefficients.A[:_DOP_STAGES, :_DOP_STAGES]
-_DOP_B = dop853_coefficients.B
-_DOP_E3 = dop853_coefficients.E3
-_DOP_E5 = dop853_coefficients.E5
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10
-_ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
-# Cap on the steps (accepted or rejected) of one integration, 12 right-hand
-# sides each, so a diverging log fails instead of integrating ever longer
-# geodesics. A 96-point batch takes 13 steps at |V| = 1 from (0.499, 0.455),
-# 177 from the scalar-curvature maximum, and 254-424 at |V| = 5.
+# Cap on the accepted steps of one integration, so a diverging log fails
+# instead of integrating ever longer geodesics. 96 geodesics of length 1
+# take 13 steps from (0.499, 0.455) and 173 from the scalar-curvature
+# maximum; of length 5, 367 from (0.499, 0.455) and 401 from (0.3, -0.2).
 MAX_STEPS = 500
 
 
-def _rms(x):
-    return np.linalg.norm(x) / x.size**0.5
-
-
 def _dop853(fun, y, rtol, atol):
-    """y(1) of the autonomous system y' = fun(y), y(0) = y, by adaptive
-    DOP853 steps over [0, 1].
+    """y(1) of the autonomous system y' = fun(t, y), y(0) = y, by at most
+    MAX_STEPS steps of scipy's DOP853 stepper over [0, 1].
 
-    The arithmetic is scipy's DOP853 solver's, step for step: the same
-    initial step, stage sums, E3/E5 error norm and step factors, so the
-    end point agrees with scipy's to the bit. The stage array lives only
-    in this call. Raises GeometryError on a non-finite initial state, when
-    a rejected step falls below 10 ulp of t, or past MAX_STEPS steps.
+    Raises GeometryError on a non-finite initial state, on a first step
+    that is not a positive number (a NaN right-hand side; the stepper would
+    retry it forever), on a failed step, or past MAX_STEPS steps. The
+    solver's closures hold it in a reference cycle, so its attributes are
+    cleared on the way out: nothing of the integration outlives the call.
     """
     if not np.isfinite(y).all():
         raise GeometryError("geodesic integration failed: initial state is "
                             "not finite")
-    f = fun(y)
-    # initial step (select_initial_step, Solving ODEs I, II.4)
-    scale = atol + np.abs(y) * rtol
-    d0 = _rms(y / scale)
-    d1 = _rms(f / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, 1.0)
-    d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, 1.0)
-
-    K = np.empty((_DOP_STAGES + 1, y.size))
-    t = 0.0
-    steps = 0
-    while t < 1.0:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            # "not >=" also stops a NaN step: a zero error scale (rtol =
-            # atol = 0) makes the initial step 0 / 0
-            if not h_abs >= min_step:
-                raise GeometryError(
-                    "geodesic integration failed: step size %.3g fell below "
-                    "%.3g at t = %.6g" % (h_abs, min_step, t)
-                )
-            if steps == MAX_STEPS:
-                raise GeometryError(
-                    "geodesic integration failed: %d steps reached t = %.6g"
-                    % (MAX_STEPS, t)
-                )
-            steps += 1
-            t_new = min(t + h_abs, 1.0)
-            h = t_new - t
-            h_abs = np.abs(h)
-            K[0] = f
-            for s in range(1, _DOP_STAGES):
-                dy = np.dot(K[:s].T, _DOP_A[s, :s]) * h
-                K[s] = fun(y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _DOP_B)
-            f_new = fun(y_new)
-            K[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.linalg.norm(np.dot(K.T, _DOP_E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K.T, _DOP_E3) / scale) ** 2
-            if err5 == 0 and err3 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = h_abs * err5 / np.sqrt((err5 + 0.01 * err3)
-                                                    * y.size)
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * error_norm**_ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
-            rejected = True
-        t, y, f = t_new, y_new, f_new
-    return y
+    solver = DOP853(fun, 0.0, y, 1.0, rtol=rtol, atol=atol)
+    try:
+        if not solver.h_abs > 0:
+            raise GeometryError("geodesic integration failed: first step %.3g"
+                                % solver.h_abs)
+        for _ in range(MAX_STEPS):
+            message = solver.step()
+            if solver.status == "finished":
+                return solver.y
+            if solver.status == "failed":
+                raise GeometryError("geodesic integration failed at t = %.6g: "
+                                    "%s" % (solver.t, message))
+        raise GeometryError("geodesic integration failed: %d steps reached "
+                            "t = %.6g" % (MAX_STEPS, solver.t))
+    finally:
+        vars(solver).clear()
 
 
 class ConformalSphere2D(ModelManifold):
@@ -456,14 +389,14 @@ class ConformalSphere2D(ModelManifold):
         grad lap b = b D (4 / sigma^4 - |D|^2 / sigma^6).
 
     The frame is E_i = exp(-f) d_i, smooth across the whole chart. exp
-    integrates the conformal geodesic equations, which read only grad f,
-    with the module's own DOP853 loop (_dop853: scipy's tableau and step
-    control, bit for bit, with no state kept past the call); a batch shares
-    one integration. log inverts it by a per-point good Broyden iteration
-    (Broyden 1965) in inverse form, one batched exp per step, so a batch of
-    points around one base, such as all leaves of a foliation chart, takes
-    one log, whose exit test is the round trip of the contract. Failures
-    raise GeometryError.
+    integrates the conformal geodesic equations, which read only grad f, on
+    coordinate columns, by driving scipy's DOP853 stepper (_dop853, which
+    clears the solver on the way out, so nothing is kept past the call); a
+    batch shares one integration. log inverts it by a per-point good
+    Broyden iteration (Broyden 1965) in inverse form, one batched exp per
+    step, so a batch of points around one base, such as all leaves of a
+    foliation chart, takes one log, whose exit test is the round trip of
+    the contract. Failures raise GeometryError.
     """
 
     dim = 2
@@ -496,25 +429,26 @@ class ConformalSphere2D(ModelManifold):
             f = f + A * np.exp(-q / (2.0 * sg**2))
         return f
 
-    def _df(self, Z):
-        """Chart gradient of f at points Z (n, 2), shape (n, 2): all the
-        geodesic equations read."""
-        u = np.einsum("pi,pi->p", Z, Z)
-        c1 = -1.0 / (1.0 + u)
-        df = c1[:, None] * 2.0 * Z
+    def _df(self, x, y):
+        """Chart gradient (d_x f, d_y f) of f at the points with coordinate
+        columns x and y: all the geodesic equations read. Out of place on
+        purpose: numpy's in-place ops cost more on one-point columns."""
+        c1 = -2.0 / (1.0 + (x * x + y * y))
+        dfx = c1 * x
+        dfy = c1 * y
         for A, c, sg in self.BUMPS:
-            D = Z - c[None, :]
-            q = np.einsum("pi,pi->p", D, D)
-            b = A * np.exp(-q / (2.0 * sg**2))
-            db = -b[:, None] * D / sg**2
-            df = df + db
-        return df
+            dx = x - c[0]
+            dy = y - c[1]
+            b = A * np.exp((dx * dx + dy * dy) / (-2.0 * sg**2))
+            dfx = dfx - b * dx / sg**2
+            dfy = dfy - b * dy / sg**2
+        return dfx, dfy
 
     def _curvature_jet(self, Z):
         """(f, K, dK chart-gradient) at points Z, with K = -e^(-2f) lap f
         from the closed-form traces lap f and grad lap f."""
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        f, df = self._f(Z), self._df(Z)
+        f, df = self._f(Z), np.stack(self._df(Z[:, 0], Z[:, 1]), axis=1)
         w = 1.0 / (1.0 + np.einsum("pi,pi->p", Z, Z))
         lap = -4.0 * w**2
         dlap = (16.0 * w**3)[:, None] * Z
@@ -545,15 +479,21 @@ class ConformalSphere2D(ModelManifold):
 
     # -- geodesic flow -----------------------------------------------------
 
-    def _geodesic_rhs(self, state):
-        n = state.shape[0] // 4
-        Z = state[: 2 * n].reshape(n, 2)
-        V = state[2 * n :].reshape(n, 2)
-        df = self._df(Z)
-        fv = np.einsum("pi,pi->p", df, V)
-        vv = np.einsum("pi,pi->p", V, V)
-        acc = -2.0 * fv[:, None] * V + vv[:, None] * df
-        return np.concatenate([V.ravel(), acc.ravel()])
+    def _geodesic_rhs(self, t, state):
+        """z'' = -2 (df . z') z' + |z'|^2 df on the state (z, z') of a
+        batch, each half point-major, read as coordinate columns; the flow
+        is autonomous, so t is unused."""
+        n2 = len(state) // 2
+        x, y = state[0:n2:2], state[1:n2:2]
+        u, v = state[n2::2], state[n2 + 1::2]
+        dfx, dfy = self._df(x, y)
+        fv = -2.0 * (dfx * u + dfy * v)
+        vv = u * u + v * v
+        out = np.empty_like(state)
+        out[:n2] = state[n2:]
+        out[n2::2] = fv * u + vv * dfx
+        out[n2 + 1::2] = fv * v + vv * dfy
+        return out
 
     def exp(self, p, V):
         p = np.asarray(p, dtype=float)

@@ -17,6 +17,7 @@ where the Steklov-shifted operator L has symbol k - 1 on degree k.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -93,6 +94,11 @@ class SphereBasis:
 
     def __init__(self, N, max_degree):
         check_dimension(N)
+        # at N = 3 the largest norm, at m = l = max_degree, is (2 l + 1)!
+        if N == 3 and (math.lgamma(2 * max_degree + 2)
+                       > math.log(sys.float_info.max)):
+            raise ValueError("max_degree %d at N = 3: the norms (2l+1) "
+                             "(l-m)! (l+m)! pass the float range" % max_degree)
         self.dim = N
         self.max_degree = max_degree
         self.area = sphere_area(N)

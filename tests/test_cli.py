@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from serrin_torsion import cli
+from serrin_torsion import cli, serrin
 from serrin_torsion.cli import (
     ConfigError,
     main,
@@ -694,6 +694,26 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
             "[constants]\nn_max = 400\n",
             "[constants] n_max = 400 is past the float range of the constants",
         ),
+        (
+            "sweep",
+            FLAT_SWEEP.replace("dimension = 2", "max_degree = 33"),
+            "[run] max_degree value 33 outside (0, 32]",
+        ),
+        (
+            "find-critical",
+            CONF_RUN + "n_radial = 129\n\n[find-critical]\neps = 0.1\n",
+            "[run] n_radial value 129 outside (0, 128]",
+        ),
+        (
+            "sweep",
+            FLAT_SWEEP.replace("0.05, 0.1", "0.05:0.1:1001"),
+            "[sweep] eps range holds 1001 values, at most 1000",
+        ),
+        (
+            "find-critical",
+            CONF_RUN + "\n[find-critical]\neps = 0.01:0.2:1000000000000:lin\n",
+            "[find-critical] eps range holds 1000000000000 values, at most 1000",
+        ),
     ],
     ids=[
         "negative-curvature", "dimension-4", "short-t-grid", "decreasing-t-grid",
@@ -709,14 +729,17 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
         "flat-nan-point", "sweep-inf-point", "conformal-huge-point",
         "conformal-nan-profile-point", "log-range-zero-hi",
         "log-range-negative-hi", "flat-huge-jitter", "constants-overflow",
+        "max-degree-past-bound", "n-radial-past-bound",
+        "range-count-past-bound", "huge-range-count",
     ],
 )
 def test_config_error_before_any_solve(
     tmp_path, capsys, monkeypatch, critical_run, command, text, message
 ):
     def no_solve(*args, **kwargs):
-        raise AssertionError("a solve ran before the config was checked")
+        raise AssertionError("a grid or a solve came before the config check")
 
+    monkeypatch.setattr(serrin, "get_grid", no_solve)
     monkeypatch.setattr(SerrinProblem, "solve", no_solve)
     monkeypatch.setattr(cli, "profile_expansion", no_solve)
     cfg = tmp_path / "bad.ini"
@@ -736,7 +759,7 @@ def test_config_error_before_any_solve(
 # hostile tokens: non-finite, huge, zero, negative, past a bound, not a
 # number, empty
 HOSTILE = ["nan", "inf", "1e300", "1e160", "-1e300", "0", "-1", "-0.2", "0.6",
-           "342", "abc", ""]
+           "129", "342", "1001", "abc", ""]
 
 
 def _valid_config(command, manifold):
@@ -804,7 +827,9 @@ def _check_received(kind, args):
     """AssertionError unless what a stub received is finite and in the
     domain the schema promises."""
     if kind == "grid":
-        assert all(n is None or n >= 1 for n in args)
+        run = cli.SCHEMA["run"]
+        bounds = [run["max_degree"].most, run["n_radial"].most]
+        assert all(n is None or 1 <= n <= most for n, most in zip(args, bounds))
     elif kind == "solve":
         manifold, p, eps = args
         assert np.all(np.isfinite(p)) and 0.0 < eps <= cli.EPS_MAX

@@ -55,6 +55,14 @@ def test_surface_measures():
     assert_allclose(ball_volume(3), 4 * np.pi / 3, rtol=1e-15)
 
 
+def test_n3_norms_past_the_float_range_raise():
+    """At N = 3 the largest norm (2L+1)! passes the float range from
+    L = 85, which made the mode scales infinite; the basis raises before it
+    builds a table."""
+    with pytest.raises(ValueError, match="max_degree 85 at N = 3: the norms"):
+        get_basis(3, 85)
+
+
 def test_basis_orthonormal(basis):
     # the default degree and a high one: the recurrence keeps the Gram
     # error at roundoff as max_degree grows
