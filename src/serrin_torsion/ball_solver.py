@@ -43,13 +43,12 @@ the gradient products of the iterate from BallField.derivatives, met with
 F - Fbar pointwise, through the transposed products). The fixed point is
 the flat-stiffness Galerkin system, the flat stiffness plus the
 quadrature of F - I, because the stiffness of Fbar - I in the Galerkin
-solves is what that quadrature gives for Fbar - I: the angular rule is
-exact on the products of two harmonics of degree <= L with
-theta theta^T (max(6 L, 64) nodes at N = 2; L + 8 latitudes times
-2 (L + 8) azimuths at N = 3), and the correction and the Galerkin
-stiffness share the radial nodes. A rotation-invariant metric is solved
-by the step from zero. A context serves solves only: the volume of an
-unperturbed ball needs none, and profile reads it off the chart.
+solves is what that quadrature gives for Fbar - I: the angular rule of
+SphereBasis is exact on the products of two harmonics of degree <= L
+with theta theta^T, and the correction and the Galerkin stiffness share
+the radial nodes. A rotation-invariant metric is solved by the step from
+zero. A context serves solves only: the volume of an unperturbed ball
+needs none, and profile reads it off the chart.
 
 The curvature source problem has one assembly: psi_source_values gives the
 cubic-model source -lap(psi_eps), and solve_psi_eps its flat solve with
@@ -102,6 +101,11 @@ SOURCE_TAIL_TOL = 1e-9
 # the product grid falls below PICARD_TOL; fail after PICARD_MAX_ITER steps.
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 100
+
+# Most radial coefficients per mode (1 BLAS thread, 2-vCPU x86_64 VM): the
+# set-up grows like n_radial^3, 0.7 s at 128 against 5.2 s at 256 (N = 2,
+# max_degree 16); a round N = 3 solve at (32, 128) takes 6 s and 478 MB.
+MAX_RADIAL = 128
 
 
 class BallGrid:
@@ -267,8 +271,8 @@ def get_grid(N, max_degree=None, n_radial=None):
     asking for a resolution returns the same grid. Both must be at least 1,
     a ValueError otherwise: the solves read the kernel component off the
     degree-1 modes, and every mode carries at least one radial coefficient.
-    At N = 3, max_degree past 84 is a ValueError of SphereBasis, raised
-    before any table is built: its norms pass the float range.
+    n_radial past MAX_RADIAL and max_degree past MAX_DEGREE (SphereBasis's
+    check) raise ValueError before any table is built.
     """
     if max_degree is None:
         max_degree = 16 if N == 2 else 10
@@ -277,6 +281,9 @@ def get_grid(N, max_degree=None, n_radial=None):
     for name, value in (("max_degree", max_degree), ("n_radial", n_radial)):
         if value < 1:
             raise ValueError("%s must be at least 1, got %d" % (name, value))
+    if n_radial > MAX_RADIAL:
+        raise ValueError("n_radial must be at most %d, got %d"
+                         % (MAX_RADIAL, n_radial))
     return _build_grid(N, max_degree, n_radial)
 
 
@@ -459,9 +466,8 @@ class LaplaceContext:
 
     The solves and the correction split F exactly when the quadrature of
     Fbar - I in the blocks equals its stiffness in weak_op: the angular
-    rule is exact on the products of two harmonics of degree <= L with
-    theta theta^T (max(6 L, 64) nodes at N = 2; L + 8 latitudes times
-    2 (L + 8) azimuths at N = 3), and both use the radial nodes grid.r.
+    rule of SphereBasis is exact on the products of two harmonics of
+    degree <= L with theta theta^T, and both use the radial nodes grid.r.
     """
 
     def __init__(self, jet, grid):

@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .acceptance import CHECK_IDS, AcceptanceRun, acceptable
+from .ball_solver import MAX_RADIAL
 from .curvature import ConformalSphere2D, ConstantCurvature, FlatSpace
 from .fitting import fit_even_series, loglog_slope
 from .foliation import (
@@ -42,7 +43,7 @@ from .foliation import (
 from .profile import profile_coefficient, profile_expansion
 from .reduced import CHART_RADIUS, constants, find_critical, reduced_functional
 from .serrin import SerrinProblem
-from .sphere_spectral import ball_volume, check_dimension
+from .sphere_spectral import MAX_DEGREE, ball_volume, check_dimension
 
 __all__ = ["main"]
 
@@ -279,14 +280,9 @@ SCHEMA = {
         "manifold": Key("word", "flat"),
         "dimension": Key("integer", "2"),
         "curvature": Key("number", "1.0"),
-        # the grid sizes, bounded by what get_grid builds (1 BLAS thread,
-        # 2-vCPU x86_64 VM): an N = 3 basis grows like max_degree^4, 0.2 s
-        # and 191 MB at 32 against 0.4 s and 357 MB at 40; the radial
-        # set-up grows like n_radial^3, 0.7 s at 128 against 5.2 s at 256
-        # (N = 2, max_degree 16); a round N = 3 solve at (32, 128) takes
-        # 6 s and peaks at 478 MB
-        "max_degree": Key("integer", None, least=1, most=32),
-        "n_radial": Key("integer", None, least=1, most=128),
+        # the grid sizes, bounded as get_grid bounds them
+        "max_degree": Key("integer", None, least=1, most=MAX_DEGREE),
+        "n_radial": Key("integer", None, least=1, most=MAX_RADIAL),
         "seed": Key("integer", "0", least=0),
         "workers": Key("integer", "1", least=1),
     },

@@ -68,14 +68,29 @@ def _model_tensor(N):
 
 @dataclass
 class CurvaturePacket:
-    """Pointwise curvature data at a chosen center, in an orthonormal frame."""
+    """Pointwise curvature data at a chosen center, in an orthonormal frame:
+    R and nabla R, all the cubic chart reads. Ricci, the scalar curvature S
+    = tr Ricci and its gradient dS[m] = - sum_ik nabla_riemann[i,k,i,k,m]
+    are their contractions, in the conventions of the module docstring."""
 
-    dim: int
-    scalar: float
-    scalar_gradient: np.ndarray  # (N,)
-    ricci: np.ndarray  # (N, N)
     riemann: np.ndarray  # (N, N, N, N)
     nabla_riemann: np.ndarray  # (N, N, N, N, N), derivative slot last
+
+    @property
+    def dim(self):
+        return len(self.riemann)
+
+    @property
+    def ricci(self):
+        return -np.einsum("ikil->kl", self.riemann)
+
+    @property
+    def scalar(self):
+        return float(np.trace(self.ricci))
+
+    @property
+    def scalar_gradient(self):
+        return -np.einsum("ikikm->m", self.nabla_riemann)
 
 
 # -- the cubic chart ----------------------------------------------------------
@@ -230,16 +245,9 @@ class FlatSpace(ModelManifold):
     def origin(self):
         return np.zeros(self.dim)
 
-    def packet(self, p=None):
+    def packet(self, p):
         N = self.dim
-        return CurvaturePacket(
-            dim=N,
-            scalar=0.0,
-            scalar_gradient=np.zeros(N),
-            ricci=np.zeros((N, N)),
-            riemann=np.zeros((N,) * 4),
-            nabla_riemann=np.zeros((N,) * 5),
-        )
+        return CurvaturePacket(np.zeros((N,) * 4), np.zeros((N,) * 5))
 
     def exp(self, p, V):
         return np.atleast_2d(p) + np.atleast_2d(V)
@@ -286,17 +294,9 @@ class ConstantCurvature(ModelManifold):
                 break
         return np.stack(basis)
 
-    def packet(self, p=None):
-        N, k = self.dim, self.k
-        T = _model_tensor(N)
-        return CurvaturePacket(
-            dim=N,
-            scalar=k * N * (N - 1),
-            scalar_gradient=np.zeros(N),
-            ricci=k * (N - 1) * np.eye(N),
-            riemann=k * T,
-            nabla_riemann=np.zeros((N,) * 5),
-        )
+    def packet(self, p):
+        N = self.dim
+        return CurvaturePacket(self.k * _model_tensor(N), np.zeros((N,) * 5))
 
     def exp(self, p, V):
         p = np.asarray(p, dtype=float)
@@ -465,17 +465,10 @@ class ConformalSphere2D(ModelManifold):
 
     def packet(self, p):
         f, K, dK = self._curvature_jet(p)
-        K = float(K[0])
         T = _model_tensor(2)
         frame_dK = math.exp(-f[0]) * dK[0]
-        return CurvaturePacket(
-            dim=2,
-            scalar=2.0 * K,
-            scalar_gradient=2.0 * frame_dK,
-            ricci=K * np.eye(2),
-            riemann=K * T,
-            nabla_riemann=np.einsum("ijkl,m->ijklm", T, frame_dK),
-        )
+        return CurvaturePacket(float(K[0]) * T,
+                               np.einsum("ijkl,m->ijklm", T, frame_dK))
 
     # -- geodesic flow -----------------------------------------------------
 

@@ -82,15 +82,7 @@ def synthetic_packet(N, seed=0, r_scale=0.6, dr_scale=0.4):
     rng = np.random.default_rng(seed)
     R = _gaussian_in_span(rng, riemann_space(N)) * r_scale
     nR = _gaussian_in_span(rng, nabla_riemann_space(N)) * dr_scale
-    ricci = -np.einsum("ikil->kl", R)
-    return CurvaturePacket(
-        dim=N,
-        scalar=float(np.trace(ricci)),
-        scalar_gradient=-np.einsum("ikikm->m", nR),
-        ricci=ricci,
-        riemann=R,
-        nabla_riemann=nR,
-    )
+    return CurvaturePacket(R, nR)
 
 
 class PacketManifold(ModelManifold):
@@ -104,5 +96,5 @@ class PacketManifold(ModelManifold):
     def origin(self):
         return np.zeros(self.dim)
 
-    def packet(self, p=None):
+    def packet(self, p):
         return self._packet

@@ -118,6 +118,15 @@ def test_one_grid_per_resolution():
     assert _build_grid.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("args", [(3, 33), (2, 16, 129)],
+                         ids=["max_degree", "n_radial"])
+def test_grid_sizes_past_their_bounds_raise(args):
+    """max_degree past MAX_DEGREE and n_radial past MAX_RADIAL raise before
+    any table is built."""
+    with pytest.raises(ValueError, match="must be at most"):
+        get_grid(*args)
+
+
 def test_torsion_function_of_the_ball(grid):
     N = grid.dim
     phi = poisson_solve(
@@ -417,7 +426,8 @@ def psi_eps_diagnostics(packet, eps, grid):
 
 def test_psi_eps_flat_is_zero():
     grid = get_grid(2, 16)
-    packet = FlatSpace(2).packet()
+    flat = FlatSpace(2)
+    packet = flat.packet(flat.origin())
     field, diag = psi_eps_diagnostics(packet, 0.1, grid)
     assert np.abs(field.values()).max() < 1e-15
     assert diag["source_variant_gap"] == 0.0
@@ -427,7 +437,7 @@ def test_psi_eps_flat_is_zero():
 def test_psi_eps_flux_constant_curvature(N, k):
     grid = get_grid(N, 16 if N == 2 else 10)
     man = ConstantCurvature(N, k)
-    packet = man.packet()
+    packet = man.packet(man.origin())
     field, diag = psi_eps_diagnostics(packet, 0.12, grid)
     # the source is an exact polynomial, so the divergence-theorem flux
     # identity holds to quadrature precision, not just to O(eps^4)
@@ -1052,11 +1062,11 @@ def test_decomposition_remainder_scales():
     gammas = []
     eps_list = (0.05, 0.1, 0.2)
     for eps in eps_list:
-        v0 = -man.packet().scalar * eps**2 / (3 * 2 * (2 + 2))
+        v0 = -man.packet(man.origin()).scalar * eps**2 / (3 * 2 * (2 + 2))
         state = PerturbationState(v0, SphereFunction.zero(basis))
         jet = MetricJet(man, man.origin(), eps, state=state)
         phi, _ = dirichlet_solve_full(jet, grid)
-        psi_field = solve_psi_eps(man.packet(), eps, grid)
+        psi_field = solve_psi_eps(man.packet(man.origin()), eps, grid)
         parts = decompose_solution(jet, phi, psi_field, grid)
         gammas.append(parts["gamma_max"])
     slope = np.polyfit(np.log(eps_list), np.log(gammas), 1)[0]

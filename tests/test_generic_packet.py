@@ -119,18 +119,23 @@ def test_vbar_degree2_content_at_three(generic):
 SYMMETRY_EPS = 0.3
 
 
+def _orthogonal(N, seed, det):
+    """A seeded Q in O(N) with determinant det."""
+    rng = np.random.default_rng(seed)
+    Q, r = np.linalg.qr(rng.standard_normal((N, N)))
+    Q *= np.sign(np.diag(r))
+    if np.linalg.det(Q) * det < 0:
+        Q[:, 0] *= -1.0
+    return Q
+
+
 def _rotated(packet, Q):
-    """The packet in the frame rotated by Q: every slot of R and nabla R,
-    Ricci and grad S transform as tensors, and S is unchanged."""
+    """The packet in the frame rotated by Q: every slot of R and nabla R
+    transforms as a tensor."""
     return CurvaturePacket(
-        dim=packet.dim,
-        scalar=packet.scalar,
-        scalar_gradient=Q @ packet.scalar_gradient,
-        ricci=Q @ packet.ricci @ Q.T,
-        riemann=np.einsum("ia,jb,kc,ld,abcd->ijkl", Q, Q, Q, Q, packet.riemann),
-        nabla_riemann=np.einsum(
-            "ia,jb,kc,ld,me,abcde->ijklm", Q, Q, Q, Q, Q, packet.nabla_riemann
-        ),
+        np.einsum("ia,jb,kc,ld,abcd->ijkl", Q, Q, Q, Q, packet.riemann),
+        np.einsum("ia,jb,kc,ld,me,abcde->ijklm", Q, Q, Q, Q, Q,
+                  packet.nabla_riemann),
     )
 
 
@@ -156,11 +161,7 @@ def test_solution_is_equivariant_under_orthogonal_maps(unrotated, N, det):
     2.9e-14 (N = 3) for v (|v| 1e-3), the last at the solve's outer
     stop."""
     packet, sol = unrotated[N]
-    rng = np.random.default_rng(11 + N)
-    Q, r = np.linalg.qr(rng.standard_normal((N, N)))
-    Q *= np.sign(np.diag(r))
-    if np.linalg.det(Q) * det < 0:
-        Q[:, 0] *= -1.0
+    Q = _orthogonal(N, 11 + N, det)
     turned = SerrinProblem(PacketManifold(_rotated(packet, Q))).solve(
         np.zeros(N), SYMMETRY_EPS
     )
@@ -178,16 +179,32 @@ def test_solution_is_equivariant_under_orthogonal_maps(unrotated, N, det):
 
 
 def _dilated(packet, lam):
-    """The packet of the metric scaled by lam^-2: R, Ricci and S scale by
-    lam^2, nabla R and grad S by lam^3."""
-    return CurvaturePacket(
-        dim=packet.dim,
-        scalar=lam**2 * packet.scalar,
-        scalar_gradient=lam**3 * packet.scalar_gradient,
-        ricci=lam**2 * packet.ricci,
-        riemann=lam**2 * packet.riemann,
-        nabla_riemann=lam**3 * packet.nabla_riemann,
-    )
+    """The packet of the metric scaled by lam^-2: R scales by lam^2 and
+    nabla R by lam^3."""
+    return CurvaturePacket(lam**2 * packet.riemann,
+                           lam**3 * packet.nabla_riemann)
+
+
+@pytest.mark.parametrize("det", [1, -1], ids=["rotation", "reflection"])
+@pytest.mark.parametrize("N", [2, 3])
+def test_packet_contractions_are_tensors(N, det):
+    """Ricci, S and grad S of the rotated packet are Q Ric Q^T, S and
+    Q grad S up to roundoff, relative to the largest entry of Ric (for Ric
+    and S) and of grad S; of the dilated packet, lam^2 Ric, lam^2 S and
+    lam^3 grad S, bit for bit at lam = 2. Measured gaps: at most 2.9e-15
+    at N = 3 and 3.1e-16 at N = 2."""
+    packet = synthetic_packet(N, seed=3)
+    Q = _orthogonal(N, 20 + N, det)
+    turned = _rotated(packet, Q)
+    ric, dS = np.abs(packet.ricci).max(), np.abs(packet.scalar_gradient).max()
+    assert np.abs(turned.ricci - Q @ packet.ricci @ Q.T).max() < 1e-14 * ric
+    assert abs(turned.scalar - packet.scalar) < 1e-14 * ric
+    gap = np.abs(turned.scalar_gradient - Q @ packet.scalar_gradient).max()
+    assert gap < 1e-14 * dS
+    scaled = _dilated(packet, 2)
+    assert np.array_equal(scaled.ricci, 4 * packet.ricci)
+    assert scaled.scalar == 4 * packet.scalar
+    assert np.array_equal(scaled.scalar_gradient, 8 * packet.scalar_gradient)
 
 
 def _assert_same_solution(sol, scaled, lam):

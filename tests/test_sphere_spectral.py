@@ -55,12 +55,13 @@ def test_surface_measures():
     assert_allclose(ball_volume(3), 4 * np.pi / 3, rtol=1e-15)
 
 
-def test_n3_norms_past_the_float_range_raise():
-    """At N = 3 the largest norm (2L+1)! passes the float range from
-    L = 85, which made the mode scales infinite; the basis raises before it
-    builds a table."""
-    with pytest.raises(ValueError, match="max_degree 85 at N = 3: the norms"):
-        get_basis(3, 85)
+@pytest.mark.parametrize("N", [2, 3])
+def test_max_degree_past_its_bound_raises(N):
+    """Past MAX_DEGREE the basis raises before it builds a table, at N = 2
+    and 3 alike (at N = 3 the largest norm (2L+1)! would pass the float
+    range from L = 85)."""
+    with pytest.raises(ValueError, match="at most 32, got 33"):
+        get_basis(N, 33)
 
 
 def test_basis_orthonormal(basis):
