@@ -20,11 +20,13 @@ Design constraints the implementation enforces:
 import argparse
 import configparser
 import csv
+import io
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +42,7 @@ from .foliation import (
     check_certificate_grid,
     solved_profile_curve,
 )
-from .profile import profile_coefficient, profile_expansion
+from .profile import MIN_RADIUS, profile_coefficient, profile_expansion
 from .reduced import CHART_RADIUS, constants, find_critical, reduced_functional
 from .serrin import SerrinProblem
 from .sphere_spectral import MAX_DEGREE, ball_volume, check_dimension
@@ -204,13 +206,16 @@ KINDS = {
 
 def volume_radius(volumes, conf):
     """Rule of [profile] volumes: the Euclidean ball of each has a radius
-    in (0, EPS_MAX]."""
+    in [MIN_RADIUS, EPS_MAX]."""
     N = conf["spec"]["dimension"]
     for v in volumes:
         r = (v / ball_volume(N)) ** (1.0 / N)
         if r > EPS_MAX:
             return ("holds a ball too large: volume %r has Euclidean radius "
                     "%.3g outside (0, %s]" % (v, r, EPS_MAX))
+        if r < MIN_RADIUS:
+            return ("holds a ball too small for the fit: volume %r has "
+                    "Euclidean radius %.3g below %s" % (v, r, MIN_RADIUS))
     return None
 
 
@@ -436,42 +441,28 @@ def _fmt_cell(x):
     return str(x)
 
 
-class Reporter:
-    """Collects the lines a command prints; mirrors them to a log file."""
-
-    def __init__(self):
-        self.lines = []
-
-    def say(self, line):
-        self.lines.append(line)
-        print(line)
-
-    def write_log(self, out_dir, name):
-        if out_dir is None:
-            return
-        path = os.path.join(out_dir, name + ".log")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.lines) + "\n")
+def _write(out_dir, filename, text):
+    """Every output file: text as UTF-8 under out_dir, line endings as
+    given; nothing without an output directory."""
+    if out_dir is None:
+        return
+    with open(os.path.join(out_dir, filename), "w", encoding="utf-8",
+              newline="") as fh:
+        fh.write(text)
 
 
 def write_json(out_dir, name, payload):
-    if out_dir is None:
-        return
-    path = os.path.join(out_dir, name + ".json")
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write(out_dir, name + ".json", text + "\n")
 
 
 def write_csv(out_dir, name, fieldnames, rows):
-    if out_dir is None:
-        return
-    path = os.path.join(out_dir, name + ".csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt_cell(row[k]) for k in fieldnames])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([_fmt_cell(row[k]) for k in fieldnames])
+    _write(out_dir, name + ".csv", buf.getvalue())
 
 
 def _point_columns(row):
@@ -483,16 +474,16 @@ def _point_columns(row):
 # -- subcommands ---------------------------------------------------------------
 #
 # Each takes the checked values of read_config, the output directory and
-# the Reporter, and returns the exit code.
+# say(line), which prints a line for the log, and returns the exit code.
 
 
-def cmd_verify_constants(conf, out, report):
+def cmd_verify_constants(conf, out, say):
     rows = []
-    report.say("N alpha beta J1 c")
+    say("N alpha beta J1 c")
     for N in range(conf["n_min"], conf["n_max"] + 1):
         alpha, beta, J1, c = constants(N)
         rows.append({"N": N, "alpha": alpha, "beta": beta, "J1": J1, "c": c})
-        report.say(
+        say(
             "%d %s %s %s %s" % (N, repr(alpha), repr(beta), repr(J1), repr(c))
         )
     write_csv(out, "constants", ["N", "alpha", "beta", "J1", "c"], rows)
@@ -500,7 +491,7 @@ def cmd_verify_constants(conf, out, report):
     return 0
 
 
-def cmd_solve(conf, out, report):
+def cmd_solve(conf, out, say):
     problem = make_problem(conf)
     point = conf["point"]
     if point is None:
@@ -515,8 +506,8 @@ def cmd_solve(conf, out, report):
         steps=len(sol.iterations),
         residual_inf=float(sol.residual_overdetermined.norm_inf()),
     )
-    report.say("solved %s at eps=%s in %d steps" % (point, repr(eps), record["steps"]))
-    report.say(
+    say("solved %s at eps=%s in %d steps" % (point, repr(eps), record["steps"]))
+    say(
         "phi_eps=%s J=%s volume=%s a_norm=%s"
         % tuple(repr(record[k]) for k in ("phi_eps", "J", "volume", "a_norm"))
     )
@@ -536,7 +527,7 @@ def _sweep_task(task):
     return _point_columns(row)
 
 
-def cmd_sweep(conf, out, report):
+def cmd_sweep(conf, out, say):
     spec, points, eps_list = conf["spec"], conf["points"], conf["eps"]
     tasks = [
         {"spec": spec, "max_degree": conf["max_degree"],
@@ -578,9 +569,9 @@ def cmd_sweep(conf, out, report):
             entry["phi_fit"] = {str(k): v for k, v in fit.items()}
         summaries.append(entry)
         if flat:
-            report.say("point %s: max v_norm %s" % (p, repr(entry["max_v_norm"])))
+            say("point %s: max v_norm %s" % (p, repr(entry["max_v_norm"])))
         elif "v_norm_slope" in entry:
-            report.say("point %s: v_norm slope %s" % (p, repr(entry["v_norm_slope"])))
+            say("point %s: v_norm slope %s" % (p, repr(entry["v_norm_slope"])))
     payload = {
         "manifold": spec,
         "seed": conf["seed"],
@@ -591,11 +582,11 @@ def cmd_sweep(conf, out, report):
     write_json(out, "sweep", payload)
     if not invariants_ok:
         raise RuntimeError("flat sweep produced a nonzero boundary perturbation")
-    report.say("sweep done: %d solves" % len(rows))
+    say("sweep done: %d solves" % len(rows))
     return 0
 
 
-def cmd_find_critical(conf, out, report):
+def cmd_find_critical(conf, out, say):
     problem = make_problem(conf)
     options = {k: conf[k] for k in ("tol", "jitter") if conf[k] is not None}
     manifold = problem.manifold
@@ -612,7 +603,7 @@ def cmd_find_critical(conf, out, report):
         if limit is not None:
             row["dist_over_eps2"] = manifold.distance(limit, p) / eps**2
         rows.append(row)
-        report.say(
+        say(
             "eps=%s point=%s a_norm=%s"
             % (repr(eps), row["point"], repr(row["a_norm"]))
         )
@@ -636,22 +627,27 @@ def cmd_find_critical(conf, out, report):
     return 0
 
 
-def cmd_foliate(conf, out, report):
+def cmd_foliate(conf, out, say):
     spec, critical_path = conf["spec"], conf["critical"]
     if critical_path is None:
         raise DependencyError(
             "foliate needs [foliate] critical pointing at a find-critical run"
         )
-    if not os.path.exists(critical_path):
-        raise DependencyError(
-            "critical-point run not found: %s" % critical_path
-        )
     try:
         with open(critical_path, encoding="utf-8") as fh:
             critical = json.load(fh)
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise DependencyError(
+            "critical-point run not found: %s" % critical_path
+        ) from exc
     except ValueError as exc:
         raise DependencyError(
             "critical-point run is not JSON: %s" % critical_path
+        ) from exc
+    except OSError as exc:
+        raise DependencyError(
+            "critical-point run cannot be read: %s (%s)"
+            % (critical_path, exc.strerror)
         ) from exc
     ref = critical.get("reference") if isinstance(critical, dict) else None
     if not isinstance(ref, dict) or not {"eps", "point"} <= ref.keys():
@@ -673,7 +669,7 @@ def cmd_foliate(conf, out, report):
     chart = build_foliation_chart(problem.manifold, t_grid, curve, profile)
     cert = certify_foliation(chart, t_grid)
     for key in sorted(cert):
-        report.say("%s = %s" % (key, _fmt_cell(cert[key])))
+        say("%s = %s" % (key, _fmt_cell(cert[key])))
     payload = {
         "manifold": spec,
         "seed": conf["seed"],
@@ -691,7 +687,7 @@ def cmd_foliate(conf, out, report):
     return 0
 
 
-def cmd_profile(conf, out, report):
+def cmd_profile(conf, out, say):
     spec, volumes = conf["spec"], conf["volumes"]
     manifold = make_manifold(spec)
     N = spec["dimension"]
@@ -705,7 +701,7 @@ def cmd_profile(conf, out, report):
         out,
         "profile",
         ["volume", "eps_used", "J_ball", "T_euclidean", "ratio"],
-        [pt.to_record() for pt in points],
+        [asdict(pt) for pt in points],
     )
     S = manifold.scalar_curvature(p)
     c = constants(N)[3]
@@ -718,12 +714,12 @@ def cmd_profile(conf, out, report):
         "volumes": volumes,
     }
     write_json(out, "profile", payload)
-    report.say("fitted v^(2/N) coefficient %s" % repr(coef))
-    report.say("curvature prediction %s" % repr(float(-c * S)))
+    say("fitted v^(2/N) coefficient %s" % repr(coef))
+    say("curvature prediction %s" % repr(float(-c * S)))
     return 0
 
 
-def cmd_run_acceptance(conf, out, report):
+def cmd_run_acceptance(conf, out, say):
     strict, ids = conf["strict"], conf["checks"]
     engine = AcceptanceRun(seed=conf["seed"])
     records = engine.run_all(ids)
@@ -741,8 +737,8 @@ def cmd_run_acceptance(conf, out, report):
             n_fail += 1
             verdict = "FAIL"
         gate = gate and ok
-        report.say("acceptance %02d %s: %s" % (rec["id"], rec["name"], verdict))
-    report.say(
+        say("acceptance %02d %s: %s" % (rec["id"], rec["name"], verdict))
+    say(
         "gate: %s (%d passed, %d failed, %d documented)"
         % ("PASS" if gate else "FAIL", n_pass, n_fail, n_documented)
     )
@@ -807,10 +803,7 @@ def _error_record(kind, command, message, out):
     line = json.dumps(record, sort_keys=True)
     print(line, file=sys.stderr)
     if out is not None and os.path.isdir(out):
-        with open(
-            os.path.join(out, "error.json"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(line + "\n")
+        _write(out, "error.json", line + "\n")
 
 
 def main(argv=None):
@@ -818,6 +811,12 @@ def main(argv=None):
     command = args.command
     handler, _, grid = COMMANDS[command]
     out = args.out
+    lines = []
+
+    def say(line):
+        print(line)
+        lines.append(line)
+
     try:
         if out is not None:
             os.makedirs(out, exist_ok=True)
@@ -825,9 +824,8 @@ def main(argv=None):
         if grid is not None and args.config is None:
             raise ConfigError("%s requires --config" % command)
         conf = read_config(load_config(args.config), command, vars(args))
-        report = Reporter()
-        code = handler(conf, out, report)
-        report.write_log(out, command.replace("-", "_"))
+        code = handler(conf, out, say)
+        _write(out, command.replace("-", "_") + ".log", "\n".join(lines) + "\n")
         return code
     except (ConfigError, DependencyError) as exc:
         _error_record(exc.kind, command, str(exc), out)

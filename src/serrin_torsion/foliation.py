@@ -9,6 +9,8 @@ with unit slope at t = 0: the numerical witness that the family foliates
 a punctured neighborhood.
 """
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -235,18 +237,14 @@ def center_curve_through(manifold, p_ref, eps_ref):
 
     # memoised, read-only: the leaf solves and the chart ask for the same
     # points, each a single-point geodesic integration
-    cache = {}
-
+    @functools.cache
     def curve(t):
         scale = (t / eps_ref) ** 2
         if scale == 0.0 or np.abs(w_ref).max() == 0.0:
             return base
-        key = float(t)
-        if key not in cache:
-            point = manifold.exp(base, np.atleast_2d(scale * w_ref))[0]
-            point.setflags(write=False)
-            cache[key] = point
-        return cache[key]
+        point = manifold.exp(base, np.atleast_2d(scale * w_ref))[0]
+        point.setflags(write=False)
+        return point
 
     return base, curve
 
@@ -258,13 +256,10 @@ def solved_profile_curve(problem, curve):
     not a domain deformation, so the returned profile is the solved mean
     plus the degree >= 2 remainder. Solutions are cached per t.
     """
-    cache = {}
 
+    @functools.cache
     def profile(t):
-        key = float(t)
-        if key not in cache:
-            sol = problem.solve(np.asarray(curve(key), dtype=float), key)
-            cache[key] = sol.state.domain_profile()
-        return cache[key]
+        sol = problem.solve(np.asarray(curve(t), dtype=float), t)
+        return sol.state.domain_profile()
 
     return profile

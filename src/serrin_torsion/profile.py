@@ -13,10 +13,12 @@ from scipy.optimize import brentq
 
 from .ball_solver import EnvelopeError, dirichlet_solve_full, get_grid
 from .curvature import MetricJet, _packed_cofactors, cubic_chart
+from .fitting import fit_even_series
 from .reduced import constants
 from .sphere_spectral import ball_volume
 
 __all__ = [
+    "MIN_RADIUS",
     "ProfilePoint",
     "J_geodesic_ball",
     "ball_volume_at",
@@ -76,6 +78,13 @@ def ball_volume_at(manifold, p, eps):
 # matched_radius: relative tolerance of the root solve in eps.
 MATCH_RTOL = 1e-12
 
+# Smallest Euclidean radius (v / |B_1|)^(1/N) of a profile volume. The
+# fitted v^(2/N) coefficient is ratio - 1 divided by v^(2/N), so its
+# roundoff grows like 1e-14 / r^2: on the unit round models it moves the
+# coefficient by 6e-6 (N = 2) and 2e-5 (N = 3) relative at r = 1e-4,
+# against the 3% of acceptance check 7, and by 6% and 17% at r = 1e-6.
+MIN_RADIUS = 1e-4
+
 
 def matched_radius(manifold, p, volume):
     """Radius eps with |B_eps(p)| = volume, by bracketing root solve."""
@@ -93,7 +102,7 @@ def matched_radius(manifold, p, volume):
         raise ValueError(
             "volume %.3g not bracketed near eps = %.3g" % (volume, eps0)
         )
-    eps = brentq(gap, lo, hi, xtol=1e-15, rtol=MATCH_RTOL)
+    eps = brentq(gap, lo, hi, xtol=1e-15 * eps0, rtol=MATCH_RTOL)
     if abs(gap(eps)) / volume > 1e-10:
         raise ValueError("volume matching stalled at %.3g" % (gap(eps) / volume))
     return eps
@@ -108,15 +117,6 @@ class ProfilePoint:
     T_euclidean: float
     ratio: float
     eps_used: float
-
-    def to_record(self):
-        return {
-            "volume": self.volume,
-            "J_ball": self.J_ball,
-            "T_euclidean": self.T_euclidean,
-            "ratio": self.ratio,
-            "eps_used": self.eps_used,
-        }
 
 
 def profile_expansion(manifold, volume_grid, p=None):
@@ -152,8 +152,6 @@ def profile_expansion(manifold, volume_grid, p=None):
 
 def profile_coefficient(points, N):
     """Fitted coefficient of v^(2/N) in ratio - 1 over a profile table."""
-    v = np.array([pt.volume for pt in points])
+    v = [pt.volume for pt in points]
     r = np.array([pt.ratio for pt in points])
-    A = np.stack([v ** (2.0 / N), v ** (4.0 / N)], axis=1)
-    coeffs, *_ = np.linalg.lstsq(A, r - 1.0, rcond=None)
-    return float(coeffs[0])
+    return fit_even_series(v, r - 1.0, orders=(2 / N, 4 / N))[2 / N]

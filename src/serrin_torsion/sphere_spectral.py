@@ -31,7 +31,6 @@ __all__ = [
     "packed_pairs",
     "packed_index",
     "ball_volume",
-    "sphere_area",
     "calL_solve",
     "check_dimension",
 ]
@@ -53,11 +52,6 @@ def check_dimension(N):
 def ball_volume(N):
     """Volume of the unit ball in R^N."""
     return math.pi ** (N / 2.0) / math.gamma(N / 2.0 + 1.0)
-
-
-def sphere_area(N):
-    """Area of S^{N-1}, i.e. N * |B_1|."""
-    return N * ball_volume(N)
 
 
 class SphereBasis:
@@ -104,7 +98,7 @@ class SphereBasis:
                              % (MAX_DEGREE, max_degree))
         self.dim = N
         self.max_degree = max_degree
-        self.area = sphere_area(N)
+        self.area = N * ball_volume(N)  # |S^{N-1}| = N |B_1|
 
         labels = [(0, 0, 0)]
         for l in range(1, max_degree + 1):

@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from serrin_torsion import cli, serrin
 from serrin_torsion.cli import (
@@ -375,6 +375,19 @@ def test_foliate_rejects_non_json_critical_run(tmp_path, capsys, monkeypatch):
     assert "not JSON" in err["error"]["message"]
 
 
+def test_foliate_rejects_directory_critical_run(tmp_path, capsys, monkeypatch):
+    """A critical path naming a directory cannot be read: a dependency
+    error before any solve, as a missing file is."""
+    monkeypatch.setattr(SerrinProblem, "solve", _no_solve)
+    cfg = tmp_path / "fol.ini"
+    cfg.write_text(CONF_RUN + "\n[foliate]\ncritical = %s\n" % tmp_path)
+    assert main(["foliate", "--config", str(cfg)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)["error"]
+    assert err["kind"] == "dependency_error"
+    assert "critical-point run cannot be read: %s" % tmp_path in err["message"]
+
+
 # -- profile ---------------------------------------------------------------------
 
 
@@ -570,6 +583,16 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
             "volume 50.0 has Euclidean radius 3.99 outside (0, 0.5]",
         ),
         (
+            "profile",
+            "[run]\nmanifold = round\n\n[profile]\nvolumes = 1e-12, 2e-12, 3e-12\n",
+            "volume 1e-12 has Euclidean radius 5.64e-07 below 0.0001",
+        ),
+        (
+            "profile",
+            "[run]\nmanifold = round\n\n[profile]\nvolumes = 1e-20, 2e-20, 3e-20\n",
+            "volume 1e-20 has Euclidean radius 5.64e-11 below 0.0001",
+        ),
+        (
             "solve",
             "[run]\nmanifold = flat\nmax_degree = 0\n\n[solve]\neps = 0.1\n",
             "[run] max_degree must be at least 1, got 0",
@@ -719,6 +742,7 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, text, source):
         "negative-curvature", "dimension-4", "short-t-grid", "decreasing-t-grid",
         "misspelt-t-grid", "removed-residual-tol", "unknown-section",
         "profile-max-degree", "profile-n-radial", "profile-volume-radius",
+        "profile-volume-below-fit", "profile-volume-below-match",
         "solve-max-degree-0", "solve-max-degree-negative", "solve-n-radial-0",
         "find-critical-max-degree-0", "foliate-n-radial-0",
         "sweep-max-degree-0", "sweep-n-radial-negative", "sweep-repeated-eps",
@@ -756,10 +780,10 @@ def test_config_error_before_any_solve(
 # -- generated hostile configs -----------------------------------------------------
 
 
-# hostile tokens: non-finite, huge, zero, negative, past a bound, not a
-# number, empty
-HOSTILE = ["nan", "inf", "1e300", "1e160", "-1e300", "0", "-1", "-0.2", "0.6",
-           "129", "342", "1001", "abc", ""]
+# hostile tokens: non-finite, huge, zero, tiny, negative, past a bound, not
+# a number, empty
+HOSTILE = ["nan", "inf", "1e300", "1e160", "-1e300", "0", "1e-20", "-1",
+           "-0.2", "0.6", "129", "342", "1001", "abc", ""]
 
 
 def _valid_config(command, manifold):
@@ -839,10 +863,11 @@ def _check_received(kind, args):
         if isinstance(manifold, cli.ConformalSphere2D):
             assert math.isfinite(r * r)
     elif kind == "profile":
-        volumes, p = args
+        N, volumes, p = args
         assert np.all(np.isfinite(p))
         assert len(set(volumes)) == len(volumes) >= 3
-        assert all(np.isfinite(v) and v > 0 for v in volumes)
+        radii = [(v / cli.ball_volume(N)) ** (1.0 / N) for v in volumes]
+        assert all(cli.MIN_RADIUS <= r <= cli.EPS_MAX for r in radii)
     elif kind == "checks":
         assert args and set(args) <= set(cli.CHECK_IDS)
     else:
@@ -855,6 +880,9 @@ def _check_received(kind, args):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(drawn=_configs())
+# one hostile draw that a bounded run rarely makes: a volume below the fit
+@example(drawn=("profile", {"run": {"manifold": "round"},
+                            "profile": {"volumes": "0.01, 1e-20, 0.05"}}))
 def test_generated_configs_fail_typed_or_reach_the_solver_in_domain(
     tmp_path, monkeypatch, drawn
 ):
@@ -877,7 +905,7 @@ def test_generated_configs_fail_typed_or_reach_the_solver_in_domain(
             raise _Stop()
 
     def expansion(manifold, volumes, p=None):
-        received.append(("profile", (volumes, np.asarray(p))))
+        received.append(("profile", (manifold.dim, volumes, np.asarray(p))))
         raise _Stop()
 
     def run_all(engine, ids=None):

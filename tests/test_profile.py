@@ -1,5 +1,7 @@
 """Isochoric torsion profile: energies at matched volume and the fitted response."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,6 +25,7 @@ from serrin_torsion.profile import (
 )
 from serrin_torsion.reduced import constants
 from serrin_torsion.serrin import SerrinProblem
+from serrin_torsion.sphere_spectral import ball_volume
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +39,6 @@ def conf():
 
 
 def test_euclidean_profile_normalization():
-    from serrin_torsion.sphere_spectral import ball_volume
-
     for N in (2, 3, 4):
         _, _, J1, _ = constants(N)
         assert_allclose(euclidean_profile(ball_volume(N), N), J1, rtol=1e-13)
@@ -121,6 +122,18 @@ def test_matched_radius_round(round2):
     eps = matched_radius(round2, p0, target)
     assert abs(eps - 0.1) < 1e-6
     assert abs(ball_volume_at(round2, p0, eps) - target) / target < 1e-10
+
+
+@pytest.mark.parametrize("N, radius", [(2, 1e-10), (3, 1e-8)])
+def test_matched_radius_tiny_balls(N, radius):
+    """The root solve's tolerance scales with the ball, so a tiny volume
+    matches to the same 1e-10 as a small one instead of stalling."""
+    manifold = ConstantCurvature(N, 1.0)
+    p0 = manifold.origin()
+    target = ball_volume(N) * radius**N
+    eps = matched_radius(manifold, p0, target)
+    assert abs(eps / radius - 1.0) < 1e-12
+    assert abs(ball_volume_at(manifold, p0, eps) - target) / target < 1e-10
 
 
 def test_round_ball_energy_sweep(round2):
@@ -215,8 +228,8 @@ def test_matched_radius_rejects_unbracketed(round2):
 def test_profile_point_record():
     pt = ProfilePoint(volume=0.1, J_ball=2.0, T_euclidean=4.0, ratio=0.5,
                       eps_used=0.17)
-    rec = pt.to_record()
-    assert rec == {
+    # the CLI writes asdict(pt) as a profile.csv row
+    assert dataclasses.asdict(pt) == {
         "volume": 0.1,
         "J_ball": 2.0,
         "T_euclidean": 4.0,

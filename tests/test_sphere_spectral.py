@@ -12,7 +12,6 @@ from serrin_torsion.sphere_spectral import (
     calL_solve,
     get_basis,
     product_points,
-    sphere_area,
 )
 
 
@@ -49,8 +48,8 @@ def basis(request):
 
 
 def test_surface_measures():
-    assert_allclose(sphere_area(2), 2 * np.pi, rtol=1e-15)
-    assert_allclose(sphere_area(3), 4 * np.pi, rtol=1e-15)
+    assert_allclose(get_basis(2, 1).area, 2 * np.pi, rtol=1e-15)
+    assert_allclose(get_basis(3, 1).area, 4 * np.pi, rtol=1e-15)
     assert_allclose(ball_volume(2), np.pi, rtol=1e-15)
     assert_allclose(ball_volume(3), 4 * np.pi / 3, rtol=1e-15)
 
