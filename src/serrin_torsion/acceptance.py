@@ -28,12 +28,7 @@ from .ball_solver import (
 )
 from .curvature import ConformalSphere2D, ConstantCurvature, FlatSpace
 from .fitting import fit_even_series, loglog_slope
-from .foliation import (
-    build_foliation_chart,
-    center_curve_through,
-    certify_foliation,
-    solved_profile_curve,
-)
+from .foliation import foliate
 from .profile import J_geodesic_ball, profile_coefficient, profile_expansion
 from .reduced import (
     constants,
@@ -398,20 +393,17 @@ class AcceptanceRun:
         pmax = self.conf.scalar_max_point()
         rows = []
         for eps in (0.06, 0.1):
-            p, sol, info = find_critical(problem, eps, seed=self.seed)
+            p, _, info = find_critical(problem, eps, seed=self.seed)
             rows.append(
                 {
                     "eps": eps,
                     "dist_over_eps2": self.conf.distance(pmax, p) / eps**2,
-                    "a_norm": float(np.linalg.norm(sol.state.a)),
+                    "a_norm": info["a_norm"],
                     "solves": info["solves"],
                 }
             )
         # the center curve is pinned by the eps = 0.1 point of the loop
-        _, curve = center_curve_through(self.conf, p, 0.1)
-        profile = solved_profile_curve(problem, curve)
-        chart = build_foliation_chart(self.conf, FOLIATION_T, curve, profile)
-        cert = certify_foliation(chart, FOLIATION_T)
+        _, _, cert = foliate(problem, p, 0.1, FOLIATION_T)
         passed = (
             all(r["a_norm"] < 1e-9 and r["dist_over_eps2"] < 1.0 for r in rows)
             and cert["nested"]

@@ -4,9 +4,10 @@ Design constraints the implementation enforces:
 
 * every config value is read and checked by one schema (SCHEMA) before a
   subcommand starts its work;
-* deterministic outputs: repeated runs with the same config and seed
-  produce byte-identical files (floats are written in shortest
-  round-trip form, JSON keys are sorted, nothing records wall time);
+* deterministic outputs: repeated runs with the same config and seed,
+  at the same BLAS thread count, produce byte-identical files (floats are
+  written in shortest round-trip form, JSON keys are sorted, nothing
+  records wall time; a threaded BLAS may sum in another order);
 * randomness enters only through the seeded critical-search initializer
   and the seeded draws inside the acceptance checks;
 * sweep tasks are solved cold and independently, so the result bytes do
@@ -35,13 +36,7 @@ from .acceptance import CHECK_IDS, AcceptanceRun, acceptable
 from .ball_solver import MAX_RADIAL
 from .curvature import ConformalSphere2D, ConstantCurvature, FlatSpace
 from .fitting import fit_even_series, loglog_slope
-from .foliation import (
-    build_foliation_chart,
-    center_curve_through,
-    certify_foliation,
-    check_certificate_grid,
-    solved_profile_curve,
-)
+from .foliation import check_certificate_grid, foliate
 from .profile import MIN_RADIUS, profile_coefficient, profile_expansion
 from .reduced import CHART_RADIUS, constants, find_critical, reduced_functional
 from .serrin import SerrinProblem
@@ -593,11 +588,11 @@ def cmd_find_critical(conf, out, say):
     limit = manifold.scalar_max_point()
     rows = []
     for eps in sorted(conf["eps"]):
-        p, sol, info = find_critical(problem, eps, seed=conf["seed"], **options)
+        p, _, info = find_critical(problem, eps, seed=conf["seed"], **options)
         row = {
             "eps": eps,
             "point": [float(x) for x in np.atleast_1d(p)],
-            "a_norm": float(np.linalg.norm(sol.state.a)),
+            "a_norm": info["a_norm"],
             "solves": info["solves"],
         }
         if limit is not None:
@@ -660,14 +655,9 @@ def cmd_foliate(conf, out, say):
             "critical run used manifold %r, config says %r"
             % (critical.get("manifold"), spec)
         )
-    problem = make_problem(conf)
     t_grid = conf["t_grid"]
-    base, curve = center_curve_through(
-        problem.manifold, np.array(ref["point"]), ref["eps"]
-    )
-    profile = solved_profile_curve(problem, curve)
-    chart = build_foliation_chart(problem.manifold, t_grid, curve, profile)
-    cert = certify_foliation(chart, t_grid)
+    problem = make_problem(conf)
+    base, chart, cert = foliate(problem, ref["point"], ref["eps"], t_grid)
     for key in sorted(cert):
         say("%s = %s" % (key, _fmt_cell(cert[key])))
     payload = {

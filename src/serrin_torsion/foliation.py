@@ -21,6 +21,7 @@ __all__ = [
     "center_curve_through",
     "certify_foliation",
     "check_certificate_grid",
+    "foliate",
     "recentering_solve",
     "reparametrize",
     "solved_profile_curve",
@@ -116,30 +117,22 @@ class FoliationChart:
 
     def leaf_table(self):
         """Rows (t, node index, omega) for export."""
-        rows = []
-        for i, t in enumerate(self.t_grid):
-            for j in range(self.omega.shape[1]):
-                rows.append((float(t), j, float(self.omega[i, j])))
-        return rows
+        n_t, n_nodes = self.omega.shape
+        return list(zip(
+            np.repeat(self.t_grid, n_nodes).tolist(),
+            np.tile(np.arange(n_nodes), n_t).tolist(),
+            self.omega.ravel().tolist(),
+        ))
 
 
-def _leaf_grid(t_grid):
-    """t_grid as a float array; ValueError unless it has at least two
-    values, all positive and strictly increasing."""
+def check_certificate_grid(t_grid):
+    """t_grid as a float array; ValueError unless a certificate can be read
+    on it: at least 8 values, all positive and strictly increasing."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise ValueError("need a one-dimensional t-grid")
     if np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t-grid must be positive and strictly increasing")
-    return t_grid
-
-
-def check_certificate_grid(t_grid):
-    """t_grid as a float array; ValueError unless a certificate can be read
-    on it: a leaf grid of at least 8 values. Checked before any leaf is
-    solved, it fails a grid that certify_foliation would reject only after
-    the whole chart is built."""
-    t_grid = _leaf_grid(t_grid)
     if len(t_grid) < 8:
         raise ValueError("certification needs at least 8 t-values")
     return t_grid
@@ -149,11 +142,12 @@ def build_foliation_chart(manifold, t_grid, curve, profile):
     """Assemble the sampled chart: recenter all leaves at once, then
     reparametrize each.
 
-    Every leaf must pass the log's LOG_TOL round trip in recentering_solve
-    and reparametrize's INVERSE_TOL inversion; a failure raises
-    FoliationError.
+    t_grid must pass check_certificate_grid (ValueError before any
+    profile(t) call). Every leaf must pass the log's LOG_TOL round trip in
+    recentering_solve and reparametrize's INVERSE_TOL inversion; a failure
+    raises FoliationError.
     """
-    t_grid = _leaf_grid(t_grid)
+    t_grid = check_certificate_grid(t_grid)
     ws = recentering_solve(manifold, t_grid, curve, profile)
     omegas = [
         reparametrize(w, profile(float(t)).basis) for t, w in zip(t_grid, ws)
@@ -188,10 +182,10 @@ def certify_foliation(chart, t_grid=None):
     dt_min = float(
         (steps[:n_ok] / np.diff(t)[:n_ok, None]).min()
     )
-    centered = []
-    for i in range(1, t1_index):
-        centered.append((om[i + 1] - om[i - 1]) / (t[i + 1] - t[i - 1]))
-    dt_centered_min = float(np.min(centered)) if centered else dt_min
+    centered = (om[2 : t1_index + 1] - om[: t1_index - 1]) / (
+        t[2 : t1_index + 1] - t[: t1_index - 1]
+    )[:, None]
+    dt_centered_min = float(centered.min()) if t1_index > 1 else dt_min
 
     # slope at t -> 0 from the two smallest leaves: fit omega = s t + q t^2
     t1v, t2v = t[0], t[1]
@@ -263,3 +257,17 @@ def solved_profile_curve(problem, curve):
         return sol.state.domain_profile()
 
     return profile
+
+
+def foliate(problem, p_ref, eps_ref, t_grid):
+    """The foliation of the solved domains around the base point: the
+    center curve through the critical point p_ref located at eps_ref, the
+    solved profiles along it, the chart on t_grid and its certificate.
+
+    Returns (base, chart, certificate). A t_grid the certificate cannot
+    read raises ValueError before any leaf is solved.
+    """
+    base, curve = center_curve_through(problem.manifold, p_ref, eps_ref)
+    profile = solved_profile_curve(problem, curve)
+    chart = build_foliation_chart(problem.manifold, t_grid, curve, profile)
+    return base, chart, certify_foliation(chart, t_grid)

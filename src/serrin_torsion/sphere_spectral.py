@@ -157,15 +157,13 @@ class SphereBasis:
         mu, wmu = np.polynomial.legendre.leggauss(n_mu)
         phi = 2.0 * math.pi * np.arange(n_az) / n_az
         smu = np.sqrt(1.0 - mu**2)
-        nodes = np.empty((n_mu * n_az, 3))
-        weights = np.empty(n_mu * n_az)
-        q = 0
-        for i in range(n_mu):
-            nodes[q : q + n_az, 0] = smu[i] * np.cos(phi)
-            nodes[q : q + n_az, 1] = smu[i] * np.sin(phi)
-            nodes[q : q + n_az, 2] = mu[i]
-            weights[q : q + n_az] = wmu[i] * (2.0 * math.pi / n_az)
-            q += n_az
+        # latitude-major: node q = i * n_az + j sits at (mu[i], phi[j])
+        nodes = np.stack([
+            np.outer(smu, np.cos(phi)).ravel(),
+            np.outer(smu, np.sin(phi)).ravel(),
+            np.repeat(mu, n_az),
+        ], axis=1)
+        weights = np.repeat(wmu * (2.0 * math.pi / n_az), n_az)
         return nodes, weights
 
     def _ladder(self, l, m):
@@ -384,7 +382,7 @@ class SphereFunction:
         return cls(basis, c)
 
     @classmethod
-    def from_mode(cls, basis, degree, order, value=1.0):
+    def from_mode(cls, basis, degree, order, value):
         c = np.zeros(basis.n_modes)
         c[basis.degree_slice(degree).start + order] = value
         return cls(basis, c)

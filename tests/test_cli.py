@@ -959,6 +959,63 @@ def test_generated_configs_fail_typed_or_reach_the_solver_in_domain(
         _check_received("pool", entry)
 
 
+def _check_read(section, key, value, conf):
+    """AssertionError unless a value read for [section] key is finite and
+    in the domain the key declares: its count, least, most and distinct,
+    and what its rule promises, restated here."""
+    entry = cli.SCHEMA[section][key]
+    if entry.kind in ("word", "path", "boolean"):
+        return
+    values = value if isinstance(value, list) else [value]
+    assert len(values) >= entry.count
+    assert np.all(np.isfinite(np.asarray(values, dtype=float)))
+    for i, v in enumerate(values):
+        assert entry.least is None or v >= entry.least
+        assert entry.most is None or 0.0 < v <= entry.most
+        assert not entry.distinct or v not in values[:i]
+    if entry.kind in ("point", "points"):
+        manifold = cli.make_manifold(conf["spec"])
+        for p in np.atleast_2d(values):
+            _check_received("solve", (manifold, p, cli.EPS_MAX))
+    elif (section, key) == ("profile", "volumes"):
+        N = conf["spec"]["dimension"]
+        _check_received("profile", (N, values, np.zeros(N)))
+    elif (section, key) == ("foliate", "t_grid"):
+        assert len(values) >= 8 and np.all(np.diff(values) > 0)
+    elif (section, key) == ("constants", "n_max"):
+        assert value >= conf["n_min"]
+    elif entry.kind == "checks":
+        _check_received("checks", values)
+
+
+def test_every_hostile_token_in_every_field_fails_typed_or_reads_in_domain():
+    """The generated configs put a given HOSTILE token into a given key
+    about once in 1700 draws. Here every field of every key's valid text
+    (split at , : ;) takes every token, on every manifold, and read_key
+    either raises ConfigError or returns finite values in the key's
+    domain."""
+    cases = {}
+    for command in sorted(cli.COMMANDS):
+        for manifold in ("flat", "round", "conformal"):
+            cfg = _valid_config(command, manifold)
+            conf = cli.read_config(cfg, command)
+            for section, key in [(s, k) for s in cfg for k in cfg[s]]:
+                fields = re.split(r"([,:;])", cfg[section][key])
+                for i in range(0, len(fields), 2):
+                    for token in HOSTILE:
+                        text = "".join(fields[:i] + [token] + fields[i + 1:])
+                        cases[manifold, section, key, text] = conf
+    read = 0
+    for (_, section, key, text), conf in cases.items():
+        try:
+            value = read_key({section: {key: text}}, section, key, conf)
+        except ConfigError:
+            continue
+        _check_read(section, key, value, conf)
+        read += 1
+    assert 0 < read < len(cases)
+
+
 # -- docs ------------------------------------------------------------------------
 
 

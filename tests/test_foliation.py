@@ -14,6 +14,7 @@ from serrin_torsion.foliation import (
     build_foliation_chart,
     center_curve_through,
     certify_foliation,
+    foliate,
     recentering_solve,
     reparametrize,
     solved_profile_curve,
@@ -49,10 +50,16 @@ def round_setup():
 
 
 @pytest.fixture(scope="module")
-def conf_setup():
-    manifold = ConformalSphere2D()
-    problem = SerrinProblem(manifold)
+def conf_ref():
+    problem = SerrinProblem(ConformalSphere2D())
     p_ref, _, _ = find_critical(problem, 0.1, seed=0)
+    return problem, p_ref
+
+
+@pytest.fixture(scope="module")
+def conf_setup(conf_ref):
+    problem, p_ref = conf_ref
+    manifold = problem.manifold
     base, curve = center_curve_through(manifold, p_ref, 0.1)
     profile = solved_profile_curve(problem, curve)
     return manifold, problem, base, curve, profile
@@ -146,6 +153,18 @@ def test_batched_chart_matches_per_leaf_reference(conf_setup, conf_chart):
         assert cert[key] == want[key]
     for key in want:
         assert abs(cert[key] - want[key]) < 1e-9
+
+
+def test_foliate_is_the_four_call_chain(conf_ref, conf_setup, conf_chart):
+    """foliate spells center curve, solved profiles, chart and certificate
+    once, for every front end: bit for bit the chain of the four calls."""
+    problem, p_ref = conf_ref
+    _, _, base_ref, _, _ = conf_setup
+    base, chart, cert = foliate(problem, p_ref, 0.1, T_GRID)
+    assert np.array_equal(base, base_ref)
+    assert np.array_equal(chart.t_grid, conf_chart.t_grid)
+    assert np.array_equal(chart.omega, conf_chart.omega)
+    assert cert == certify_foliation(conf_chart, T_GRID)
 
 
 def test_chart_integration_count(conf_setup, conf_chart, monkeypatch):
@@ -278,18 +297,29 @@ def test_certificate_prefix_stops_at_first_failure(flat_chart):
     assert not cert["nested"]
     assert cert["n_certified"] == len(T_GRID) - 1
     assert cert["t1"] == flat_chart.t_grid[-2]
+    # the centered t-derivatives over the certified prefix only
+    t = flat_chart.t_grid
+    centered = [
+        (omega[i + 1] - omega[i - 1]) / (t[i + 1] - t[i - 1])
+        for i in range(1, len(T_GRID) - 2)
+    ]
+    assert cert["min_dt_omega"] == float(np.min(centered))
 
 
 def test_build_validates_grid(basis):
+    """A grid the certificate cannot read fails before any leaf is solved."""
     flat = FlatSpace(2)
     curve = lambda t: np.zeros(2)
-    profile = lambda t: SphereFunction.constant(basis, 0.0)
-    with pytest.raises(ValueError):
-        build_foliation_chart(flat, [0.1], curve, profile)
-    with pytest.raises(ValueError):
-        build_foliation_chart(flat, [-0.1, 0.1], curve, profile)
-    with pytest.raises(ValueError):
-        build_foliation_chart(flat, [0.2, 0.1], curve, profile)
+    solved = []
+
+    def profile(t):
+        solved.append(t)
+        return SphereFunction.constant(basis, 0.0)
+
+    for grid in ([0.1], [-0.1, 0.1], [0.2, 0.1], T_GRID[:5]):
+        with pytest.raises(ValueError):
+            build_foliation_chart(flat, grid, curve, profile)
+    assert solved == []
 
 
 # -- solver-driven curve -----------------------------------------------------
@@ -306,10 +336,11 @@ def test_critical_center_curve_quadratic_drift(conf_setup):
     assert d2 / 0.1**2 < 1.0  # and the drift itself is tiny
 
 
-def test_leaf_table_shape(flat_chart):
-    rows = flat_chart.leaf_table()
-    assert len(rows) == flat_chart.omega.size
-    t0, j0, om0 = rows[0]
-    assert t0 == T_GRID[0]
-    assert j0 == 0
-    assert om0 == flat_chart.omega[0, 0]
+def test_leaf_table_shape(conf_chart):
+    rows = conf_chart.leaf_table()
+    assert rows == [
+        (float(t), j, float(om))
+        for t, leaf in zip(T_GRID, conf_chart.omega)
+        for j, om in enumerate(leaf)
+    ]
+    assert [type(x) for x in rows[-1]] == [float, int, float]
